@@ -63,7 +63,9 @@ test-sched:
 # snapshot-view tests: index round-trips and invariants on random
 # trees, incremental splice patching ≡ full rebuild across randomized
 # splice sequences (empty forests included), the parallel ≡ sequential
-# matching property, and F-guide memoization on the generation counter
+# matching property, a match memo kept across splices ≡ a fresh one
+# (plus the reset on an unreported mutation), and F-guide memoization
+# on the generation counter
 test-view:
 	dune exec test/test_view.exe
 

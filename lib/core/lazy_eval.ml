@@ -151,7 +151,9 @@ type state = {
   mutable refinement_dirty : bool;
   refined : (int, Relevance.t option) Hashtbl.t;  (* source pid -> refined rq *)
   mutable finished_sources : int list;  (* sources of finished layers *)
-  (* evaluation context shared across detections, reset on doc change *)
+  (* evaluation context shared across detections, kept in sync across
+     splices by [Eval.forget]; dropped with the [refined] cache, whose
+     rewrites keep pattern pids while changing labels *)
   mutable shared_ctx : Eval.context option;
   (* intra-document parallel matching: jobs level + batch accounting *)
   match_par : Eval.par option;
@@ -182,6 +184,7 @@ let scan_new_functions st (nodes : Doc.node list) =
 let effective st (rq : Relevance.t) : Relevance.t option =
   if st.refinement_dirty then begin
     Hashtbl.reset st.refined;
+    st.shared_ctx <- None;
     st.refinement_dirty <- false
   end;
   match Hashtbl.find_opt st.refined rq.Relevance.source with
@@ -523,10 +526,10 @@ let run ?(strategy = default) ?schema ?(obs = Obs.null) ?pool ?projector ?dispat
     }
   in
   (* The sequential apply half calls back here after every splice:
-     invalidate the shared evaluation context, keep the F-guide in sync
-     and learn the function names the result brought in. *)
-  Engine.on_replace eng (fun ~invoked ~added ->
-      st.shared_ctx <- None;
+     drop the shared context's memo along the splice path only, keep the
+     F-guide in sync and learn the function names the result brought in. *)
+  Engine.on_replace eng (fun ~parent ~invoked ~added ->
+      Option.iter (fun ctx -> Eval.forget ctx parent) st.shared_ctx;
       (match st.fguide with
       | None -> ()
       | Some guide ->

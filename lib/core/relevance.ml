@@ -26,7 +26,8 @@ let relevant_calls ?relax_joins ?par t d =
   Eval.matches_of ?relax_joins ?par t.query d ~target:t.target
 
 (** Same, sharing an evaluation context across queries (multi-query
-    optimization); the context self-heals when the document changed. *)
+    optimization); the context resets when the document changed, unless
+    it was kept in sync with [Eval.forget]. *)
 let relevant_calls_in ctx t d = Eval.matches_of_in ctx t.query d ~target:t.target
 
 (** Same, over an explicit snapshot view. *)

@@ -28,7 +28,8 @@ val relevant_calls_in :
   Axml_query.Eval.context -> t -> Axml_doc.t -> Axml_doc.node list
 (** Same, sharing an evaluation context across the relevance queries of
     one detection sweep (the multi-query optimization of §4.1); the
-    context rebinds itself when the document changed. *)
+    context resets itself when the document changed, unless it was kept
+    in sync across the splice with {!Axml_query.Eval.forget}. *)
 
 val relevant_calls_view :
   ?relax_joins:bool ->

@@ -152,7 +152,7 @@ type t = {
      snapshot: [finish] differences against it so the report counts only
      the view work done during the run *)
   view_baseline : int;
-  mutable on_replace : invoked:Doc.node -> added:Doc.node list -> unit;
+  mutable on_replace : parent:Doc.node -> invoked:Doc.node -> added:Doc.node list -> unit;
   mutable invoked : int;
   mutable pushed : int;
   mutable rounds : int;
@@ -195,7 +195,7 @@ let create ?(max_calls = 100_000) ?pool ?(obs = Obs.null) ?projector ?dispatch r
     projector;
     projection;
     view_baseline = Doc.view_indexed_total doc;
-    on_replace = (fun ~invoked:_ ~added:_ -> ());
+    on_replace = (fun ~parent:_ ~invoked:_ ~added:_ -> ());
     invoked = 0;
     pushed = 0;
     rounds = 0;
@@ -261,8 +261,9 @@ let apply t ?push (call : Doc.node) outcome =
        projected document — and so the splice is the only mutation,
        keeping the incremental snapshot-view patch valid (post-splice
        pruning would invalidate it and force full O(n) rebuilds). *)
+    let parent = call.Doc.parent in
     let result =
-      match (t.projector, call.Doc.parent) with
+      match (t.projector, parent) with
       | Some p, Some parent ->
         let kept, st = Project.spliced_forest p ~parent result in
         t.projection <- Project.add_stats t.projection st;
@@ -270,7 +271,9 @@ let apply t ?push (call : Doc.node) outcome =
       | _ -> result
     in
     let added = Doc.replace_call t.doc call result in
-    t.on_replace ~invoked:call ~added;
+    (* [replace_call] detached the call and rejects a parentless one, so
+       the splice point was captured above and exists *)
+    t.on_replace ~parent:(Option.get parent) ~invoked:call ~added;
     t.invoked <- t.invoked + 1;
     Metrics.incr t.obs.Obs.metrics "eval.invoked";
     if inv.Registry.pushed then begin

@@ -155,11 +155,16 @@ val create :
     registry) replaces the request half — this is where a scheduler
     plugs in routing without touching any strategy. *)
 
-val on_replace : t -> (invoked:Axml_doc.node -> added:Axml_doc.node list -> unit) -> unit
+val on_replace :
+  t -> (parent:Axml_doc.node -> invoked:Axml_doc.node -> added:Axml_doc.node list -> unit) -> unit
 (** Strategy hook run after each successful splice, on the coordinating
-    thread, before the counters — the lazy evaluator resets its shared
-    evaluation context, maintains the F-guide and scans the added nodes
-    for new function names here. Default: nothing. *)
+    thread, before the counters. [parent] is the splice point — the node
+    the invoked call was a child of, which [invoked] no longer points to
+    — so an empty [added] forest (a plain deletion) still says where the
+    document changed. The lazy evaluator keeps its shared evaluation
+    context in sync ({!Axml_query.Eval.forget}), maintains the F-guide
+    and scans the added nodes for new function names here. Default:
+    nothing. *)
 
 val round :
   ?attrs:(string * Axml_obs.Trace.attr) list ->

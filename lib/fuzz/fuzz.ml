@@ -34,6 +34,7 @@ type case = {
   replicate : bool;
   wire_binary : bool;
   match_jobs : int;
+  share_contexts : bool;
 }
 
 type failure = { oracle : string; detail : string }
@@ -77,6 +78,10 @@ let case_of_seed seed =
      for naive, which has no detect passes to fan out *)
   let mj_draw = Random.State.bool rng in
   let match_jobs = if lazy_strategy && mj_draw then 4 else 1 in
+  (* whether detection sweeps share one match memo across splices,
+     drawn after the fan-out for the same reason; naive has no sweeps *)
+  let share_draw = Random.State.bool rng in
+  let share_contexts = lazy_strategy && share_draw in
   {
     case_seed = seed;
     family;
@@ -95,19 +100,20 @@ let case_of_seed seed =
     replicate;
     wire_binary;
     match_jobs;
+    share_contexts;
   }
 
 let case_to_string c =
   Printf.sprintf
     "seed=%d family=%s scale=%d strategy=%s jobs=%d remote=%b push=%b memo=%b fault_rate=%.2f \
      permanent=%b retries=%d budget=%d project=%b shards=%d replicate=%b wire=%s \
-     match_jobs=%d"
+     match_jobs=%d share_contexts=%b"
     c.case_seed (Adversary.family_name c.family) c.scale
     (if c.lazy_strategy then "lazy" else "naive")
     c.jobs c.remote c.push c.memoize c.fault_rate c.fault_permanent c.max_retries c.budget
     c.project c.shards c.replicate
     (if c.wire_binary then "binary" else "json")
-    c.match_jobs
+    c.match_jobs c.share_contexts
 
 let replay_hint c =
   Printf.sprintf "axml fuzz --seed %d --iters 1 --family %s" c.case_seed
@@ -203,8 +209,8 @@ let with_remote ~wire ~registry:served f =
 
 (* One evaluation arm: a fresh instance every time (evaluation mutates
    the document in place). *)
-let run_arm ~watchdog (c : case) ~jobs ?(match_jobs = 1) ~push ?(project = false) ?obs ()
-    : Engine.report =
+let run_arm ~watchdog (c : case) ~jobs ?(match_jobs = 1) ?(share_contexts = c.share_contexts)
+    ~push ?(project = false) ?obs () : Engine.report =
   with_watchdog ~seconds:watchdog (fun () ->
       let acfg = adversary_config c in
       let inst = Adversary.generate acfg in
@@ -245,7 +251,9 @@ let run_arm ~watchdog (c : case) ~jobs ?(match_jobs = 1) ~push ?(project = false
         let dispatch = if c.remote then None else dispatch_for registry in
         with_pool jobs (fun pool ->
             if c.lazy_strategy then begin
-              let strategy = { Lazy_eval.nfqa with Lazy_eval.max_calls = c.budget } in
+              let strategy =
+                { Lazy_eval.nfqa with Lazy_eval.max_calls = c.budget; share_contexts }
+              in
               let strategy = Lazy_eval.with_match_jobs match_jobs strategy in
               let strategy = if push then Lazy_eval.with_push strategy else strategy in
               Lazy_eval.run ~strategy ?obs ?pool ?projector ?dispatch ~registry
@@ -350,6 +358,23 @@ let compare_jobs ?(oracle = "jobs-determinism") ~local (a : Engine.report) (b : 
         a.Engine.simulated_seconds b.Engine.simulated_seconds
   end
 
+let compare_contexts (a : Engine.report) (b : Engine.report) =
+  let oracle = "shared-context-determinism" in
+  if answer_bytes a <> answer_bytes b then
+    violate oracle "serialized answers differ between shared and isolated contexts";
+  let ck name f =
+    if f a <> f b then
+      violate oracle "%s differs between shared and isolated contexts (%d vs %d)" name (f a)
+        (f b)
+  in
+  ck "invoked" (fun (r : Engine.report) -> r.Engine.invoked);
+  ck "rounds" (fun (r : Engine.report) -> r.Engine.rounds);
+  ck "passes" (fun (r : Engine.report) -> r.Engine.passes);
+  ck "relevance_evals" (fun (r : Engine.report) -> r.Engine.relevance_evals);
+  ck "view_rebuild_nodes" (fun (r : Engine.report) -> r.Engine.view_rebuild_nodes);
+  if a.Engine.complete <> b.Engine.complete then
+    violate oracle "complete flag differs between shared and isolated contexts"
+
 let check ?(watchdog = 30.0) (c : case) : failure option =
   try
     let reference = tuples (reference_arm ~watchdog c).Engine.answers in
@@ -399,6 +424,16 @@ let check ?(watchdog = 30.0) (c : case) : failure option =
       let rm1 = run_arm ~watchdog c ~jobs:1 ~match_jobs:1 ~push:c.push ~project:c.project () in
       let rm4 = run_arm ~watchdog c ~jobs:1 ~match_jobs:4 ~push:c.push ~project:c.project () in
       compare_jobs ~oracle:"match-jobs-determinism" ~local:(not c.remote) rm1 rm4
+    end;
+    (* shared ≡ isolated contexts: a match memo kept across splices
+       (dropped along each splice path only) must answer and sweep
+       exactly like a fresh context per detection; sequential matching,
+       so the shared memo serves every detection *)
+    if c.lazy_strategy then begin
+      let arm share_contexts =
+        run_arm ~watchdog c ~jobs:1 ~share_contexts ~push:c.push ~project:c.project ()
+      in
+      compare_contexts (arm true) (arm false)
     end;
     (* projected ≡ full: type-based projection must never change what a
        run can answer. Fault fates are keyed by (service, params, retry),
@@ -497,8 +532,10 @@ let shrink_candidates (c : case) =
   List.filter
     (fun c' -> c' <> c)
     [
-      (* sequential matching first: a failure that survives without the
-         domain fan-out rules the whole parallel layer out of the report *)
+      (* isolated contexts and sequential matching first: a failure that
+         survives without the kept match memo or the domain fan-out rules
+         those layers out of the report *)
+      { c with share_contexts = false };
       { c with match_jobs = 1 };
       (* routing off next: a failure that survives on one plain shard
          is a simpler report than any scheduler interaction *)

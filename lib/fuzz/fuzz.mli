@@ -18,6 +18,11 @@
     - {b obs-transparency}: recording a full trace + metrics sink does
       not change the answers;
     - {b reconcile}: report ≡ [eval.*] metrics ≡ trace span rollups;
+    - {b shared-context-determinism} (lazy only): a detection context
+      shared across sweeps and kept across splices yields the same
+      serialized answers, [invoked], [rounds], [passes],
+      [relevance_evals], [view_rebuild_nodes] and [complete] as
+      isolated per-detection contexts;
     - {b push-equivalence} (lazy only): push-on and push-off agree on
       answers, completeness and failure counts, and pushing never
       inflates local transfer bytes;
@@ -36,11 +41,12 @@
     routing-invisibility check: the scheduler may move calls between
     shards but must never change answers, counters or fates.
 
-    Failures are shrunk by a greedy deterministic pass (drop the match
-    fan-out first, then the scheduler, remoteness, parallelism, push,
-    memoization, faults; halve scale and budget) and
-    reported with a one-line replay: because case derivation, generation
-    and shrinking are all pure functions of the seed, re-running
+    Failures are shrunk by a greedy deterministic pass (drop the shared
+    match memo and the match fan-out first, then the scheduler,
+    remoteness, parallelism, push, memoization, faults; halve scale and
+    budget) and reported with a one-line replay: because case
+    derivation, generation and shrinking are all pure functions of the
+    seed, re-running
     [axml fuzz --seed S --iters 1 --family F] reproduces the failure
     {e and} re-derives the same shrunk instance. *)
 
@@ -82,6 +88,11 @@ type case = {
           1 or 4 (always 1 for naive); every lazy case additionally
           checks the parallel ≡ sequential matching oracle with both
           levels at jobs = 1 *)
+  share_contexts : bool;
+      (** lazy cases only: the primary arms share one evaluation context
+          across detection sweeps, kept in sync across splices; every
+          lazy case additionally checks the shared ≡ isolated context
+          oracle with both settings at jobs = 1 *)
 }
 
 val case_of_seed : int -> case

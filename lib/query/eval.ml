@@ -104,22 +104,36 @@ let par_batches p = p.batches
 let par_count p chunks = p.batches <- p.batches + chunks
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation context: per-run memo tables over one snapshot view.      *)
+(* Evaluation context: memo tables that outlive splices.               *)
+
+module Itbl = Hashtbl.Make (Int)
+
+(* Per document node: pattern pid -> bindings, as short association
+   lists (a node meets few pattern nodes). An entry for (pattern node,
+   document node) depends only on the document node's subtree, and
+   document ids are never reused, so a splice invalidates exactly the
+   entries of the splice parent and its ancestors. *)
+type slot = {
+  mutable at : (int * binding list) list;  (* pattern node mapped to the node *)
+  mutable below : (int * binding list) list;  (* ... strictly below it *)
+}
+
+let rec assoc_pid pid = function
+  | [] -> None
+  | (k, r) :: rest -> if k = pid then Some r else assoc_pid pid rest
 
 type ctx = {
   relax_joins : bool;
   record_images : bool;
   par : par option;
   mutable view : View.t option;
-      (* bound on first use; rebinding to a different view resets the
-         memo tables, so a long-lived context self-heals across document
-         mutations instead of serving stale entries *)
-  (* (pattern pid, view index) -> bindings with the pattern node mapped
-     to that position *)
-  memo_at : (int * int, binding list) Hashtbl.t;
-  (* (pattern pid, view index) -> bindings with the pattern node mapped
-     strictly below that position *)
-  memo_below : (int * int, binding list) Hashtbl.t;
+  (* the document (uid) and generation the memo is in sync with: [bind]
+     keeps the memo for a view of that same state and resets it for any
+     other, so a long-lived context never serves stale entries *)
+  mutable doc_uid : int;
+  mutable synced : int;
+  (* document node id -> its memo slot *)
+  memo : slot Itbl.t;
   (* pattern pid -> subtree contains result nodes or variables *)
   interesting : (int, bool) Hashtbl.t;
 }
@@ -130,19 +144,42 @@ let make_ctx ?(record_images = false) ?par ~relax_joins () =
     record_images;
     par;
     view = None;
-    memo_at = Hashtbl.create 256;
-    memo_below = Hashtbl.create 256;
+    doc_uid = -1;
+    synced = -1;
+    memo = Itbl.create 256;
     interesting = Hashtbl.create 64;
   }
 
 let bind ctx v =
   match ctx.view with
   | Some v0 when v0 == v -> ()
-  | None -> ctx.view <- Some v
-  | Some _ ->
-    Hashtbl.reset ctx.memo_at;
-    Hashtbl.reset ctx.memo_below;
-    ctx.view <- Some v
+  | bound ->
+    (* ad-hoc subtree views carry no document identity: never in sync *)
+    let in_sync =
+      View.doc_uid v >= 0 && View.doc_uid v = ctx.doc_uid && View.generation v = ctx.synced
+    in
+    if Option.is_some bound && not in_sync then Itbl.reset ctx.memo;
+    ctx.view <- Some v;
+    ctx.doc_uid <- View.doc_uid v;
+    ctx.synced <- View.generation v
+
+let forget ctx (n : Doc.node) =
+  if Option.is_some ctx.view then begin
+    ctx.synced <- ctx.synced + 1;
+    let rec up (n : Doc.node) =
+      Itbl.remove ctx.memo n.Doc.id;
+      Option.iter up n.Doc.parent
+    in
+    up n
+  end
+
+let slot ctx nid =
+  match Itbl.find_opt ctx.memo nid with
+  | Some s -> s
+  | None ->
+    let s = { at = []; below = [] } in
+    Itbl.add ctx.memo nid s;
+    s
 
 let rec is_interesting ctx (p : P.node) =
   match Hashtbl.find_opt ctx.interesting p.P.pid with
@@ -169,8 +206,8 @@ let self_binding ctx v (p : P.node) i =
 
 (* Matches pattern node [p] with image exactly position [i] of [v]. *)
 let rec match_at_ctx ctx v (p : P.node) i : binding list =
-  let key = (p.P.pid, i) in
-  match Hashtbl.find_opt ctx.memo_at key with
+  let s = slot ctx (View.node v i).Doc.id in
+  match assoc_pid p.P.pid s.at with
   | Some r -> r
   | None ->
     let r =
@@ -182,7 +219,7 @@ let rec match_at_ctx ctx v (p : P.node) i : binding list =
       | _ -> match_concrete ctx v p i
     in
     let r = if is_interesting ctx p then r else if r = [] then [] else [ empty_binding ] in
-    Hashtbl.replace ctx.memo_at key r;
+    s.at <- (p.P.pid, r) :: s.at;
     r
 
 and match_alternative ctx v (alt : P.node) i =
@@ -212,8 +249,8 @@ and match_child ctx v (p : P.node) i =
   | P.Descendant -> match_below ctx v p i
 
 and match_below ctx v (p : P.node) i =
-  let key = (p.P.pid, i) in
-  match Hashtbl.find_opt ctx.memo_below key with
+  let s = slot ctx (View.node v i).Doc.id in
+  match assoc_pid p.P.pid s.below with
   | Some r -> r
   | None ->
     let r =
@@ -226,7 +263,7 @@ and match_below ctx v (p : P.node) i =
            (positions_under v i))
     in
     let r = if is_interesting ctx p then r else if r = [] then [] else [ empty_binding ] in
-    Hashtbl.replace ctx.memo_below key r;
+    s.below <- (p.P.pid, r) :: s.below;
     r
 
 (* Children visible to queries: all children of a data node; none for a

@@ -11,8 +11,8 @@
 
     The evaluator runs as a pure function over an immutable snapshot
     {!Axml_doc.View} — the document-taking entry points below just bind
-    the document's cached view first. It is memoized on (pattern node,
-    view position) pairs, and collapses sub-patterns that contain neither
+    the document's cached view first. It is memoized on (document node,
+    pattern node) pairs, and collapses sub-patterns that contain neither
     result nodes nor variables to pure existence tests.
 
     With a {!par} handle carrying [jobs > 1], the match at the view root
@@ -42,15 +42,27 @@ val par_count : par -> int -> unit
     outside the evaluator. *)
 
 type context
-(** A reusable evaluation context: memo tables keyed by (pattern node,
-    view position) pairs. Pattern-node ids are globally unique, so one
+(** A reusable evaluation context: memo tables keyed by document node
+    id, then pattern node. Pattern-node ids are globally unique, so one
     context can be shared across {e different} queries over the same
     document state — the multi-query optimization the paper's §4.1 calls
-    essential. The context binds the document's snapshot view on first
-    use and resets itself when evaluated against a different view (i.e.
-    after the document changed), so stale entries are never served. *)
+    essential. An entry depends only on its document node's subtree and
+    document ids are never reused, so the memo also survives splices:
+    the context records the document and generation it is in sync with,
+    {!forget} keeps it in sync across one {!Axml_doc.replace_call}, and
+    evaluating against a view of any other document state resets it, so
+    stale entries are never served. *)
 
 val context : ?relax_joins:bool -> ?par:par -> unit -> context
+
+val forget : context -> Axml_doc.node -> unit
+(** [forget ctx parent] accounts one {!Axml_doc.replace_call} whose
+    splice point was [parent]: it drops the entries of [parent] and its
+    ancestors — the only nodes whose subtrees changed — and advances the
+    generation the context is in sync with by one. Call it once per
+    splice, after the splice; any mutation it is not told about makes
+    the next evaluation reset the memo instead. A context not yet bound
+    to a view is left alone. *)
 
 val eval_in : context -> Pattern.t -> Axml_doc.t -> binding list
 val matches_of_in : context -> Pattern.t -> Axml_doc.t -> target:int -> Axml_doc.node list

@@ -1,6 +1,7 @@
 (* Property tests for the snapshot-view layer (lib/doc Axml_doc.View):
    round-trips, incremental splice patching, parallel ≡ sequential
-   matching and F-guide memoization on the generation counter. *)
+   matching, a match memo kept across splices ≡ a fresh one, and F-guide
+   memoization on the generation counter. *)
 
 module Doc = Axml_doc
 module View = Axml_doc.View
@@ -8,6 +9,8 @@ module Tree = Axml_xml.Tree
 module Parser = Axml_query.Parser
 module Eval = Axml_query.Eval
 module Fguide = Axml_core.Fguide
+module Nfq = Axml_core.Nfq
+module Relevance = Axml_core.Relevance
 
 (* ------------------------------------------------------------------ *)
 (* Generators: random trees that, unlike [Gen.gen_tree], also embed
@@ -195,6 +198,91 @@ let prop_parallel_matching =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Incremental relevance detection: one long-lived context, kept in sync
+   with [Eval.forget] after every splice, answers exactly as a fresh
+   context does — the NFQs of every query node and the queries
+   themselves, element for element, at every step. *)
+
+let binding_ids (bs : Eval.binding list) =
+  List.map
+    (fun (b : Eval.binding) ->
+      (List.map (fun (pid, (n : Doc.node)) -> (pid, n.Doc.id)) b.Eval.results, b.Eval.vars))
+    bs
+
+let node_ids = List.map (fun (n : Doc.node) -> n.Doc.id)
+
+let memo_queries =
+  List.map Parser.parse
+    [ "//a!"; "/*//b![c]"; "//hotel[a]//b!"; "//a[b=$X]//c![a=$X]"; "//*[c]/a!" ]
+
+let check_shared_matches_fresh shared d =
+  List.iter
+    (fun q ->
+      let name = Axml_query.Pattern.to_string q in
+      if binding_ids (Eval.eval_in shared q d) <> binding_ids (Eval.eval q d) then
+        Alcotest.failf "kept context diverges from a fresh one on %s" name;
+      List.iter
+        (fun (rq : Relevance.t) ->
+          let kept =
+            Eval.matches_of_in shared rq.Relevance.query d ~target:rq.Relevance.target
+          in
+          let fresh = Eval.matches_of rq.Relevance.query d ~target:rq.Relevance.target in
+          if node_ids kept <> node_ids fresh then
+            Alcotest.failf "kept context diverges on NFQ(v=%d) of %s" rq.Relevance.source name)
+        (Nfq.of_query q))
+    memo_queries
+
+let prop_kept_context =
+  QCheck.Test.make ~count:150 ~name:"context kept across splices ≡ fresh context"
+    arb_splice_case (fun c ->
+      let d = Doc.of_xml c.tree in
+      let rng = Random.State.make [| 0xC0DE; c.splice_seed |] in
+      let shared = Eval.context () in
+      check_shared_matches_fresh shared d;
+      let steps = ref 0 in
+      let continue = ref true in
+      while !continue && !steps < 12 do
+        match Doc.visible_function_nodes d with
+        | [] -> continue := false
+        | calls ->
+          let call = List.nth calls (Random.State.int rng (List.length calls)) in
+          let parent = Option.get call.Doc.parent in
+          ignore
+            (Doc.replace_call d call
+               result_pool.(Random.State.int rng (Array.length result_pool)));
+          Eval.forget shared parent;
+          incr steps;
+          check_shared_matches_fresh shared d
+      done;
+      true)
+
+(* A mutation nobody reports to the context: the generation check must
+   reset the memo rather than serve the entry computed before it. *)
+let test_unreported_mutation_resets () =
+  let d =
+    Doc.parse
+      {|<r><a><b>x</b></a><c><axml:call name="f">p</axml:call></c></r>|}
+  in
+  let q = Parser.parse "//a![b]" in
+  let ctx = Eval.context () in
+  let count () = List.length (Eval.eval_in ctx q d) in
+  Alcotest.(check int) "a has a b" 1 (count ());
+  let a = List.hd (Doc.data_children (Doc.root d)) in
+  Doc.remove_node d (List.hd a.Doc.children);
+  Alcotest.(check int) "unreported removal is seen" 0 (count ());
+  (* in sync again; now an unreported removal followed by a reported
+     splice elsewhere: [forget] advances the context by one generation,
+     the document by two, so the stale entry for [a] must not survive *)
+  Doc.append_child d a (Doc.elem d "b" []);
+  Alcotest.(check int) "b is back" 1 (count ());
+  Doc.remove_node d (List.hd a.Doc.children);
+  let call = List.hd (Doc.visible_function_nodes d) in
+  let parent = Option.get call.Doc.parent in
+  ignore (Doc.replace_call d call [ Tree.text "5" ]);
+  Eval.forget ctx parent;
+  Alcotest.(check int) "stale entry not served after a reported splice" 0 (count ())
+
+(* ------------------------------------------------------------------ *)
 (* F-guide memoization on the generation counter. *)
 
 let fguide_doc () =
@@ -249,7 +337,14 @@ let () =
   Alcotest.run "view"
     [
       ( "properties",
-        [ prop prop_roundtrip; prop prop_splice_consistency; prop prop_parallel_matching ] );
+        [
+          prop prop_roundtrip;
+          prop prop_splice_consistency;
+          prop prop_parallel_matching;
+          prop prop_kept_context;
+        ] );
+      ( "kept memo",
+        [ quick "unreported mutation resets the memo" test_unreported_mutation_resets ] );
       ( "fguide memo",
         [
           quick "reuse on unchanged generation" test_fguide_reuse;
