@@ -1,4 +1,4 @@
-.PHONY: all build test test-faults test-obs test-net test-exec test-engine test-gen test-project test-sched test-view test-wire-bin fuzz-smoke check-one-report bench bench-e9-smoke bench-e11-smoke bench-e12-smoke bench-e13-smoke bench-e14-smoke examples doc clean trace-demo serve-demo
+.PHONY: all build test test-faults test-obs test-net test-exec test-engine test-gen test-project test-sched test-view test-query test-wire-bin fuzz-smoke check-one-report bench bench-e9-smoke bench-e11-smoke bench-e12-smoke bench-e13-smoke bench-e14-smoke examples doc clean trace-demo serve-demo
 
 all: build
 
@@ -68,6 +68,12 @@ test-sched:
 # on the generation counter
 test-view:
 	dune exec test/test_view.exe
+
+# query-evaluator tests: parser, top-down embeddings, and the
+# candidate-anchored ≡ top-down properties that guard the label
+# prefilter of anchored matching
+test-query:
+	dune exec test/test_query.exe
 
 # the model-based differential fuzzer at a fixed seed: ~200 iterations
 # of the full oracle battery over adversarial instances; exits nonzero

@@ -36,13 +36,12 @@ let relevant_calls_view ?relax_joins ?par t v =
 
 (** Candidate-anchored check: does the relevance query retrieve this
     specific call? (used after F-guide filtering, §6.2). *)
-let retrieves ?relax_joins t d call =
-  Eval.anchored_matches ?relax_joins t.query ~target:t.target d call
+let retrieves ?relax_joins t = Eval.anchored_matches ?relax_joins t.query ~target:t.target
 
 (** Candidate-anchored check at a view position — the pure form the
     parallel candidate filter runs on domains. *)
-let retrieves_view ?relax_joins t v i =
-  Eval.anchored_matches_view ?relax_joins t.query ~target:t.target v i
+let retrieves_view ?relax_joins t =
+  Eval.anchored_matches_view ?relax_joins t.query ~target:t.target
 
 let lin_regex t = P.linear_regex t.lin
 

@@ -41,7 +41,9 @@ val relevant_calls_view :
 
 val retrieves : ?relax_joins:bool -> t -> Axml_doc.t -> Axml_doc.node -> bool
 (** Candidate-anchored check: does the query retrieve this specific
-    call of the document? (used after F-guide filtering, §6.2). *)
+    call of the document? (used after F-guide filtering, §6.2).
+    Staged like {!Axml_query.Eval.anchored_matches}: [retrieves t]
+    derives the anchored path once, to apply to many candidates. *)
 
 val retrieves_view : ?relax_joins:bool -> t -> Axml_doc.View.t -> int -> bool
 (** The same check at a view position — pure, safe to fan out over

@@ -399,7 +399,19 @@ let matches_of ?(relax_joins = false) ?par (q : P.t) (d : Doc.t) ~target =
 (* ------------------------------------------------------------------ *)
 (* Candidate-anchored matching (§6.2).                                  *)
 
-let anchored_matches_view ?(relax_joins = false) (q : P.t) ~target v ci =
+let rec label_matches_or (p : P.node) lbl =
+  match p.P.label with
+  | P.Or -> List.exists (fun alt -> label_matches_or alt lbl) p.P.children
+  | _ -> label_matches p.P.label lbl
+
+(* Conditions of a path node, excluding the continuation to the next
+   path node. *)
+let side_conditions (p : P.node) (next : P.node) =
+  List.filter (fun (c : P.node) -> c.P.pid <> next.P.pid) p.P.children
+
+(* Staged: the pattern path is derived once per [q ~target], and the
+   returned check only walks the candidate's chain. *)
+let anchored_matches_view ?(relax_joins = false) (q : P.t) ~target =
   let target_node =
     match P.find q target with
     | Some n -> n
@@ -408,75 +420,77 @@ let anchored_matches_view ?(relax_joins = false) (q : P.t) ~target v ci =
   let path = P.path_to q target_node in
   if List.exists (fun (p : P.node) -> p.P.label = P.Or) path then
     invalid_arg "Eval.anchored_matches: OR node on the path to the target";
-  (* The index chain the path must align with: view root … candidate. *)
-  let chain =
-    let rec up acc i = if i < 0 then acc else up (i :: acc) (View.parent v i) in
-    Array.of_list (up [] ci)
-  in
-  let ctx = make_ctx ~relax_joins () in
-  bind ctx v;
-  let m = Array.length chain in
-  (* Conditions of a path node, excluding the continuation to the next
-     path node. *)
-  let side_conditions p next =
-    List.filter (fun (c : P.node) -> c.P.pid <> next.P.pid) p.P.children
-  in
-  (* Walk the pattern path and the chain in lock step; descendant edges
-     may skip chain nodes. At each alignment, the side conditions are
-     checked with the regular (downward) evaluator and joined. *)
-  let rec align steps j acc =
-    if acc = [] then false
-    else
-      match steps with
-      | [] -> true
-      | (p : P.node) :: rest ->
-        let last = rest = [] in
-        let try_at j =
-          if j >= m then false
-          else if last && j <> m - 1 then false
-          else if not (label_matches_or p (View.label v chain.(j))) then false
-          else begin
-            let conds =
-              match rest with
-              | [] -> p.P.children (* the target keeps all its conditions *)
-              | next :: _ -> side_conditions p next
-            in
-            let here =
-              List.fold_left
-                (fun acc c ->
-                  if acc = [] then []
-                  else join_lists ~relax_joins acc (match_child ctx v c chain.(j)))
-                acc conds
-            in
-            align rest (j + 1) here
-          end
-        in
-        (match p.P.axis with
-        | P.Child -> try_at j
-        | P.Descendant ->
-          let rec try_from j = j < m && (try_at j || try_from (j + 1)) in
-          try_from j)
-
-  and label_matches_or p lbl =
-    match p.P.label with
-    | P.Or -> List.exists (fun alt -> label_matches_or alt lbl) p.P.children
-    | _ -> label_matches p.P.label lbl
-  in
   (* The pattern root must align with the document root (chain.(0)); the
      root's own axis is irrelevant, as in the top-down evaluator. *)
-  match path with
-  | [] -> false
-  | root :: rest -> align (P.with_axis root P.Child :: rest) 0 [ empty_binding ]
+  let steps =
+    match path with [] -> [] | root :: rest -> P.with_axis root P.Child :: rest
+  in
+  fun v ci ->
+    (* The index chain the path must align with: view root … candidate. *)
+    let chain =
+      let rec up acc i = if i < 0 then acc else up (i :: acc) (View.parent v i) in
+      Array.of_list (up [] ci)
+    in
+    let m = Array.length chain in
+    (* Walk the pattern path and the chain in lock step; descendant edges
+       may skip chain nodes. Without a context only the labels are
+       aligned; with one, the side conditions at each alignment are
+       checked with the regular (downward) evaluator and joined. *)
+    let rec align ctx steps j acc =
+      if acc = [] then false
+      else
+        match steps with
+        | [] -> true
+        | (p : P.node) :: rest ->
+          let last = rest = [] in
+          let try_at j =
+            if j >= m then false
+            else if last && j <> m - 1 then false
+            else if not (label_matches_or p (View.label v chain.(j))) then false
+            else
+              match ctx with
+              | None -> align ctx rest (j + 1) acc
+              | Some c ->
+                let conds =
+                  match rest with
+                  | [] -> p.P.children (* the target keeps all its conditions *)
+                  | next :: _ -> side_conditions p next
+                in
+                let here =
+                  List.fold_left
+                    (fun acc cond ->
+                      if acc = [] then []
+                      else join_lists ~relax_joins acc (match_child c v cond chain.(j)))
+                    acc conds
+                in
+                align ctx rest (j + 1) here
+          in
+          (match p.P.axis with
+          | P.Child -> try_at j
+          | P.Descendant ->
+            let rec try_from j = j < m && (try_at j || try_from (j + 1)) in
+            try_from j)
+    in
+    (* Any full alignment is also a label alignment, so the label-only
+       pass is a pure prefilter: it rejects most candidates before a
+       context is allocated or a side condition evaluated. *)
+    steps <> []
+    && align None steps 0 [ empty_binding ]
+    &&
+    let ctx = make_ctx ~relax_joins () in
+    bind ctx v;
+    align (Some ctx) steps 0 [ empty_binding ]
 
-let anchored_matches ?(relax_joins = false) (q : P.t) ~target (d : Doc.t)
-    (candidate : Doc.node) =
-  let v = View.snapshot d in
-  match View.index_of v candidate with
-  | Some ci -> anchored_matches_view ~relax_joins q ~target v ci
-  | None ->
-    (* not covered by the document's view: detached (already invoked) or
-       foreign — it cannot be an image of the target *)
-    false
+let anchored_matches ?relax_joins (q : P.t) ~target =
+  let check = anchored_matches_view ?relax_joins q ~target in
+  fun (d : Doc.t) (candidate : Doc.node) ->
+    let v = View.snapshot d in
+    match View.index_of v candidate with
+    | Some ci -> check v ci
+    | None ->
+      (* not covered by the document's view: detached (already invoked)
+         or foreign — it cannot be an image of the target *)
+      false
 
 (* ------------------------------------------------------------------ *)
 (* Complete homomorphisms, for witnesses (query pushing) and oracles.   *)

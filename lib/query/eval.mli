@@ -93,7 +93,8 @@ val matches_of_view_in : context -> Pattern.t -> Axml_doc.View.t -> target:int -
 val anchored_matches_view :
   ?relax_joins:bool -> Pattern.t -> target:int -> Axml_doc.View.t -> int -> bool
 (** [anchored_matches_view q ~target v i] tests whether some embedding of
-    [q] maps the result node [target] to position [i] of [v]. *)
+    [q] maps the result node [target] to position [i] of [v], with the
+    same label prefilter and staging as {!anchored_matches}. *)
 
 val match_at : ?relax_joins:bool -> Pattern.node -> Axml_doc.node -> binding list
 (** [match_at p n] matches the pattern subtree [p] with its root mapped
@@ -107,8 +108,19 @@ val anchored_matches : ?relax_joins:bool -> Pattern.t -> target:int -> Axml_doc.
     candidate-driven check used after F-guide filtering (§6.2). Matching
     aligns the pattern path with [n]'s ancestor chain rather than
     scanning from the document root, so it is fast when [q] would
-    otherwise scan a large document. A node no longer covered by the
-    document (e.g. an already-invoked call) never matches. *)
+    otherwise scan a large document. The alignment first runs on labels
+    alone; only when the labels align is an evaluation context
+    allocated and the side conditions checked. Any full alignment is a
+    label alignment, so this prefilter never changes an answer — it
+    only makes rejecting a candidate whose label path cannot match
+    cheap. A node no longer covered by the document (e.g. an
+    already-invoked call) never matches.
+
+    The check is staged: [anchored_matches q ~target] derives the
+    pattern path once and returns the per-candidate check, so keep the
+    partial application when testing many candidates. It raises
+    [Invalid_argument] then if [target] is not a node of [q] or an OR
+    node lies on its path. *)
 
 type embedding = (int * Axml_doc.node) list
 (** Total images: pattern pid → document node, for every pattern node on

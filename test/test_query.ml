@@ -237,6 +237,46 @@ let test_anchored_descendant () =
       Alcotest.(check bool) "agrees" want (Eval.anchored_matches q ~target d c))
     (Doc.function_nodes d)
 
+(* The calls [q]'s result node anchors on, checked against the top-down
+   evaluator on every call of [d]. *)
+let anchored_agreeing src d =
+  let q = parse src in
+  let target = (List.find (fun n -> n.P.result) (P.nodes q)).P.pid in
+  let top_down = Eval.matches_of q d ~target in
+  List.filter
+    (fun c ->
+      let want = List.exists (fun n -> n.Doc.id = c.Doc.id) top_down in
+      let got = Eval.anchored_matches q ~target d c in
+      Alcotest.(check bool) (src ^ " agrees with top-down") want got;
+      got)
+    (Doc.function_nodes d)
+  |> List.filter_map Doc.call_name
+
+(* The label prefilter must reject only what the full check rejects. *)
+let test_anchored_side_condition_fails () =
+  let d = sample_doc () in
+  (* guide/hotel/rating/getrating aligns on labels; the name does not *)
+  Alcotest.(check (list string)) "no hotel of that name" []
+    (anchored_agreeing {|/guide/hotel[name="Nowhere"]/rating/getrating()!|} d);
+  Alcotest.(check (list string)) "the named hotel's call" [ "getrating" ]
+    (anchored_agreeing {|/guide/hotel[name="Pennsylvania"]/rating/getrating()!|} d)
+
+let test_anchored_chain_shorter_than_path () =
+  let d = sample_doc () in
+  (* every call's ancestor chain is shorter than the five-step path *)
+  Alcotest.(check (list string)) "no call deep enough" []
+    (anchored_agreeing {|/guide/hotel/nearby/restaurant/*()!|} d)
+
+let test_anchored_descendant_skips_chain () =
+  let d = sample_doc () in
+  Alcotest.(check (list string)) "//nearby skips the hotel" [ "getnearbyrestos" ]
+    (anchored_agreeing {|/guide//nearby/*()!|} d);
+  Alcotest.(check (list string)) "two skipping steps, with a side condition"
+    [ "getrating"; "getnearbyrestos" ]
+    (anchored_agreeing {|/guide//hotel[name="Pennsylvania"]//*()!|} d);
+  Alcotest.(check (list string)) "skipped nodes still need their side condition" []
+    (anchored_agreeing {|/guide//hotel[name="Nowhere"]//*()!|} d)
+
 (* ------------------------------------------------------------------ *)
 (* PathStack: the streaming engine for linear chains *)
 
@@ -516,7 +556,13 @@ let () =
           quick "leading //" test_eval_leading_descendant;
         ] );
       ( "anchored",
-        [ quick "basic" test_anchored; quick "descendant" test_anchored_descendant ] );
+        [
+          quick "basic" test_anchored;
+          quick "descendant" test_anchored_descendant;
+          quick "labels align, side condition fails" test_anchored_side_condition_fails;
+          quick "chain shorter than path" test_anchored_chain_shorter_than_path;
+          quick "descendant skips chain nodes" test_anchored_descendant_skips_chain;
+        ] );
       ( "pathstack",
         [
           quick "linear detection" test_pathstack_linear_detection;
