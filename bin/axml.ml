@@ -561,13 +561,12 @@ let layers query_src =
       (fun i layer ->
         Printf.printf "layer %d:\n" i;
         List.iter
-          (fun rq ->
-            let independent = Influence.independent_in_layer rq layer in
+          (fun (rq, independent) ->
             Printf.printf "  %s%s\n"
               (Format.asprintf "%a" P.pp rq.Relevance.query)
               (if independent then "   (independent *)" else ""))
           layer)
-      (Influence.layers rqs);
+      (Influence.plan ~layering:true rqs);
     `Ok ()
 
 let layers_cmd =

@@ -213,7 +213,31 @@ let prefix_closure a =
   Array.iteri (fun s acc -> if acc then visit s) a.accepting;
   { a with accepting = co }
 
-let intersects a b = not (is_empty (product a b))
+(* The product explored on the fly from the start pair, stopping at the
+   first accepting pair: only reachable pairs are ever built. *)
+let intersects a b =
+  check_same_alphabet a b;
+  let nb = size b in
+  let nsyms = Array.length a.alphabet in
+  let seen = Array.make (size a * nb) false in
+  let rec visit s u =
+    let i = (s * nb) + u in
+    (not seen.(i))
+    && begin
+      seen.(i) <- true;
+      (a.accepting.(s) && b.accepting.(u))
+      ||
+      let rec sym k =
+        k < nsyms
+        && (List.exists
+              (fun s' -> List.exists (fun u' -> visit s' u') b.transitions.(u).(k))
+              a.transitions.(s).(k)
+           || sym (k + 1))
+      in
+      sym 0
+    end
+  in
+  visit a.start b.start
 
 let some_word a =
   (* BFS from the start state, remembering one incoming symbol per state. *)

@@ -45,7 +45,9 @@ val prefix_closure : t -> t
     (states co-reachable from an accepting state become accepting). *)
 
 val intersects : t -> t -> bool
-(** [intersects a b] = [not (is_empty (product a b))]. *)
+(** [intersects a b] = [not (is_empty (product a b))], decided by a
+    search over the product's reachable pairs that stops at the first
+    accepting one, without building the product. *)
 
 val some_word : t -> string list option
 (** [some_word a] is a shortest accepted word, if any — used to produce

@@ -27,20 +27,32 @@ let disjoint_lin (a : Relevance.t) (b : Relevance.t) =
 let independent_in_layer (q : Relevance.t) (layer : Relevance.t list) =
   List.for_all (fun q' -> q'.Relevance.source = q.Relevance.source || disjoint_lin q q') layer
 
-(* Layers: SCC condensation of the may-influence graph, in a topological
-   order compatible with the partial order (≼) between components. The
-   query sets are small (one relevance query per node of the original
-   query), so an O(n³) transitive closure is perfectly adequate. *)
-let layers (queries : Relevance.t list) : Relevance.t list list =
-  let qs = Array.of_list queries in
-  let n = Array.length qs in
+(* One automaton per query, all over one alphabet: the union of every
+   query's symbols plus the witness. Emptiness of a product is the same
+   over any alphabet that contains the pair's own symbols (an extra label
+   is one more "other" witness), so this decides every pair exactly like
+   [may_influence] and [disjoint_lin] while building each query's
+   automaton once instead of once per pair. *)
+let automata qs =
+  let regexes = Array.map Relevance.lin_regex qs in
+  let alphabet = Nfa.common_alphabet (Array.to_list regexes) in
+  Array.map (Nfa.of_regex ~alphabet) regexes
+
+(* Layers as index lists: SCC condensation of the may-influence graph, in
+   a topological order compatible with the partial order (≼) between
+   components. The query sets are small (one relevance query per node of
+   the original query), so an O(n³) transitive closure is perfectly
+   adequate. *)
+let layer_indices nfas : int list list =
+  let n = Array.length nfas in
   if n = 0 then []
   else begin
+    let prefixes = Array.map Nfa.prefix_closure nfas in
     let reach = Array.make_matrix n n false in
     for i = 0 to n - 1 do
       reach.(i).(i) <- true;
       for j = 0 to n - 1 do
-        if i <> j && may_influence qs.(i) qs.(j) then reach.(i).(j) <- true
+        if i <> j && Nfa.intersects nfas.(i) prefixes.(j) then reach.(i).(j) <- true
       done
     done;
     for k = 0 to n - 1 do
@@ -95,5 +107,22 @@ let layers (queries : Relevance.t list) : Relevance.t list list =
       emitted.(!next) <- true;
       order := !next :: !order
     done;
-    List.rev_map (fun c -> List.map (fun i -> qs.(i)) classes.(c)) !order
+    List.rev_map (fun c -> classes.(c)) !order
   end
+
+let layers (queries : Relevance.t list) : Relevance.t list list =
+  let qs = Array.of_list queries in
+  List.map (List.map (fun i -> qs.(i))) (layer_indices (automata qs))
+
+let plan ~layering (queries : Relevance.t list) : (Relevance.t * bool) list list =
+  let qs = Array.of_list queries in
+  let nfas = automata qs in
+  let indices = if layering then layer_indices nfas else [ List.init (Array.length qs) Fun.id ] in
+  let independent i layer =
+    List.for_all
+      (fun j ->
+        qs.(j).Relevance.source = qs.(i).Relevance.source
+        || not (Nfa.intersects nfas.(i) nfas.(j)))
+      layer
+  in
+  List.map (fun layer -> List.map (fun i -> (qs.(i), independent i layer)) layer) indices

@@ -21,4 +21,13 @@ val independent_in_layer : Relevance.t -> Relevance.t list -> bool
 val layers : Relevance.t list -> Relevance.t list list
 (** Strongly connected components of may-influence, in a topological
     order compatible with the ≼ partial order (§4.3): a layer never
-    influences an earlier one. The result is a partition of the input. *)
+    influences an earlier one. The result is a partition of the input.
+    Built on the shared automata of {!plan}. *)
+
+val plan : layering:bool -> Relevance.t list -> (Relevance.t * bool) list list
+(** The sequencing half of a query plan: the {!layers} of the queries
+    with [layering] (a single layer of all of them without), each query
+    paired with its ★ flag within its layer ({!independent_in_layer}).
+    Every query's automaton is built once, over one alphabet shared by
+    all, so this costs n Glushkov constructions rather than one per
+    pair; the result equals the pairwise definitions'. *)

@@ -227,6 +227,20 @@ let prop_product_is_intersection =
       let a = Nfa.of_regex ~alphabet ra and b = Nfa.of_regex ~alphabet rb in
       Nfa.accepts (Nfa.product a b) w = (Nfa.accepts a w && Nfa.accepts b w))
 
+(* [intersects] explores the product on the fly; it must decide exactly
+   what the materialized product's emptiness does, also against a
+   prefix closure (the may-influence test). *)
+let prop_intersects_is_nonempty_product =
+  QCheck.Test.make ~name:"intersects = non-empty product" ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) -> Regex.to_string a ^ " & " ^ Regex.to_string b)
+       QCheck.Gen.(pair gen_regex gen_regex))
+    (fun (ra, rb) ->
+      let a = Nfa.of_regex ~alphabet ra and b = Nfa.of_regex ~alphabet rb in
+      let pb = Nfa.prefix_closure b in
+      Nfa.intersects a b = not (Nfa.is_empty (Nfa.product a b))
+      && Nfa.intersects a pb = not (Nfa.is_empty (Nfa.product a pb)))
+
 let prop_prefix_closure =
   QCheck.Test.make ~name:"prefix closure accepts every prefix" ~count:500 arb_regex_word
     (fun (r, w) ->
@@ -325,6 +339,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_dfa_matches_regex;
           QCheck_alcotest.to_alcotest prop_minimize_preserves;
           QCheck_alcotest.to_alcotest prop_product_is_intersection;
+          QCheck_alcotest.to_alcotest prop_intersects_is_nonempty_product;
           QCheck_alcotest.to_alcotest prop_prefix_closure;
           QCheck_alcotest.to_alcotest prop_is_empty_agrees;
           QCheck_alcotest.to_alcotest prop_complement_involution;
