@@ -62,12 +62,15 @@ test-sched:
 
 # snapshot-view tests: index round-trips and invariants on random
 # trees, incremental splice patching ≡ full rebuild across randomized
-# splice sequences (empty forests included), the parallel ≡ sequential
-# matching property, a match memo kept across splices ≡ a fresh one
-# (plus the reset on an unreported mutation), and F-guide memoization
-# on the generation counter
+# splice sequences (empty forests included), the in-place gap-buffer
+# patch under document, reverse and random splice orders, the
+# parallel ≡ sequential matching property, a match memo kept across
+# splices ≡ a fresh one (plus the reset on an unreported mutation or
+# splice), and F-guide memoization on the generation counter; then the
+# document suite, whose replace_call cases check the patched view
 test-view:
 	dune exec test/test_view.exe
+	dune exec test/test_doc.exe
 
 # query-evaluator tests: parser, top-down embeddings, and the
 # candidate-anchored ≡ top-down properties that guard the label

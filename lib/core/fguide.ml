@@ -63,7 +63,7 @@ let empty () =
     doc_generation = -1;
   }
 
-(* Same traversal as [index_from], over the immutable snapshot view:
+(* Same traversal as [index_from], over the snapshot view:
    identical visit order, so extents come out in the same order and the
    candidate lists (hence invocation order downstream) are unchanged. *)
 let of_view v =

@@ -15,12 +15,12 @@
 
 type node = private {
   id : int;
-  mutable label : label;
-  mutable attrs : (string * string) list;
+  label : label;
+  attrs : (string * string) list;
       (** preserved for XML round-trips; invisible to queries *)
   mutable children : node list;
   mutable parent : node option;
-  mutable viewpos : int;  (** internal: position in the document's current view *)
+  mutable viewpos : int;  (** internal: slot in the document's current view *)
   mutable viewstamp : int;  (** internal: which view lineage stamped [viewpos] *)
 }
 
@@ -87,8 +87,8 @@ val replace_call : t -> node -> Axml_xml.Tree.forest -> node list
     imported [result] forest is spliced at its position. The empty
     forest is a plain deletion: [fnode] ends up fully detached
     ([parent = None], absent from its former parent's children). If the
-    document's snapshot view is current, only the spliced region is
-    re-indexed. Returns the spliced-in nodes. *)
+    document's snapshot view is current, it is patched in place: only
+    the spliced region is re-indexed. Returns the spliced-in nodes. *)
 
 val append_child : t -> node -> node -> unit
 (** [append_child d parent child] attaches a parentless node. *)
@@ -156,21 +156,26 @@ val view_indexed_total : t -> int
 
 (** {2 Snapshot views}
 
-    An immutable index of one subtree in document (pre)order: parallel
-    arrays mapping position → label/attrs/parent/subtree-span plus the
-    underlying node. Every read-only pass (matching, relevance, F-guide
+    An index of one subtree in document (pre)order: position → node and
+    subtree size, with labels, attributes and parents read through the
+    node. Every read-only pass (matching, relevance, F-guide
     construction, projection context walks) can run against a view
-    without touching the mutable tree, which makes fan-out over
-    subtrees safe across domains. *)
+    without walking the mutable tree, which makes fan-out over subtrees
+    safe across domains.
+
+    A document's view is patched {e in place} by {!replace_call}, so a
+    view is valid until the next structural mutation of its document;
+    {!View.generation} tells which document state it shows. *)
 
 module View : sig
   type t
 
   val snapshot : doc -> t
   (** The document's current view, built in one O(n) pass and cached on
-      the document; [replace_call] re-indexes only the spliced region,
-      every other mutation invalidates the cache. Cheap whenever the
-      generation is unchanged. *)
+      the document. [replace_call] patches the cached view in place — the
+      same object, its generation advanced — re-indexing only the
+      spliced region; every other mutation drops the cache. Cheap
+      whenever the generation is unchanged. *)
 
   val of_node : node -> t
   (** Ad-hoc view of one subtree (positions relative to [node] at index
@@ -178,7 +183,11 @@ module View : sig
       [index_of] works through a private id table. *)
 
   val size : t -> int
+
   val generation : t -> int
+  (** The document generation the view shows; advanced by every splice
+      that patches it. [-1] for {!of_node} views. *)
+
   val doc_uid : t -> int
 
   val root : t -> int
@@ -189,7 +198,8 @@ module View : sig
   val attrs : t -> int -> (string * string) list
 
   val parent : t -> int -> int
-  (** [-1] at the view root. *)
+  (** The position of the node's parent: [-1] at the view root.
+      O(1) through the node's parent pointer. *)
 
   val subtree_end : t -> int -> int
   (** Exclusive end of the subtree rooted at the index: the subtree of

@@ -263,6 +263,8 @@ let apply t ?push (call : Doc.node) outcome =
        projected document — and so the splice is the only mutation,
        keeping the incremental snapshot-view patch valid (post-splice
        pruning would invalidate it and force full O(n) rebuilds). *)
+    let tr = t.obs.Obs.trace in
+    let span = if Trace.enabled tr then Trace.open_span tr "doc.splice" else Trace.none in
     let parent = call.Doc.parent in
     let result =
       match (t.projector, parent) with
@@ -276,6 +278,8 @@ let apply t ?push (call : Doc.node) outcome =
     (* [replace_call] detached the call and rejects a parentless one, so
        the splice point was captured above and exists *)
     t.on_replace ~parent:(Option.get parent) ~invoked:call ~added;
+    if Trace.enabled tr then
+      Trace.close_span tr ~attrs:[ ("added", Trace.Int (List.length added)) ] span;
     t.invoked <- t.invoked + 1;
     Metrics.incr t.obs.Obs.metrics "eval.invoked";
     if inv.Registry.pushed then begin

@@ -150,9 +150,11 @@ let make_ctx ?(record_images = false) ?par ~relax_joins () =
     interesting = Hashtbl.create 64;
   }
 
+(* The document's view is patched in place by splices, so the same view
+   object is in sync only at the generation the memo was kept for. *)
 let bind ctx v =
   match ctx.view with
-  | Some v0 when v0 == v -> ()
+  | Some v0 when v0 == v && View.generation v = ctx.synced -> ()
   | bound ->
     (* ad-hoc subtree views carry no document identity: never in sync *)
     let in_sync =

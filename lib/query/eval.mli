@@ -9,11 +9,12 @@
     children. Queries never traverse {e into} a function node (a call's
     parameters are invisible to queries until the call is invoked).
 
-    The evaluator runs as a pure function over an immutable snapshot
-    {!Axml_doc.View} — the document-taking entry points below just bind
-    the document's cached view first. It is memoized on (document node,
-    pattern node) pairs, and collapses sub-patterns that contain neither
-    result nodes nor variables to pure existence tests.
+    The evaluator runs as a pure function over a snapshot
+    {!Axml_doc.View} (read-only, and valid until the next structural
+    mutation of its document) — the document-taking entry points below
+    just bind the document's cached view first. It is memoized on
+    (document node, pattern node) pairs, and collapses sub-patterns that
+    contain neither result nodes nor variables to pure existence tests.
 
     With a {!par} handle carrying [jobs > 1], the match at the view root
     fans out over top-level subtrees on domains ({!Exec.map_domains}).

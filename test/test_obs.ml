@@ -565,8 +565,9 @@ let test_lazy_reconciliation () =
       (List.length (Json.to_list (Json.member "answers" j)))
 
 (* The analysis phases outside detection and rounds have spans too: one
-   [eval.plan] directly under [eval.run], and one [eval.push_pattern]
-   per pushed round, each accounting for that round's calls. *)
+   [eval.plan] directly under [eval.run], one [eval.push_pattern] per
+   pushed round, each accounting for that round's calls, and one
+   [doc.splice] per invocation, directly under its [eval.round]. *)
 let test_plan_and_push_spans () =
   let inst = City.generate { City.default_config with City.hotels = 10 } in
   let obs = Obs.create () in
@@ -592,7 +593,15 @@ let test_plan_and_push_spans () =
     (sum_int "calls" pushes);
   List.iter
     (fun n -> Alcotest.(check bool) "every pushed batch has a source" true (int_attr "sources" n > 0))
-    pushes
+    pushes;
+  Alcotest.(check int) "one doc.splice span per invocation" r.Lazy_eval.invoked
+    (List.length (spans_named "doc.splice" [ root ]));
+  Alcotest.(check int) "every doc.splice sits directly under an eval.round" r.Lazy_eval.invoked
+    (List.length
+       (List.concat_map
+          (fun (n : Trace.node) ->
+            List.filter (fun (c : Trace.node) -> c.Trace.node_name = "doc.splice") n.Trace.children)
+          (spans_named "eval.round" [ root ])))
 
 let test_naive_reconciliation () =
   let inst = faulty_city () in

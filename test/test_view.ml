@@ -1,5 +1,6 @@
 (* Property tests for the snapshot-view layer (lib/doc Axml_doc.View):
-   round-trips, incremental splice patching, parallel ≡ sequential
+   round-trips, incremental splice patching (in place, in any splice
+   order), parallel ≡ sequential
    matching, a match memo kept across splices ≡ a fresh one, and F-guide
    memoization on the generation counter. *)
 
@@ -126,40 +127,81 @@ let prop_roundtrip =
       check_same_xml "of_node" d v';
       true)
 
-(* Driving a random sequence of splices (empty forests included) keeps
-   the incrementally-patched snapshot equal to a from-scratch index. *)
+(* Driving a sequence of splices keeps the incrementally-patched
+   snapshot equal to a from-scratch index. The cached view is one gap
+   buffer patched in place: splices in document order, reverse order and
+   random order make the gap travel forward, backward and both ways; the
+   pool's empty forest drops a span without refilling it, its large
+   forest outgrows the gap (the initial build has no slack). Each splice
+   keeps the view the same object at the document's generation, with
+   every spliced-out node gone from it. *)
+let big_forest =
+  List.init 8 (fun _ ->
+      Tree.element "a"
+        [
+          Tree.element "b" [ Tree.text "y" ];
+          Tree.element Doc.call_elem_name ~attrs:[ ("name", "g") ] [ Tree.text "p" ];
+        ])
+
+let in_place_pool = Array.append result_pool [| big_forest |]
+
+let subtree_nodes roots =
+  let acc = ref [] in
+  List.iter (Doc.iter_node (fun n -> acc := n :: !acc)) roots;
+  !acc
+
+let check_in_place order c =
+  let d = Doc.of_xml c.tree in
+  let rng = Random.State.make [| 0x51EE7; c.splice_seed |] in
+  let v = View.snapshot d in
+  let gone = ref [] in
+  let steps = ref 0 in
+  let continue = ref true in
+  while !continue && !steps < 12 do
+    match Doc.visible_function_nodes d with
+    | [] -> continue := false
+    | calls ->
+      let call =
+        match order with
+        | `Document -> List.hd calls
+        | `Reverse -> List.nth calls (List.length calls - 1)
+        | `Random -> List.nth calls (Random.State.int rng (List.length calls))
+      in
+      gone := subtree_nodes [ call ] @ !gone;
+      let before = Doc.view_indexed_total d in
+      let added =
+        Doc.replace_call d call
+          in_place_pool.(Random.State.int rng (Array.length in_place_pool))
+      in
+      incr steps;
+      if not (View.snapshot d == v) then Alcotest.fail "splice replaced the view object";
+      Alcotest.(check int) "generation advanced" (Doc.generation d) (View.generation v);
+      Alcotest.(check int) "indexed total counts the added nodes"
+        (List.length (subtree_nodes added))
+        (Doc.view_indexed_total d - before);
+      List.iter
+        (fun n ->
+          if View.index_of v n <> None then
+            Alcotest.failf "spliced-out node %d still indexed" n.Doc.id)
+        !gone;
+      for i = 0 to View.size v - 1 do
+        let expected =
+          match (View.node v i).Doc.parent with
+          | None -> -1
+          | Some p -> Option.get (View.index_of v p)
+        in
+        if View.parent v i <> expected then Alcotest.failf "parent of %d" i
+      done;
+      check_view_invariants v;
+      check_same_xml "in place" d v;
+      if not (Tree.equal (View.materialize (View.of_node (Doc.root d))) (View.materialize v))
+      then Alcotest.fail "patched view differs from full rebuild"
+  done
+
 let prop_splice_consistency =
   QCheck.Test.make ~count:150 ~name:"patched snapshot survives splice sequences"
     arb_splice_case (fun c ->
-      let d = Doc.of_xml c.tree in
-      let rng = Random.State.make [| 0x51EE7; c.splice_seed |] in
-      ignore (View.snapshot d);
-      let steps = ref 0 in
-      let continue = ref true in
-      while !continue && !steps < 12 do
-        match Doc.visible_function_nodes d with
-        | [] -> continue := false
-        | calls ->
-          let call = List.nth calls (Random.State.int rng (List.length calls)) in
-          let forest =
-            result_pool.(Random.State.int rng (Array.length result_pool))
-          in
-          ignore (Doc.replace_call d call forest);
-          incr steps;
-          let patched = View.snapshot d in
-          check_view_invariants patched;
-          check_same_xml "after splice" d patched;
-          Alcotest.(check int) "generation stamped" (Doc.generation d)
-            (View.generation patched);
-          (* byte-identical to a full rebuild of the same tree *)
-          let fresh = View.of_node (Doc.root d) in
-          Alcotest.(check int) "sizes agree" (View.size fresh)
-            (View.size patched);
-          if
-            not
-              (Tree.equal (View.materialize fresh) (View.materialize patched))
-          then Alcotest.fail "patched view differs from full rebuild"
-      done;
+      List.iter (fun order -> check_in_place order c) [ `Document; `Reverse; `Random ];
       true)
 
 (* Parallel matching is invisible: same bindings, element for element,
@@ -282,6 +324,19 @@ let test_unreported_mutation_resets () =
   Eval.forget ctx parent;
   Alcotest.(check int) "stale entry not served after a reported splice" 0 (count ())
 
+(* The same view object survives a splice, so an unreported splice must
+   be caught by the generation check rather than by object identity. *)
+let test_unreported_splice_resets () =
+  let d =
+    Doc.parse {|<r><a>x</a><c><axml:call name="f">p</axml:call></c></r>|}
+  in
+  let q = Parser.parse "//c![b]" in
+  let ctx = Eval.context () in
+  Alcotest.(check int) "no b yet" 0 (List.length (Eval.eval_in ctx q d));
+  let call = List.hd (Doc.visible_function_nodes d) in
+  ignore (Doc.replace_call d call [ Tree.element "b" [ Tree.text "y" ] ]);
+  Alcotest.(check int) "unreported splice is seen" 1 (List.length (Eval.eval_in ctx q d))
+
 (* ------------------------------------------------------------------ *)
 (* F-guide memoization on the generation counter. *)
 
@@ -344,7 +399,10 @@ let () =
           prop prop_kept_context;
         ] );
       ( "kept memo",
-        [ quick "unreported mutation resets the memo" test_unreported_mutation_resets ] );
+        [
+          quick "unreported mutation resets the memo" test_unreported_mutation_resets;
+          quick "unreported splice resets the memo" test_unreported_splice_resets;
+        ] );
       ( "fguide memo",
         [
           quick "reuse on unchanged generation" test_fguide_reuse;
