@@ -11,7 +11,7 @@ module Nfq = Axml_core.Nfq
 module Lpq = Axml_core.Lpq
 module Influence = Axml_core.Influence
 module Typing = Axml_core.Typing
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module Lazy_eval = Axml_core.Lazy_eval
 module Schema = Axml_schema.Schema
 module City = Axml_workload.City
@@ -122,16 +122,16 @@ let () =
   in
   let naive_instance = City.figure1 () in
   let naive_report =
-    Naive.run naive_instance.City.registry naive_instance.City.query naive_instance.City.doc
+    Engine.naive_run naive_instance.City.registry naive_instance.City.query naive_instance.City.doc
   in
-  Printf.printf "lazy:  %d calls invoked, answers: " lazy_report.Lazy_eval.invoked;
+  Printf.printf "lazy:  %d calls invoked, answers: " lazy_report.Engine.invoked;
   List.iter
     (fun (b : Axml_query.Eval.binding) ->
       List.iter (fun (x, v) -> Printf.printf "%s=%S " x v) b.Axml_query.Eval.vars)
-    lazy_report.Lazy_eval.answers;
-  Printf.printf "\nnaive: %d calls invoked, answers: " naive_report.Naive.invoked;
+    lazy_report.Engine.answers;
+  Printf.printf "\nnaive: %d calls invoked, answers: " naive_report.Engine.invoked;
   List.iter
     (fun (b : Axml_query.Eval.binding) ->
       List.iter (fun (x, v) -> Printf.printf "%s=%S " x v) b.Axml_query.Eval.vars)
-    naive_report.Naive.answers;
+    naive_report.Engine.answers;
   print_newline ()

@@ -8,7 +8,7 @@
 
 module Registry = Axml_services.Registry
 module Lazy_eval = Axml_core.Lazy_eval
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module Goingout = Axml_workload.Goingout
 
 let invoked_services registry =
@@ -30,9 +30,9 @@ let () =
      the review services. *)
   let naive_inst = Goingout.generate cfg in
   let naive =
-    Naive.run naive_inst.Goingout.registry naive_inst.Goingout.query naive_inst.Goingout.doc
+    Engine.naive_run naive_inst.Goingout.registry naive_inst.Goingout.query naive_inst.Goingout.doc
   in
-  Printf.printf "naive:     %3d calls  services: %s\n" naive.Naive.invoked
+  Printf.printf "naive:     %3d calls  services: %s\n" naive.Engine.invoked
     (String.concat ", " (invoked_services naive_inst.Goingout.registry));
 
   (* Lazy without types: restaurants are skipped (wrong position), but
@@ -43,7 +43,7 @@ let () =
     Lazy_eval.run ~registry:untyped_inst.Goingout.registry ~schema:untyped_inst.Goingout.schema
       ~strategy:Lazy_eval.nfqa untyped_inst.Goingout.query untyped_inst.Goingout.doc
   in
-  Printf.printf "lazy:      %3d calls  services: %s\n" untyped.Lazy_eval.invoked
+  Printf.printf "lazy:      %3d calls  services: %s\n" untyped.Engine.invoked
     (String.concat ", " (invoked_services untyped_inst.Goingout.registry));
   assert (count_by untyped_inst.Goingout.registry "getrestaurants" = 0);
 
@@ -53,7 +53,7 @@ let () =
     Lazy_eval.run ~registry:typed_inst.Goingout.registry ~schema:typed_inst.Goingout.schema
       ~strategy:Lazy_eval.nfqa_typed typed_inst.Goingout.query typed_inst.Goingout.doc
   in
-  Printf.printf "lazy+types:%3d calls  services: %s\n\n" typed.Lazy_eval.invoked
+  Printf.printf "lazy+types:%3d calls  services: %s\n\n" typed.Engine.invoked
     (String.concat ", " (invoked_services typed_inst.Goingout.registry));
   assert (count_by typed_inst.Goingout.registry "getreviews" = 0);
   assert (count_by typed_inst.Goingout.registry "getrestaurants" = 0);
@@ -72,5 +72,5 @@ let () =
             Printf.printf "  %s\n" (Axml_xml.Tree.text_content (Axml_doc.node_to_xml n))
           | _ -> Printf.printf "  (still intensional: a getschedule call is pending)\n")
         b.Axml_query.Eval.results)
-    typed.Lazy_eval.answers;
-  assert (typed.Lazy_eval.answers <> [] = (naive.Naive.answers <> []))
+    typed.Engine.answers;
+  assert (typed.Engine.answers <> [] = (naive.Engine.answers <> []))

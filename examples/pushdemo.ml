@@ -9,6 +9,7 @@ module Registry = Axml_services.Registry
 module Witness = Axml_services.Witness
 module Nfq = Axml_core.Nfq
 module Lazy_eval = Axml_core.Lazy_eval
+module Engine = Axml_engine.Engine
 module City = Axml_workload.City
 
 let () =
@@ -45,9 +46,9 @@ let () =
   let plain = run Lazy_eval.nfqa_typed in
   let pushed = run (Lazy_eval.with_push Lazy_eval.nfqa_typed) in
   Printf.printf "without push: %7d bytes transferred, %.3f s simulated\n"
-    plain.Lazy_eval.bytes_transferred plain.Lazy_eval.simulated_seconds;
+    plain.Engine.bytes_transferred plain.Engine.simulated_seconds;
   Printf.printf "with push:    %7d bytes transferred, %.3f s simulated (%d pushed calls)\n"
-    pushed.Lazy_eval.bytes_transferred pushed.Lazy_eval.simulated_seconds
-    pushed.Lazy_eval.pushed;
-  assert (List.length plain.Lazy_eval.answers = List.length pushed.Lazy_eval.answers);
-  Printf.printf "same %d answers either way\n" (List.length pushed.Lazy_eval.answers)
+    pushed.Engine.bytes_transferred pushed.Engine.simulated_seconds
+    pushed.Engine.pushed;
+  assert (List.length plain.Engine.answers = List.length pushed.Engine.answers);
+  Printf.printf "same %d answers either way\n" (List.length pushed.Engine.answers)

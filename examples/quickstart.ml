@@ -8,6 +8,7 @@ module Tree = Axml_xml.Tree
 module Parser = Axml_query.Parser
 module Registry = Axml_services.Registry
 module Lazy_eval = Axml_core.Lazy_eval
+module Engine = Axml_engine.Engine
 
 let () =
   (* 1. An AXML document: a weather page whose forecast is intensional —
@@ -38,14 +39,14 @@ let () =
      invoked. *)
   let report = Lazy_eval.run ~registry query doc in
   Printf.printf "Invoked %d call(s); document after evaluation:\n%s\n\n"
-    report.Lazy_eval.invoked
+    report.Engine.invoked
     (Doc.to_string ~indent:2 doc);
   List.iter
     (fun (b : Axml_query.Eval.binding) ->
       List.iter
         (fun (_, n) -> Printf.printf "answer: %s\n" (Axml_xml.Print.to_string (Doc.node_to_xml n)))
         b.Axml_query.Eval.results)
-    report.Lazy_eval.answers;
+    report.Engine.answers;
 
   (* A query about today would have invoked nothing. *)
   let doc2 =
@@ -54,4 +55,4 @@ let () =
         <tomorrow><axml:call name="forecast">Paris</axml:call></tomorrow></weather>|}
   in
   let report2 = Lazy_eval.run ~registry (Parser.parse "/weather/today/sky!") doc2 in
-  Printf.printf "\nQuery about today invoked %d call(s).\n" report2.Lazy_eval.invoked
+  Printf.printf "\nQuery about today invoked %d call(s).\n" report2.Engine.invoked

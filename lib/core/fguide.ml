@@ -138,15 +138,6 @@ let remove_call t call =
 let add_subtree t (n : Doc.node) =
   index_from t (List.rev (Doc.label_path n)) n
 
-let remove_subtree t (n : Doc.node) =
-  let rec go (m : Doc.node) =
-    match m.Doc.label with
-    | Doc.Call _ -> remove_call t m
-    | Doc.Data _ -> ()
-    | Doc.Elem _ -> List.iter go m.Doc.children
-  in
-  go n
-
 (* Maintenance after [Doc.replace_call]: the invoked call leaves the
    guide, the spliced-in nodes are indexed under their (new) paths. *)
 let update_after_replace t ~invoked ~added =

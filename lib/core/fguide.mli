@@ -8,8 +8,7 @@
     anchored NFQ check ({!Relevance.retrieves}).
 
     Built in one document-order traversal; maintained incrementally as
-    calls are invoked ({!update_after_replace}) or the document is edited
-    ({!add_subtree}, {!remove_subtree}). *)
+    calls are invoked ({!update_after_replace}). *)
 
 type t
 
@@ -32,8 +31,8 @@ val memoized : Axml_doc.t -> t * bool
 
 val sync : t -> Axml_doc.t -> unit
 (** Re-tags the guide as reflecting the document's current generation —
-    call after incremental maintenance ({!update_after_replace},
-    {!add_subtree}, {!remove_subtree}) brought it up to date. *)
+    call after incremental maintenance ({!update_after_replace})
+    brought it up to date. *)
 
 val candidates :
   t -> (Axml_query.Pattern.axis * Axml_query.Pattern.label) list -> Axml_doc.node list
@@ -44,13 +43,6 @@ val candidates :
 val update_after_replace : t -> invoked:Axml_doc.node -> added:Axml_doc.node list -> unit
 (** Maintenance after {!Axml_doc.replace_call}: the invoked call leaves
     the guide, the spliced-in nodes are indexed under their paths. *)
-
-val add_subtree : t -> Axml_doc.node -> unit
-(** Indexes the visible calls of a subtree that was just attached to the
-    document (the node must already have its final position). *)
-
-val remove_subtree : t -> Axml_doc.node -> unit
-(** Forgets the visible calls of a subtree about to be detached. *)
 
 val call_count : t -> int
 (** Number of calls currently indexed. *)

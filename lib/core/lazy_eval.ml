@@ -92,8 +92,8 @@ let default =
     max_passes = 1_000_000;
   }
 
-(** The naive strategy is in {!Naive}; these are the named configurations
-    the benchmarks compare. *)
+(** The naive strategy is {!Engine.naive_run}; these are the named
+    configurations the benchmarks compare. *)
 let nfqa = default
 
 let nfqa_typed = { default with typing = Exact_types }
@@ -103,36 +103,6 @@ let with_fguide s = { s with use_fguide = true }
 let with_push s = { s with push = true }
 let with_budget b s = { s with max_calls = min b s.max_calls }
 let with_match_jobs n s = { s with match_jobs = n }
-
-type report = Engine.report = {
-  answers : Eval.binding list;
-  invoked : int;
-  pushed : int;
-  rounds : int;  (** invocation rounds (batches or single calls) *)
-  passes : int;  (** full evaluation sweeps over a layer *)
-  relevance_evals : int;  (** NFQ/LPQ evaluations performed *)
-  candidates_checked : int;  (** F-guide candidates filtered *)
-  layer_count : int;
-  simulated_seconds : float;  (** service latency + transfer, aggregated *)
-  analysis_seconds : float;  (** detection and query-planning CPU time *)
-  bytes_transferred : int;
-  retries : int;  (** retried service attempts, summed over invocations *)
-  timeouts : int;  (** attempts classified as timeouts *)
-  failed_calls : int;  (** relevant calls left unexpanded after retry exhaustion *)
-  backoff_seconds : float;  (** simulated seconds spent backing off *)
-  full_nodes : int;  (** nodes handed to the projector; 0 without one *)
-  projected_nodes : int;  (** nodes surviving projection; 0 without one *)
-  projected_bytes_saved : int;  (** serialized bytes of dropped subtrees *)
-  sharded_calls : int;  (** calls placed on a named shard; 0 unsharded *)
-  rebalanced_calls : int;  (** calls the balancer moved off shard 0 *)
-  rerouted_calls : int;  (** failed-replica calls salvaged elsewhere *)
-  view_rebuild_nodes : int;
-      (** nodes (re)indexed into snapshot views during the run — splice
-          patches, plus full rebuilds if any non-splice mutation hit *)
-  parallel_match_batches : int;
-      (** intra-document parallel match dispatches; 0 when sequential *)
-  complete : bool;  (** the document is complete for the query (Def. 3) *)
-}
 
 (* ------------------------------------------------------------------ *)
 (* The query plan: everything the analysis derives from the query alone
@@ -507,7 +477,7 @@ let relevance_name = function Nfq_relevance -> "nfq" | Lpq_relevance -> "lpq"
 let typing_name = function No_types -> "none" | Lenient_types -> "lenient" | Exact_types -> "exact"
 
 let run ?(strategy = default) ?schema ?(obs = Obs.null) ?pool ?projector ?dispatch ~registry
-    (q : P.t) (d : Doc.t) : report =
+    (q : P.t) (d : Doc.t) : Engine.report =
   let rqs = relevance_queries strategy q in
   let typing =
     match strategy.typing, schema with

@@ -72,55 +72,6 @@ val with_budget : int -> strategy -> strategy
 val with_match_jobs : int -> strategy -> strategy
 (** Sets [match_jobs] — the [--match-jobs] CLI knob. *)
 
-type report = Axml_engine.Engine.report = {
-  answers : Axml_query.Eval.binding list;
-  invoked : int;
-  pushed : int;
-  rounds : int;  (** invocation rounds (batches or single calls) *)
-  passes : int;  (** full evaluation sweeps over a layer *)
-  relevance_evals : int;  (** NFQ/LPQ evaluations performed *)
-  candidates_checked : int;  (** F-guide candidates filtered *)
-  layer_count : int;
-  simulated_seconds : float;  (** service latency + transfer, aggregated *)
-  analysis_seconds : float;
-      (** CPU time spent detecting relevant calls and planning the
-          query (containment dedup, layers, ★ flags, push checks); the
-          [Nfq]/[Lpq] construction itself is not counted *)
-  bytes_transferred : int;
-  retries : int;  (** retried service attempts, summed over invocations *)
-  timeouts : int;  (** attempts classified as timeouts *)
-  failed_calls : int;
-      (** relevant calls whose retry budget was exhausted; each stays in
-          the document as an unexpanded function node *)
-  backoff_seconds : float;  (** simulated seconds spent backing off *)
-  full_nodes : int;  (** nodes handed to the projector; 0 without one *)
-  projected_nodes : int;  (** nodes surviving projection; 0 without one *)
-  projected_bytes_saved : int;
-      (** serialized XML bytes of the subtrees projection dropped *)
-  sharded_calls : int;
-      (** successful calls placed on a named shard by a scheduler
-          dispatch; 0 when dispatch goes straight to the registry *)
-  rebalanced_calls : int;
-      (** calls the replica balancer placed somewhere other than the
-          first eligible shard *)
-  rerouted_calls : int;
-      (** failed-replica attempts salvaged by re-routing to another
-          replica *)
-  view_rebuild_nodes : int;
-      (** snapshot-view nodes (re)indexed after the engine's initial
-          build — the incremental splice patches keeping the pure view
-          current *)
-  parallel_match_batches : int;
-      (** intra-document parallel match/detect dispatches
-          ([match_jobs > 1]); 0 when matching ran sequentially *)
-  complete : bool;
-      (** the document is complete for the query (Def. 3): every relevant
-          call was expanded within budget and none permanently failed.
-          When [false] because of failures, the answers are still sound —
-          a subset of the full snapshot result (Def. 4's leniency: missing
-          data only loses bindings, never fabricates them). *)
-}
-
 val run :
   ?strategy:strategy ->
   ?schema:Axml_schema.Schema.t ->
@@ -131,7 +82,7 @@ val run :
   registry:Axml_services.Registry.t ->
   Axml_query.Pattern.t ->
   Axml_doc.t ->
-  report
+  Axml_engine.Engine.report
 (** [run ~registry q d] finds a complete relevant rewriting of [d] for
     [q] (invoking only relevant calls, in an order compatible with the
     NFQ layers) and evaluates [q] on the result. A schema is required for

@@ -1,10 +1,10 @@
 (** Registers a remote peer's services into a local
     {!Axml_services.Registry}, making network services indistinguishable
-    from simulated ones to the evaluators: [Lazy_eval] and [Naive]
-    invoke them through {!Axml_services.Registry.invoke} and get the
-    registry's full retry/timeout/backoff/degradation machinery — run on
-    {e real} clocks, with each attempt's socket deadline taken from the
-    service's [retry_policy.attempt_timeout]. *)
+    from simulated ones to the evaluators: [Lazy_eval] and
+    [Engine.naive_run] invoke them through
+    {!Axml_services.Registry.invoke} and get the registry's one retry
+    loop — on the wall clock, with each attempt's socket deadline taken
+    from the service's [retry_policy.attempt_timeout]. *)
 
 val register :
   ?names:string list ->

@@ -722,32 +722,6 @@ let rec really_read fd buf off len =
     | n -> really_read fd buf (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> really_read fd buf off len
 
-let write_frame fd json =
-  let payload = Json.to_string json in
-  let len = String.length payload in
-  if len > max_frame then fail "frame of %d bytes exceeds the %d-byte limit" len max_frame;
-  let buf = Bytes.create (4 + len) in
-  Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (len land 0xff));
-  Bytes.blit_string payload 0 buf 4 len;
-  really_write fd buf 0 (4 + len);
-  4 + len
-
-let read_frame fd =
-  let header = Bytes.create 4 in
-  really_read fd header 0 4;
-  let byte i = Char.code (Bytes.get header i) in
-  let len = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-  if len <= 0 || len > max_frame then
-    fail "frame length %d is outside (0, %d]" len max_frame;
-  let payload = Bytes.create len in
-  really_read fd payload 0 len;
-  match Json.parse (Bytes.unsafe_to_string payload) with
-  | Ok v -> (v, 4 + len)
-  | Error m -> fail "frame payload is not JSON (%s)" m
-
 (* ------------------------------------------------------------------ *)
 (* Codec-aware frames.
 

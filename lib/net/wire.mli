@@ -159,15 +159,6 @@ val message_of_json : Axml_obs.Json.t -> message
     the caller. Byte counts include the 4-byte header — they are what
     the cost accounting reports as wire traffic. *)
 
-val write_frame : Unix.file_descr -> Axml_obs.Json.t -> int
-(** JSON-only frame write (never sets the binary flag). Returns the
-    bytes written. *)
-
-val read_frame : Unix.file_descr -> Axml_obs.Json.t * int
-(** JSON-only frame read (a binary-flagged header is rejected as
-    {!Protocol_error}). Returns the value and the bytes read. Raises
-    {!Closed} on EOF, {!Protocol_error} on garbage. *)
-
 type scratch
 (** Per-connection reusable encode/decode buffers. A hot connection
     that threads one scratch through every {!send}/{!recv} allocates no

@@ -2,7 +2,7 @@
     service registry: one tracer plus one metrics registry.
 
     Instrumented entry points ({!Axml_services.Registry.invoke},
-    {!Axml_core.Lazy_eval.run}, {!Axml_core.Naive.run}) take
+    {!Axml_core.Lazy_eval.run}, {!Axml_engine.Engine.naive_run}) take
     [?obs:Obs.t] defaulting to {!null}, whose components are both
     disabled — every recording call is a single branch, so the
     instrumentation is free when nobody is watching. *)

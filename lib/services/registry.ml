@@ -242,6 +242,108 @@ let invocation_attrs (inv : invocation) =
     ("cost_s", Trace.Float inv.cost);
   ]
 
+(* What one attempt against a provider came to. [full] is the result
+   to memoize, if any: a local provider's result before push pruning,
+   a remote provider's only when it was not pruned provider-side. *)
+type attempt =
+  | Answered of {
+      shipped : Tree.forest;
+      full : Tree.forest option;
+      pushed : bool;
+      sent : int;
+      received : int;
+      seconds : float;
+    }
+  | Lost of {
+      retryable : bool;
+      timeout : bool;
+      sent : int;
+      received : int;
+      seconds : float;
+      reason : string option;
+    }
+
+(* What ships for a full result: with a (capable) pushed pattern, only
+   its witnesses. *)
+let ship push full =
+  match push with
+  | Some pattern -> (true, Witness.prune pattern full)
+  | None -> (false, full)
+
+(* One attempt of an in-process behavior on the simulated clock: the
+   request ships on every attempt, the fault schedule is drawn per
+   retry index, and the behavior runs at most once. Every loss is
+   retryable; an answer slower than [attempt_timeout] is a timeout
+   that costs the whole budget. *)
+let local_attempt t service behavior ~name ~params ~params_str ~push =
+  let cm = service.cost_model and policy = service.retry in
+  let request_bytes = Print.forest_byte_size params in
+  let request_time = cm.per_byte *. float_of_int request_bytes in
+  let result = lazy (behavior params) in
+  (* the fault-PRNG key of this logical call: a pure function of the
+     parameters, so the seeded fault fate is identical on any thread,
+     at any --jobs level, in any interleaving *)
+  let fault_key = lazy (Faults.invocation_key (Lazy.force params_str)) in
+  let fault_seed = t.fault_seed in
+  fun ~retry ->
+    let lost ~timeout seconds =
+      Lost
+        {
+          retryable = true;
+          timeout;
+          sent = request_bytes;
+          received = 0;
+          seconds = Float.min seconds policy.attempt_timeout;
+          reason = None;
+        }
+    in
+    let answer extra =
+      let full = Lazy.force result in
+      let pushed, shipped = ship push full in
+      let received = Print.forest_byte_size shipped in
+      let seconds =
+        cm.latency +. extra +. request_time +. (cm.per_byte *. float_of_int received)
+      in
+      if seconds > policy.attempt_timeout then lost ~timeout:true seconds
+      else Answered { shipped; full = Some full; pushed; sent = request_bytes; received; seconds }
+    in
+    let outcome =
+      if service.faults = [] then Faults.Healthy
+      else
+        Faults.plan ~seed:fault_seed ~service:name ~key:(Lazy.force fault_key) ~retry
+          service.faults
+    in
+    match outcome with
+    | Faults.Healthy -> answer 0.0
+    | Faults.Delayed extra -> answer extra
+    | Faults.Dropped -> lost ~timeout:false (cm.latency +. request_time)
+    | Faults.Unresponsive hang -> lost ~timeout:true hang
+
+(* One attempt over a real wire: bytes and seconds are what the
+   transport measured; only a transient error is retryable. *)
+let remote_attempt service transport ~name ~params ~push ~obs ~retry:_ =
+  match transport ~name ~params ~push ~timeout:service.retry.attempt_timeout ~obs with
+  | forest, w ->
+    Answered
+      {
+        shipped = forest;
+        full = (if w.served_push then None else Some forest);
+        pushed = w.served_push;
+        sent = w.sent;
+        received = w.received;
+        seconds = w.elapsed;
+      }
+  | exception Transport_error { wire = w; transient; timeout; reason } ->
+    Lost
+      {
+        retryable = transient;
+        timeout;
+        sent = w.sent;
+        received = w.received;
+        seconds = w.elapsed;
+        reason = Some reason;
+      }
+
 let invoke t ~name ~params ?push ?(obs = Obs.null) () =
   let service = find_exn t name in
   let tr = obs.Obs.trace in
@@ -251,9 +353,26 @@ let invoke t ~name ~params ?push ?(obs = Obs.null) () =
       Trace.open_span tr ~cat:"service" ~attrs:[ ("service", Trace.Str name) ] "service.invoke"
     else Trace.none
   in
-  let finish (inv : invocation) =
+  let push = if service.push_capable then push else None in
+  let record (inv : invocation) =
+    locked t (fun () -> t.history <- inv :: t.history);
     account_metrics obs.Obs.metrics ~name inv;
-    if traced then Trace.close_span tr ~attrs:(invocation_attrs inv) inv_span
+    if traced then Trace.close_span tr ~attrs:(invocation_attrs inv) inv_span;
+    inv
+  in
+  let blank =
+    {
+      service = name;
+      request_bytes = 0;
+      response_bytes = 0;
+      cost = 0.0;
+      pushed = false;
+      cached = false;
+      retries = 0;
+      timeouts = 0;
+      backoff_seconds = 0.0;
+      failed = false;
+    }
   in
   (* the serialized parameters key both the memo cache and the fault
      PRNG; serialize at most once *)
@@ -266,268 +385,86 @@ let invoke t ~name ~params ?push ?(obs = Obs.null) () =
   let hit result =
     (* A cache hit answers locally: no wire, no latency — and no fault
        exposure; the fault layer only applies to network attempts. *)
-    let pushed, shipped =
-      match push with
-      | Some pattern when service.push_capable -> (true, Witness.prune pattern result)
-      | Some _ | None -> (false, result)
+    let pushed, shipped = ship push result in
+    (shipped, record { blank with pushed; cached = true })
+  in
+  (* The provider picks the attempt and the clock: a local behavior runs
+     on the simulated clock, a remote one on the wall clock, where the
+     backoff really sleeps. *)
+  let attempt, attempt_attrs, clock_attr, sleep =
+    match service.provider with
+    | Local behavior ->
+      (local_attempt t service behavior ~name ~params ~params_str ~push, [], "sim_s", ignore)
+    | Remote transport ->
+      ( remote_attempt service transport ~name ~params ~push ~obs,
+        [ ("transport", Trace.Str "net") ],
+        "wire_s",
+        fun wait -> if wait > 0.0 then Unix.sleepf wait )
+  in
+  let policy = service.retry in
+  (* [inv] accumulates the attempts so far; [inv.retries] is the retry
+     index of the next one. *)
+  let rec go (inv : invocation) =
+    let retry = inv.retries in
+    let attempt_span =
+      if traced then
+        Trace.open_span tr ~cat:"service"
+          ~attrs:(("service", Trace.Str name) :: ("retry", Trace.Int retry) :: attempt_attrs)
+          "service.attempt"
+      else Trace.none
     in
-    let invocation =
+    if Metrics.enabled obs.Obs.metrics then
+      Metrics.incr obs.Obs.metrics ~labels:[ ("service", name) ] "service.attempts";
+    let close seconds attrs =
+      Trace.advance tr seconds;
+      if traced then
+        Trace.close_span tr ~attrs:(attrs @ [ (clock_attr, Trace.Float seconds) ]) attempt_span
+    in
+    let spent ~sent ~received ~seconds =
       {
-        service = name;
-        request_bytes = 0;
-        response_bytes = 0;
-        cost = 0.0;
-        pushed;
-        cached = true;
-        retries = 0;
-        timeouts = 0;
-        backoff_seconds = 0.0;
-        failed = false;
+        inv with
+        request_bytes = inv.request_bytes + sent;
+        response_bytes = inv.response_bytes + received;
+        cost = inv.cost +. seconds;
       }
     in
-    locked t (fun () -> t.history <- invocation :: t.history);
-    finish invocation;
-    (shipped, invocation)
-  in
-  let fill_cache result =
-    match cache_key with
-    | Some (cache, key) -> resolve_filled t cache key result
-    | None -> ()
-  in
-  let miss () =
-  match service.provider with
-  | Remote transport ->
-    (* A real wire: the transport performs one attempt; the same retry
-       loop runs here, but on real clocks — the backoff actually sleeps
-       and [cost] is measured wall time. The local fault schedule does
-       not apply; faults arrive as [Transport_error]s. *)
-    let policy = service.retry in
-    let push_arg =
-      match push with Some p when service.push_capable -> Some p | Some _ | None -> None
-    in
-    let rec go ~retry ~sent ~received ~cost ~timeouts ~backoff =
-      let attempt_span =
-        if traced then
-          Trace.open_span tr ~cat:"service"
-            ~attrs:
-              [
-                ("service", Trace.Str name);
-                ("retry", Trace.Int retry);
-                ("transport", Trace.Str "net");
-              ]
-            "service.attempt"
-        else Trace.none
-      in
-      if Metrics.enabled obs.Obs.metrics then
-        Metrics.incr obs.Obs.metrics ~labels:[ ("service", name) ] "service.attempts";
-      match transport ~name ~params ~push:push_arg ~timeout:policy.attempt_timeout ~obs with
-      | result, w ->
-        Trace.advance tr w.elapsed;
-        if traced then
-          Trace.close_span tr
-            ~attrs:[ ("outcome", Trace.Str "ok"); ("wire_s", Trace.Float w.elapsed) ]
-            attempt_span;
-        (* Only full results are cacheable: a pushed response is pruned
-           to one pattern's witnesses and would poison later calls. *)
-        if not w.served_push then fill_cache result;
-        let invocation =
-          {
-            service = name;
-            request_bytes = sent + w.sent;
-            response_bytes = received + w.received;
-            cost = cost +. w.elapsed;
-            pushed = w.served_push;
-            cached = false;
-            retries = retry;
-            timeouts;
-            backoff_seconds = backoff;
-            failed = false;
-          }
-        in
-        locked t (fun () -> t.history <- invocation :: t.history);
-        finish invocation;
-        (result, invocation)
-      | exception Transport_error { wire = w; transient; timeout = timed_out; reason } ->
-        Trace.advance tr w.elapsed;
-        if traced then
-          Trace.close_span tr
-            ~attrs:
-              [
-                ( "outcome",
-                  Trace.Str
-                    (if timed_out then "timeout"
-                     else if transient then "transient"
-                     else "fatal") );
-                ("reason", Trace.Str reason);
-                ("wire_s", Trace.Float w.elapsed);
-              ]
-            attempt_span;
-        let timeouts = timeouts + if timed_out then 1 else 0 in
-        let sent = sent + w.sent and received = received + w.received in
-        let cost = cost +. w.elapsed in
-        if (not transient) || retry >= policy.max_retries then begin
-          let invocation =
-            {
-              service = name;
-              request_bytes = sent;
-              response_bytes = received;
-              cost;
-              pushed = false;
-              cached = false;
-              retries = retry;
-              timeouts;
-              backoff_seconds = backoff;
-              failed = true;
-            }
-          in
-          locked t (fun () -> t.history <- invocation :: t.history);
-          finish invocation;
-          raise (Service_failure invocation)
-        end
-        else begin
-          let wait = backoff_before policy ~retry:(retry + 1) in
-          if wait > 0.0 then Unix.sleepf wait;
-          Trace.advance tr wait;
-          if traced then
-            Trace.instant tr ~cat:"service"
-              ~attrs:[ ("service", Trace.Str name); ("wait_s", Trace.Float wait) ]
-              "service.backoff";
-          go ~retry:(retry + 1) ~sent ~received ~cost:(cost +. wait) ~timeouts
-            ~backoff:(backoff +. wait)
-        end
-    in
-    go ~retry:0 ~sent:0 ~received:0 ~cost:0.0 ~timeouts:0 ~backoff:0.0
-  | Local behavior ->
-    let policy = service.retry in
-    let request_bytes = Print.forest_byte_size params in
-    let request_time = service.cost_model.per_byte *. float_of_int request_bytes in
-    (* Computed at most once; an attempt that fails before the provider
-       answers never runs the behavior. *)
-    let result = lazy (behavior params) in
-    let shipped_of result =
-      match push with
-      | Some pattern when service.push_capable -> (true, Witness.prune pattern result)
-      | Some _ | None -> (false, result)
-    in
-    (* the fault-PRNG key of this logical call: a pure function of the
-       parameters, so the seeded fault fate is identical on any thread,
-       at any --jobs level, in any interleaving *)
-    let fault_key =
-      lazy (Faults.invocation_key (Lazy.force params_str))
-    in
-    let fault_seed = t.fault_seed in
-    let rec go ~retry ~cost ~timeouts ~backoff =
-      let attempt_span =
-        if traced then
-          Trace.open_span tr ~cat:"service"
-            ~attrs:[ ("service", Trace.Str name); ("retry", Trace.Int retry) ]
-            "service.attempt"
-        else Trace.none
-      in
-      if Metrics.enabled obs.Obs.metrics then
-        Metrics.incr obs.Obs.metrics ~labels:[ ("service", name) ] "service.attempts";
+    match attempt ~retry with
+    | Answered { shipped; full; pushed; sent; received; seconds } ->
+      close seconds [ ("outcome", Trace.Str "ok") ];
+      (match (full, cache_key) with
+      | Some full, Some (cache, key) -> resolve_filled t cache key full
+      | _ -> ());
+      (shipped, record { (spent ~sent ~received ~seconds) with pushed })
+    | Lost { retryable; timeout; sent; received; seconds; reason } ->
       let outcome =
-        if service.faults = [] then Faults.Healthy
-        else
-          Faults.plan ~seed:fault_seed ~service:name ~key:(Lazy.force fault_key)
-            ~retry service.faults
+        if timeout then "timeout" else if retryable then "transient" else "fatal"
       in
-      let finish_ok ~extra =
-        let full = Lazy.force result in
-        let pushed, shipped = shipped_of full in
-        let response_bytes = Print.forest_byte_size shipped in
-        let duration =
-          service.cost_model.latency +. extra +. request_time
-          +. (service.cost_model.per_byte *. float_of_int response_bytes)
-        in
-        if duration > policy.attempt_timeout then
-          (* the response would not arrive within the per-attempt budget *)
-          `Failed (policy.attempt_timeout, `Timeout)
-        else begin
-          fill_cache full;
-          let invocation =
-            {
-              service = name;
-              request_bytes = request_bytes * (retry + 1);
-              response_bytes;
-              cost = cost +. duration;
-              pushed;
-              cached = false;
-              retries = retry;
-              timeouts;
-              backoff_seconds = backoff;
-              failed = false;
-            }
-          in
-          `Ok (shipped, invocation)
-        end
+      close seconds
+        (("outcome", Trace.Str outcome)
+        :: Option.fold ~none:[] ~some:(fun r -> [ ("reason", Trace.Str r) ]) reason);
+      let inv =
+        { (spent ~sent ~received ~seconds) with timeouts = inv.timeouts + Bool.to_int timeout }
       in
-      let attempted =
-        match outcome with
-        | Faults.Healthy -> finish_ok ~extra:0.0
-        | Faults.Delayed extra -> finish_ok ~extra
-        | Faults.Dropped ->
-          `Failed
-            ( Float.min (service.cost_model.latency +. request_time) policy.attempt_timeout,
-              `Transient )
-        | Faults.Unresponsive hang ->
-          `Failed (Float.min hang policy.attempt_timeout, `Timeout)
-      in
-      match attempted with
-      | `Ok (shipped, invocation) ->
-        let duration = invocation.cost -. cost in
-        Trace.advance tr duration;
+      if (not retryable) || retry >= policy.max_retries then
+        raise (Service_failure (record { inv with failed = true }))
+      else begin
+        let wait = backoff_before policy ~retry:(retry + 1) in
+        sleep wait;
+        Trace.advance tr wait;
         if traced then
-          Trace.close_span tr
-            ~attrs:[ ("outcome", Trace.Str "ok"); ("sim_s", Trace.Float duration) ]
-            attempt_span;
-        locked t (fun () -> t.history <- invocation :: t.history);
-        finish invocation;
-        (shipped, invocation)
-      | `Failed (duration, kind) ->
-        Trace.advance tr duration;
-        if traced then
-          Trace.close_span tr
-            ~attrs:
-              [
-                ( "outcome",
-                  Trace.Str (match kind with `Timeout -> "timeout" | `Transient -> "transient") );
-                ("sim_s", Trace.Float duration);
-              ]
-            attempt_span;
-        let timeouts = timeouts + (match kind with `Timeout -> 1 | `Transient -> 0) in
-        let cost = cost +. duration in
-        if retry >= policy.max_retries then begin
-          let invocation =
-            {
-              service = name;
-              request_bytes = request_bytes * (retry + 1);
-              response_bytes = 0;
-              cost;
-              pushed = false;
-              cached = false;
-              retries = retry;
-              timeouts;
-              backoff_seconds = backoff;
-              failed = true;
-            }
-          in
-          locked t (fun () -> t.history <- invocation :: t.history);
-          finish invocation;
-          raise (Service_failure invocation)
-        end
-        else begin
-          let wait = backoff_before policy ~retry:(retry + 1) in
-          Trace.advance tr wait;
-          if traced then
-            Trace.instant tr ~cat:"service"
-              ~attrs:[ ("service", Trace.Str name); ("wait_s", Trace.Float wait) ]
-              "service.backoff";
-          go ~retry:(retry + 1) ~cost:(cost +. wait) ~timeouts ~backoff:(backoff +. wait)
-        end
-    in
-    go ~retry:0 ~cost:0.0 ~timeouts:0 ~backoff:0.0
+          Trace.instant tr ~cat:"service"
+            ~attrs:[ ("service", Trace.Str name); ("wait_s", Trace.Float wait) ]
+            "service.backoff";
+        go
+          {
+            inv with
+            retries = retry + 1;
+            cost = inv.cost +. wait;
+            backoff_seconds = inv.backoff_seconds +. wait;
+          }
+      end
   in
+  let miss () = go blank in
   match cache_key with
   | None -> miss ()
   | Some (cache, key) -> (

@@ -13,11 +13,14 @@
     add up. That aggregation is done by the evaluator, not here.
 
     Real endpoints also fail: each service may carry a seeded
-    {!Faults.schedule}, and every non-cached invocation runs a retry loop
-    governed by a {!retry_policy} — failed attempts are retried after
-    exponential backoff (all accounted on the same simulated clock) until
-    one succeeds or the budget is exhausted, in which case
-    {!Service_failure} carries the invocation record of the defeat.
+    {!Faults.schedule}, and every non-cached invocation runs the one retry
+    loop of {!invoke}, governed by a {!retry_policy} — failed attempts are
+    retried after exponential backoff until one succeeds, a fatal error
+    ends it, or the budget is exhausted, in which case {!Service_failure}
+    carries the invocation record of the defeat. The provider supplies
+    only the attempt and picks the clock: a local behaviour is charged on
+    the simulated clock, a remote transport (see {!section-remote}) is
+    measured on the wall clock and its backoff really sleeps.
 
     Services may return forests containing further [<axml:call>] nodes —
     this is what makes relevance detection "a continuous process" (§1).
@@ -85,27 +88,32 @@ val backoff_before : retry_policy -> retry:int -> float
 type invocation = {
   service : string;
   request_bytes : int;
-      (** the request ships once per wire attempt; retries multiply it *)
-  response_bytes : int;  (** 0 when the invocation permanently failed *)
+      (** bytes sent over all attempts: the request ships again on every
+          retry *)
+  response_bytes : int;
+      (** bytes received over all attempts; a lost local attempt receives
+          none *)
   cost : float;
-      (** simulated seconds: every attempt's duration plus all backoff *)
+      (** seconds on the provider's clock: every attempt's duration plus
+          all backoff *)
   pushed : bool;  (** a subquery was evaluated provider-side *)
   cached : bool;  (** answered from the client-side result cache *)
   retries : int;  (** attempts beyond the first (all of them failed) *)
   timeouts : int;  (** attempts classified as timeouts *)
-  backoff_seconds : float;  (** simulated seconds spent backing off *)
+  backoff_seconds : float;  (** seconds spent backing off *)
   failed : bool;  (** the retry budget was exhausted; no result *)
 }
 
-(** {2 Remote transports}
+(** {2:remote Remote transports}
 
     A service may live behind a real wire instead of an in-process
     closure: a {!transport} performs one {e attempt} against a remote
     provider and reports what actually crossed the wire. {!invoke} runs
     the same retry loop for both kinds, but for remote services the
-    clocks are real — [attempt_timeout] becomes a socket deadline, the
-    exponential backoff actually sleeps, and [cost] is measured
-    wall-clock seconds instead of cost-model arithmetic. The fault
+    clock is real — [attempt_timeout] becomes a socket deadline, the
+    exponential backoff actually sleeps, [cost] is measured wall-clock
+    seconds instead of cost-model arithmetic, and only a [transient]
+    error is retried. The fault
     schedule of a remote service is ignored: real networks inject their
     own faults ({!Transport_error}). See {!Axml_net} for the TCP
     implementation. *)
@@ -231,10 +239,11 @@ val invoke :
     retry budget is exhausted.
 
     [obs] (default: disabled) records one [service.invoke] span per
-    invocation with one [service.attempt] child per wire attempt (carrying
-    retry index, fault outcome and simulated duration) and a
-    [service.backoff] instant per wait, advancing the tracer's simulated
-    clock as it goes; per-service [service.*] counters and the
+    invocation with one [service.attempt] child per attempt (carrying
+    retry index, outcome — [ok], [transient], [timeout] or [fatal] — and
+    the duration on the provider's clock: [sim_s] local, [wire_s] remote)
+    and a [service.backoff] instant per wait, advancing the tracer's
+    simulated clock as it goes; per-service [service.*] counters and the
     [service.cost] latency histogram land in [obs]'s metrics registry. *)
 
 (** {2 Multi-registry routing view}

@@ -13,7 +13,7 @@ module Lpq = Axml_core.Lpq
 module Influence = Axml_core.Influence
 module Typing = Axml_core.Typing
 module Fguide = Axml_core.Fguide
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module Lazy_eval = Axml_core.Lazy_eval
 module City = Axml_workload.City
 
@@ -156,12 +156,12 @@ let test_figure1_lazy () =
     Lazy_eval.run ~registry:instance.City.registry ~schema:instance.City.schema
       ~strategy:Lazy_eval.nfqa_typed instance.City.query instance.City.doc
   in
-  check_tuples "answer" expected_figure1_answer (tuples report.Lazy_eval.answers);
-  Alcotest.(check bool) "complete" true report.Lazy_eval.complete;
+  check_tuples "answer" expected_figure1_answer (tuples report.Engine.answers);
+  Alcotest.(check bool) "complete" true report.Engine.complete;
   (* The relevant calls are 1, 3, 10 plus the follow-up call 11 from the
      result of call 1; call 4 may be spared when call 3 runs first. *)
   Alcotest.(check bool) "between 3 and 6 calls" true
-    (report.Lazy_eval.invoked >= 3 && report.Lazy_eval.invoked <= 6)
+    (report.Engine.invoked >= 3 && report.Engine.invoked <= 6)
 
 let test_figure1_naive_agrees () =
   let lazy_instance = City.figure1 () in
@@ -171,15 +171,15 @@ let test_figure1_naive_agrees () =
       ~strategy:Lazy_eval.nfqa_typed lazy_instance.City.query lazy_instance.City.doc
   in
   let naive_report =
-    Naive.run naive_instance.City.registry naive_instance.City.query naive_instance.City.doc
+    Engine.naive_run naive_instance.City.registry naive_instance.City.query naive_instance.City.doc
   in
-  check_tuples "same answers" (tuples naive_report.Naive.answers)
-    (tuples lazy_report.Lazy_eval.answers);
+  check_tuples "same answers" (tuples naive_report.Engine.answers)
+    (tuples lazy_report.Engine.answers);
   (* Naive materializes all 10 initial calls plus the one brought by the
      first getnearbyrestos. *)
-  Alcotest.(check int) "naive invokes everything" 11 naive_report.Naive.invoked;
+  Alcotest.(check int) "naive invokes everything" 11 naive_report.Engine.invoked;
   Alcotest.(check bool) "lazy invokes fewer" true
-    (lazy_report.Lazy_eval.invoked < naive_report.Naive.invoked)
+    (lazy_report.Engine.invoked < naive_report.Engine.invoked)
 
 (* Runs the same query under a strategy on a fresh generated instance and
    checks the answers against naive materialization. *)
@@ -190,7 +190,8 @@ let run_strategy cfg strategy =
 
 let naive_tuples cfg =
   let instance = City.generate cfg in
-  tuples (Naive.run instance.City.registry instance.City.query instance.City.doc).Naive.answers
+  tuples
+    (Engine.naive_run instance.City.registry instance.City.query instance.City.doc).Engine.answers
 
 let small_cfg = { City.default_config with City.hotels = 8; seed = 7 }
 
@@ -218,37 +219,37 @@ let test_strategies_agree_with_naive () =
   List.iter
     (fun (name, strategy) ->
       let report = run_strategy small_cfg strategy in
-      check_tuples name expected (tuples report.Lazy_eval.answers);
-      Alcotest.(check bool) (name ^ " complete") true report.Lazy_eval.complete)
+      check_tuples name expected (tuples report.Engine.answers);
+      Alcotest.(check bool) (name ^ " complete") true report.Engine.complete)
     strategies
 
 let test_lazy_invokes_fewer_than_naive () =
   let instance = City.generate small_cfg in
   let naive_report =
-    Naive.run instance.City.registry instance.City.query instance.City.doc
+    Engine.naive_run instance.City.registry instance.City.query instance.City.doc
   in
   let report = run_strategy small_cfg Lazy_eval.nfqa_typed in
   Alcotest.(check bool) "strictly fewer calls" true
-    (report.Lazy_eval.invoked < naive_report.Naive.invoked)
+    (report.Engine.invoked < naive_report.Engine.invoked)
 
 let test_typing_reduces_calls () =
   let untyped = run_strategy small_cfg Lazy_eval.nfqa in
   let typed = run_strategy small_cfg Lazy_eval.nfqa_typed in
   Alcotest.(check bool) "typed <= untyped" true
-    (typed.Lazy_eval.invoked <= untyped.Lazy_eval.invoked)
+    (typed.Engine.invoked <= untyped.Engine.invoked)
 
 let test_nfq_beats_lpq_on_calls () =
   let lpq = run_strategy small_cfg Lazy_eval.lpq_only in
   let nfq = run_strategy small_cfg Lazy_eval.nfqa in
   Alcotest.(check bool) "nfq <= lpq calls" true
-    (nfq.Lazy_eval.invoked <= lpq.Lazy_eval.invoked)
+    (nfq.Engine.invoked <= lpq.Engine.invoked)
 
 let test_push_saves_bytes () =
   let plain = run_strategy small_cfg Lazy_eval.nfqa in
   let pushed = run_strategy small_cfg (Lazy_eval.with_push Lazy_eval.nfqa) in
-  Alcotest.(check bool) "pushed some calls" true (pushed.Lazy_eval.pushed > 0);
+  Alcotest.(check bool) "pushed some calls" true (pushed.Engine.pushed > 0);
   Alcotest.(check bool) "fewer bytes" true
-    (pushed.Lazy_eval.bytes_transferred < plain.Lazy_eval.bytes_transferred)
+    (pushed.Engine.bytes_transferred < plain.Engine.bytes_transferred)
 
 (* A query the relevance constructions reject (an OR node, which only
    the wire codec produces) fails before the run touches anything: the
@@ -292,45 +293,12 @@ let test_fguide_matches_lpq () =
       Alcotest.(check (list int)) "same calls" on_doc on_guide)
     (Lpq.of_query instance.City.query)
 
-let test_fguide_updates () =
-  let instance = City.figure1 () in
-  let d = instance.City.doc in
-  let guide = Fguide.build d in
-  let before = Fguide.call_count guide in
-  (* attach a new subtree containing a call, as a document update *)
-  let hotel =
-    Doc.forest_of_xml d
-      (Axml_xml.Parse.forest
-         {|<hotel><name>New</name><nearby><axml:call name="getnearbyrestos">x</axml:call></nearby></hotel>|})
-  in
-  (match hotel with
-  | [ h ] ->
-    Doc.append_child d (Doc.root d) h;
-    Fguide.add_subtree guide h;
-    Alcotest.(check int) "one more call" (before + 1) (Fguide.call_count guide);
-    (* and remove it again *)
-    Fguide.remove_subtree guide h;
-    Doc.remove_node d h;
-    Alcotest.(check int) "back to before" before (Fguide.call_count guide);
-    (* candidates equal a fresh rebuild *)
-    let fresh = Fguide.build d in
-    List.iter
-      (fun rq ->
-        let ids g =
-          Fguide.candidates g (Relevance.guide_steps rq)
-          |> List.map (fun (n : Doc.node) -> n.Doc.id)
-          |> List.sort compare
-        in
-        Alcotest.(check (list int)) "same candidates" (ids fresh) (ids guide))
-      (Lpq.of_query instance.City.query)
-  | _ -> Alcotest.fail "expected one hotel")
-
 let test_goingout_integration () =
   let cfg = { Axml_workload.Goingout.default_config with Axml_workload.Goingout.theaters = 8 } in
   let naive_inst = Axml_workload.Goingout.generate cfg in
   let open Axml_workload in
   let naive =
-    Naive.run naive_inst.Goingout.registry naive_inst.Goingout.query naive_inst.Goingout.doc
+    Engine.naive_run naive_inst.Goingout.registry naive_inst.Goingout.query naive_inst.Goingout.doc
   in
   let lazy_inst = Goingout.generate cfg in
   let report =
@@ -338,8 +306,8 @@ let test_goingout_integration () =
       ~strategy:Lazy_eval.nfqa_typed lazy_inst.Goingout.query lazy_inst.Goingout.doc
   in
   Alcotest.(check int) "same answer count"
-    (List.length naive.Naive.answers)
-    (List.length report.Lazy_eval.answers);
+    (List.length naive.Engine.answers)
+    (List.length report.Engine.answers);
   (* type pruning must keep reviews and restaurants untouched *)
   let invoked_services =
     List.map
@@ -355,7 +323,8 @@ let test_synthetic_integration () =
   let cfg = { Synthetic.default_config with Synthetic.nodes = 3_000 } in
   let naive_inst = Synthetic.generate cfg in
   let naive =
-    Naive.run naive_inst.Synthetic.registry naive_inst.Synthetic.query naive_inst.Synthetic.doc
+    Engine.naive_run naive_inst.Synthetic.registry naive_inst.Synthetic.query
+      naive_inst.Synthetic.doc
   in
   let lazy_inst = Synthetic.generate cfg in
   let report =
@@ -364,9 +333,9 @@ let test_synthetic_integration () =
       lazy_inst.Synthetic.doc
   in
   Alcotest.(check int) "same answer count"
-    (List.length naive.Naive.answers)
-    (List.length report.Lazy_eval.answers);
-  Alcotest.(check bool) "fewer calls" true (report.Lazy_eval.invoked <= naive.Naive.invoked);
+    (List.length naive.Engine.answers)
+    (List.length report.Engine.answers);
+  Alcotest.(check bool) "fewer calls" true (report.Engine.invoked <= naive.Engine.invoked);
   (* noise calls never fire *)
   let noise =
     List.filter
@@ -402,7 +371,7 @@ let test_fguide_maintenance () =
   let call1 = List.hd (Doc.visible_function_nodes instance.City.doc) in
   let result, _ =
     Registry.invoke instance.City.registry ~name:"getnearbyrestos"
-      ~params:(Naive.call_params call1) ()
+      ~params:(Engine.call_params call1) ()
   in
   let added = Doc.replace_call instance.City.doc call1 result in
   Fguide.update_after_replace guide ~invoked:call1 ~added;
@@ -481,17 +450,17 @@ let prop_all_strategies_equal_naive =
       List.for_all
         (fun (_, strategy) ->
           let report = run_strategy cfg strategy in
-          tuples report.Lazy_eval.answers = expected && report.Lazy_eval.complete)
+          tuples report.Engine.answers = expected && report.Engine.complete)
         strategies)
 
 let prop_lazy_never_more_calls =
   QCheck.Test.make ~name:"lazy never invokes more than naive" ~count:25 arb_cfg (fun cfg ->
       let instance = City.generate cfg in
       let naive_report =
-        Naive.run instance.City.registry instance.City.query instance.City.doc
+        Engine.naive_run instance.City.registry instance.City.query instance.City.doc
       in
       let report = run_strategy cfg Lazy_eval.nfqa_typed in
-      report.Lazy_eval.invoked <= naive_report.Naive.invoked)
+      report.Engine.invoked <= naive_report.Engine.invoked)
 
 let node_ids nodes = List.map (fun (n : Doc.node) -> n.Doc.id) nodes |> List.sort_uniq compare
 
@@ -690,7 +659,6 @@ let () =
         [
           quick "guide = document for LPQs" test_fguide_matches_lpq;
           quick "maintenance" test_fguide_maintenance;
-          quick "document updates" test_fguide_updates;
           quick "xml serialization" test_fguide_to_xml;
         ] );
       ("typing", [ quick "refinement names functions" test_refine_names_functions ]);

@@ -10,7 +10,7 @@ module Eval = Axml_query.Eval
 module Registry = Axml_services.Registry
 module Faults = Axml_services.Faults
 module Lazy_eval = Axml_core.Lazy_eval
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module City = Axml_workload.City
 module Obs = Axml_obs.Obs
 module Trace = Axml_obs.Trace
@@ -104,8 +104,8 @@ let prop_no_lost_or_duplicated_work =
 (* ------------------------------------------------------------------ *)
 (* Differential: pooled evaluation ≡ sequential evaluation *)
 
-let answer_bytes (r : Lazy_eval.report) =
-  Axml_xml.Print.forest_to_string (Eval.bindings_to_xml r.Lazy_eval.answers)
+let answer_bytes (r : Engine.report) =
+  Axml_xml.Print.forest_to_string (Eval.bindings_to_xml r.Engine.answers)
 
 (* Every hotel intensional so layers are wide enough to really batch;
    five_star_fraction < 1 keeps the query selective. *)
@@ -154,17 +154,17 @@ let test_pooled_matches_sequential () =
   let seq, _, seq_reg = run_city ~jobs:1 in
   let pooled, _, pooled_reg = run_city ~jobs:4 in
   Alcotest.(check string) "byte-identical answers" (answer_bytes seq) (answer_bytes pooled);
-  Alcotest.(check int) "identical invoked" seq.Lazy_eval.invoked pooled.Lazy_eval.invoked;
-  Alcotest.(check int) "identical failed_calls" seq.Lazy_eval.failed_calls
-    pooled.Lazy_eval.failed_calls;
-  Alcotest.(check int) "identical retries" seq.Lazy_eval.retries pooled.Lazy_eval.retries;
-  Alcotest.(check int) "identical timeouts" seq.Lazy_eval.timeouts pooled.Lazy_eval.timeouts;
-  Alcotest.(check bool) "identical completeness" seq.Lazy_eval.complete
-    pooled.Lazy_eval.complete;
+  Alcotest.(check int) "identical invoked" seq.Engine.invoked pooled.Engine.invoked;
+  Alcotest.(check int) "identical failed_calls" seq.Engine.failed_calls
+    pooled.Engine.failed_calls;
+  Alcotest.(check int) "identical retries" seq.Engine.retries pooled.Engine.retries;
+  Alcotest.(check int) "identical timeouts" seq.Engine.timeouts pooled.Engine.timeouts;
+  Alcotest.(check bool) "identical completeness" seq.Engine.complete
+    pooled.Engine.complete;
   Alcotest.(check bool) "same fault fates" true (fates seq_reg = fates pooled_reg);
   Alcotest.(check (float 1e-9))
-    "same simulated clock" seq.Lazy_eval.simulated_seconds
-    pooled.Lazy_eval.simulated_seconds
+    "same simulated clock" seq.Engine.simulated_seconds
+    pooled.Engine.simulated_seconds
 
 let test_fault_determinism_across_jobs () =
   (* the fates of a seeded schedule are a property of the logical calls:
@@ -191,13 +191,13 @@ let test_pooled_observability_reconciles () =
   let m = obs.Obs.metrics in
   (* report = metrics *)
   Alcotest.(check (float 0.0))
-    "eval.invoked metric" (float_of_int r.Lazy_eval.invoked) (Metrics.value m "eval.invoked");
+    "eval.invoked metric" (float_of_int r.Engine.invoked) (Metrics.value m "eval.invoked");
   Alcotest.(check (float 0.0))
     "eval.failed_calls metric"
-    (float_of_int r.Lazy_eval.failed_calls)
+    (float_of_int r.Engine.failed_calls)
     (Metrics.value m "eval.failed_calls");
   Alcotest.(check (float 0.0))
-    "eval.retries metric" (float_of_int r.Lazy_eval.retries) (Metrics.value m "eval.retries");
+    "eval.retries metric" (float_of_int r.Engine.retries) (Metrics.value m "eval.retries");
   (* metrics = trace: the absorbed fragments keep the span tree
      well-formed and no per-attempt span is lost *)
   (match Trace.well_formed obs.Obs.trace with

@@ -12,7 +12,7 @@ module Validate = Axml_schema.Validate
 module Registry = Axml_services.Registry
 module Termination = Axml_core.Termination
 module Lazy_eval = Axml_core.Lazy_eval
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module City = Axml_workload.City
 module Goingout = Axml_workload.Goingout
 module Synthetic = Axml_workload.Synthetic
@@ -135,11 +135,11 @@ let test_workloads_conform () =
 let test_materialized_workloads_conform () =
   (* service results must keep documents schema-conformant *)
   let city = City.generate { City.default_config with City.hotels = 10 } in
-  ignore (Naive.run city.City.registry city.City.query city.City.doc);
+  ignore (Engine.naive_run city.City.registry city.City.query city.City.doc);
   Alcotest.(check (list string)) "city after naive" []
     (List.map (fun i -> i.Validate.message) (Validate.document city.City.schema city.City.doc));
   let go = Goingout.generate Goingout.default_config in
-  ignore (Naive.run go.Goingout.registry go.Goingout.query go.Goingout.doc);
+  ignore (Engine.naive_run go.Goingout.registry go.Goingout.query go.Goingout.doc);
   Alcotest.(check (list string)) "goingout after naive" []
     (List.map (fun i -> i.Validate.message) (Validate.document go.Goingout.schema go.Goingout.doc))
 
@@ -232,8 +232,8 @@ let test_containment_dedup_agrees () =
   let base = run_strategy Lazy_eval.nfqa in
   let dedup = run_strategy { Lazy_eval.nfqa with Lazy_eval.containment_dedup = true } in
   Alcotest.(check bool) "same answers" true
-    (tuples base.Lazy_eval.answers = tuples dedup.Lazy_eval.answers);
-  Alcotest.(check bool) "complete" true dedup.Lazy_eval.complete
+    (tuples base.Engine.answers = tuples dedup.Engine.answers);
+  Alcotest.(check bool) "complete" true dedup.Engine.complete
 
 let test_lpq_dedup_reduces_queries () =
   (* with LPQs the containment dedup removes redundant prefix queries *)
@@ -243,16 +243,16 @@ let test_lpq_dedup_reduces_queries () =
       { Lazy_eval.lpq_only with Lazy_eval.parallel = false; containment_dedup = true }
   in
   Alcotest.(check bool) "same answers" true
-    (tuples base.Lazy_eval.answers = tuples dedup.Lazy_eval.answers);
+    (tuples base.Engine.answers = tuples dedup.Engine.answers);
   Alcotest.(check bool) "fewer or equal detections" true
-    (dedup.Lazy_eval.relevance_evals <= base.Lazy_eval.relevance_evals)
+    (dedup.Engine.relevance_evals <= base.Engine.relevance_evals)
 
 let test_shared_contexts_agree () =
   let shared = run_strategy Lazy_eval.nfqa in
   let isolated = run_strategy { Lazy_eval.nfqa with Lazy_eval.share_contexts = false } in
   Alcotest.(check bool) "same answers" true
-    (tuples shared.Lazy_eval.answers = tuples isolated.Lazy_eval.answers);
-  Alcotest.(check int) "same calls" isolated.Lazy_eval.invoked shared.Lazy_eval.invoked
+    (tuples shared.Engine.answers = tuples isolated.Engine.answers);
+  Alcotest.(check int) "same calls" isolated.Engine.invoked shared.Engine.invoked
 
 let test_materialize_results () =
   let go cfg strategy =
@@ -266,8 +266,8 @@ let test_materialize_results () =
     go cfg { Lazy_eval.nfqa_typed with Lazy_eval.materialize_results = true }
   in
   Alcotest.(check int) "same answer count"
-    (List.length plain.Lazy_eval.answers)
-    (List.length materialized.Lazy_eval.answers);
+    (List.length plain.Engine.answers)
+    (List.length materialized.Engine.answers);
   (* materialized answers contain no pending calls *)
   List.iter
     (fun (b : Eval.binding) ->
@@ -281,9 +281,9 @@ let test_materialize_results () =
           in
           Alcotest.(check bool) "call-free answer" true (no_calls n))
         b.Eval.results)
-    materialized.Lazy_eval.answers;
+    materialized.Engine.answers;
   Alcotest.(check bool) "materialization may cost extra calls" true
-    (materialized.Lazy_eval.invoked >= plain.Lazy_eval.invoked)
+    (materialized.Engine.invoked >= plain.Engine.invoked)
 
 let test_speculative_fewer_rounds () =
   let cfg =
@@ -302,11 +302,11 @@ let test_speculative_fewer_rounds () =
   let careful = run Lazy_eval.nfqa in
   let speculative = run { Lazy_eval.nfqa with Lazy_eval.speculative = true } in
   Alcotest.(check bool) "same answers" true
-    (tuples careful.Lazy_eval.answers = tuples speculative.Lazy_eval.answers);
+    (tuples careful.Engine.answers = tuples speculative.Engine.answers);
   Alcotest.(check bool) "no more rounds" true
-    (speculative.Lazy_eval.rounds <= careful.Lazy_eval.rounds);
+    (speculative.Engine.rounds <= careful.Engine.rounds);
   Alcotest.(check bool) "possibly more calls" true
-    (speculative.Lazy_eval.invoked >= careful.Lazy_eval.invoked)
+    (speculative.Engine.invoked >= careful.Engine.invoked)
 
 let test_budget_exhaustion () =
   let inst = City.generate { City.default_config with City.hotels = 20 } in
@@ -315,8 +315,8 @@ let test_budget_exhaustion () =
     Lazy_eval.run ~registry:inst.City.registry ~schema:inst.City.schema ~strategy
       inst.City.query inst.City.doc
   in
-  Alcotest.(check bool) "budget hit" false r.Lazy_eval.complete;
-  Alcotest.(check int) "one call" 1 r.Lazy_eval.invoked
+  Alcotest.(check bool) "budget hit" false r.Engine.complete;
+  Alcotest.(check int) "one call" 1 r.Engine.invoked
 
 let test_unknown_service_propagates () =
   let doc = Doc.parse {|<guide><axml:call name="ghost">x</axml:call></guide>|} in

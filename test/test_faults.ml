@@ -10,7 +10,7 @@ module Eval = Axml_query.Eval
 module Registry = Axml_services.Registry
 module Faults = Axml_services.Faults
 module Spec = Axml_services.Spec
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module Lazy_eval = Axml_core.Lazy_eval
 module Synthetic = Axml_workload.Synthetic
 
@@ -246,6 +246,139 @@ let test_cache_hits_skip_faults () =
   Alcotest.(check int) "failed twice" 2 (Registry.failed_count r)
 
 (* ------------------------------------------------------------------ *)
+(* Remote providers, through a scripted transport (no sockets): the same
+   retry loop on the wall clock, with bytes and seconds as the transport
+   reports them. *)
+
+let fast_policy =
+  policy ~max_retries:2 ~base_backoff:0.005 ~max_backoff:0.02 ~attempt_timeout:5.0 ()
+
+let answer ?(served_push = false) ~sent ~received ~elapsed forest () =
+  (forest, { Registry.sent; received; served_push; elapsed })
+
+let lose ?(transient = true) ?(timeout = false) ~sent ~received ~elapsed reason () =
+  raise
+    (Registry.Transport_error
+       {
+         wire = { Registry.sent; received; served_push = false; elapsed };
+         transient;
+         timeout;
+         reason;
+       })
+
+(* A transport replaying [steps], one per attempt, and a count of the
+   attempts it served. *)
+let scripted steps =
+  let steps = ref steps and calls = ref 0 in
+  let transport ~name:_ ~params:_ ~push:_ ~timeout:_ ~obs:_ =
+    incr calls;
+    match !steps with
+    | step :: rest ->
+      steps := rest;
+      step ()
+    | [] -> Alcotest.fail "transport called past its script"
+  in
+  (transport, calls)
+
+(* The [service.attempt] spans in order: outcome and transport. *)
+let attempt_spans obs =
+  let module Trace = Axml_obs.Trace in
+  let str k (n : Trace.node) =
+    match List.assoc_opt k n.Trace.node_attrs with Some (Trace.Str v) -> v | _ -> "-"
+  in
+  let rec walk (n : Trace.node) =
+    (if n.Trace.node_name = "service.attempt" then [ (str "outcome" n, str "transport" n) ]
+     else [])
+    @ List.concat_map walk n.Trace.children
+  in
+  match Trace.tree obs.Axml_obs.Obs.trace with
+  | Ok forest -> List.concat_map walk forest
+  | Error m -> Alcotest.fail m
+
+let backoff_instants obs =
+  Axml_obs.Trace.events obs.Axml_obs.Obs.trace
+  |> List.filter (fun (e : Axml_obs.Trace.event) ->
+         e.kind = Axml_obs.Trace.Instant && e.name = "service.backoff")
+  |> List.length
+
+let test_remote_transient_timeout_ok () =
+  let transport, calls =
+    scripted
+      [
+        lose ~sent:10 ~received:0 ~elapsed:0.01 "connection reset";
+        lose ~timeout:true ~sent:10 ~received:3 ~elapsed:0.02 "deadline";
+        answer ~sent:12 ~received:40 ~elapsed:0.03 [ t "sunny" ];
+      ]
+  in
+  let r = Registry.create () in
+  Registry.register_remote r ~name:"forecast" ~retry:fast_policy transport;
+  let obs = Axml_obs.Obs.create () in
+  let result, inv = Registry.invoke r ~name:"forecast" ~params:[ t "Paris" ] ~obs () in
+  Alcotest.(check int) "three attempts" 3 !calls;
+  Alcotest.(check bool) "answer" true (result = [ t "sunny" ]);
+  Alcotest.(check int) "retries" 2 inv.Registry.retries;
+  Alcotest.(check int) "timeouts" 1 inv.Registry.timeouts;
+  Alcotest.(check bool) "not failed" false inv.Registry.failed;
+  Alcotest.(check int) "request bytes" 32 inv.Registry.request_bytes;
+  Alcotest.(check int) "response bytes" 43 inv.Registry.response_bytes;
+  let waits =
+    Registry.backoff_before fast_policy ~retry:1 +. Registry.backoff_before fast_policy ~retry:2
+  in
+  feq "backoff" waits inv.Registry.backoff_seconds;
+  feq "cost" (0.01 +. 0.02 +. 0.03 +. waits) inv.Registry.cost;
+  Alcotest.(check (list (pair string string)))
+    "attempt spans"
+    [ ("transient", "net"); ("timeout", "net"); ("ok", "net") ]
+    (attempt_spans obs);
+  Alcotest.(check int) "backoff instants" 2 (backoff_instants obs)
+
+let test_remote_fatal_first_attempt () =
+  let transport, calls =
+    scripted [ lose ~transient:false ~sent:8 ~received:5 ~elapsed:0.001 "unknown service" ]
+  in
+  let r = Registry.create () in
+  Registry.register_remote r ~name:"gone" ~retry:fast_policy transport;
+  let obs = Axml_obs.Obs.create () in
+  (match Registry.invoke r ~name:"gone" ~params:[ t "k" ] ~obs () with
+  | _ -> Alcotest.fail "expected Service_failure"
+  | exception Registry.Service_failure inv ->
+    Alcotest.(check int) "retries" 0 inv.Registry.retries;
+    Alcotest.(check bool) "failed" true inv.Registry.failed;
+    Alcotest.(check int) "request bytes" 8 inv.Registry.request_bytes;
+    Alcotest.(check int) "response bytes" 5 inv.Registry.response_bytes;
+    feq "no backoff" 0.0 inv.Registry.backoff_seconds);
+  Alcotest.(check int) "one attempt" 1 !calls;
+  Alcotest.(check (list (pair string string)))
+    "attempt spans" [ ("fatal", "net") ] (attempt_spans obs);
+  Alcotest.(check int) "no backoff instants" 0 (backoff_instants obs)
+
+let test_remote_memoization () =
+  let full = [ t "full" ] in
+  let transport, calls =
+    scripted
+      [
+        answer ~served_push:true ~sent:5 ~received:6 ~elapsed:0.0 [ t "pruned" ];
+        answer ~sent:5 ~received:9 ~elapsed:0.0 full;
+      ]
+  in
+  let r = Registry.create () in
+  Registry.register_remote r ~name:"m" ~memoize:true ~retry:fast_policy transport;
+  let push = Axml_query.Pattern.make (Axml_query.Pattern.Const "full") [] in
+  let params = [ t "k" ] in
+  let _, pruned = Registry.invoke r ~name:"m" ~params ~push () in
+  Alcotest.(check bool) "served pushed" true pruned.Registry.pushed;
+  (* a pushed reply is pruned: it must not answer the next call *)
+  let result, shipped = Registry.invoke r ~name:"m" ~params () in
+  Alcotest.(check int) "transport reached again" 2 !calls;
+  Alcotest.(check bool) "full reply" true (result = full && not shipped.Registry.cached);
+  (* a full reply is cached *)
+  let result, hit = Registry.invoke r ~name:"m" ~params () in
+  Alcotest.(check int) "no third attempt" 2 !calls;
+  Alcotest.(check bool) "cached" true hit.Registry.cached;
+  Alcotest.(check int) "no bytes" 0 (hit.Registry.request_bytes + hit.Registry.response_bytes);
+  Alcotest.(check bool) "cached answer" true (result = full)
+
+(* ------------------------------------------------------------------ *)
 (* Spec attributes *)
 
 let test_spec_fault_attributes () =
@@ -322,7 +455,9 @@ let arb_case = Gen.arb_fault_case
 
 let fault_free_reference c =
   let inst = Synthetic.generate (case_cfg c) in
-  tuples (Naive.run inst.Synthetic.registry inst.Synthetic.query inst.Synthetic.doc).Naive.answers
+  tuples
+    (Engine.naive_run inst.Synthetic.registry inst.Synthetic.query inst.Synthetic.doc)
+      .Engine.answers
 
 let faulted_instance (c : Gen.fault_case) ~max_retries =
   let inst = Synthetic.generate (case_cfg c) in
@@ -345,10 +480,10 @@ let prop_lazy_under_faults_subset_of_naive =
         Lazy_eval.run ~registry:inst.Synthetic.registry ~schema:inst.Synthetic.schema
           inst.Synthetic.query inst.Synthetic.doc
       in
-      let answers = tuples r.Lazy_eval.answers in
+      let answers = tuples r.Engine.answers in
       subset answers reference
-      && r.Lazy_eval.complete = (r.Lazy_eval.failed_calls = 0)
-      && ((not r.Lazy_eval.complete) || answers = reference))
+      && r.Engine.complete = (r.Engine.failed_calls = 0)
+      && ((not r.Engine.complete) || answers = reference))
 
 let prop_enough_retries_mask_transients =
   (* Flaky-only schedules with 30 retries: a call defeats all 31 attempts
@@ -363,7 +498,7 @@ let prop_enough_retries_mask_transients =
         Lazy_eval.run ~registry:inst.Synthetic.registry ~schema:inst.Synthetic.schema
           inst.Synthetic.query inst.Synthetic.doc
       in
-      r.Lazy_eval.complete && tuples r.Lazy_eval.answers = reference)
+      r.Engine.complete && tuples r.Engine.answers = reference)
 
 (* Same fault schedule, every named strategy: identical complete-flag
    semantics and the answer-subset invariant — catches a strategy whose
@@ -388,11 +523,11 @@ let prop_all_strategies_degrade_gracefully =
             Lazy_eval.run ~registry:inst.Synthetic.registry ~schema:inst.Synthetic.schema
               ~strategy inst.Synthetic.query inst.Synthetic.doc
           in
-          let answers = tuples r.Lazy_eval.answers in
+          let answers = tuples r.Engine.answers in
           let ok =
             subset answers reference
-            && r.Lazy_eval.complete = (r.Lazy_eval.failed_calls = 0)
-            && ((not r.Lazy_eval.complete) || answers = reference)
+            && r.Engine.complete = (r.Engine.failed_calls = 0)
+            && ((not r.Engine.complete) || answers = reference)
           in
           if not ok then QCheck.Test.fail_reportf "strategy %s diverged" name else ok)
         named_strategies)
@@ -401,11 +536,11 @@ let prop_naive_under_faults_subset =
   QCheck.Test.make ~name:"naive under faults ⊆ fault-free naive" ~count:100 arb_case (fun c ->
       let reference = fault_free_reference c in
       let inst = faulted_instance c ~max_retries:2 in
-      let r = Naive.run inst.Synthetic.registry inst.Synthetic.query inst.Synthetic.doc in
-      let answers = tuples r.Naive.answers in
+      let r = Engine.naive_run inst.Synthetic.registry inst.Synthetic.query inst.Synthetic.doc in
+      let answers = tuples r.Engine.answers in
       subset answers reference
-      && r.Naive.complete = (r.Naive.failed_calls = 0)
-      && ((not r.Naive.complete) || answers = reference))
+      && r.Engine.complete = (r.Engine.failed_calls = 0)
+      && ((not r.Engine.complete) || answers = reference))
 
 (* ------------------------------------------------------------------ *)
 
@@ -423,6 +558,12 @@ let () =
           quick "request ships per attempt" test_request_ships_per_attempt;
           quick "retries mask flakiness" test_retries_eventually_mask_flakiness;
           quick "cache hits skip faults" test_cache_hits_skip_faults;
+        ] );
+      ( "remote",
+        [
+          quick "transient, timeout, ok" test_remote_transient_timeout_ok;
+          quick "fatal first attempt" test_remote_fatal_first_attempt;
+          quick "memoizes full replies only" test_remote_memoization;
         ] );
       ( "determinism",
         [

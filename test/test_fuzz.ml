@@ -7,7 +7,7 @@
 
 module Doc = Axml_doc
 module Registry = Axml_services.Registry
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module Lazy_eval = Axml_core.Lazy_eval
 module Adversary = Axml_workload.Adversary
 module Fuzz = Axml_fuzz.Fuzz
@@ -76,18 +76,18 @@ let test_bounded_lazy_matches_naive () =
       let naive_inst = Adversary.generate cfg in
       let reference =
         Gen.tuples
-          (Naive.run naive_inst.Adversary.registry naive_inst.Adversary.query
+          (Engine.naive_run naive_inst.Adversary.registry naive_inst.Adversary.query
              naive_inst.Adversary.doc)
-            .Naive.answers
+            .Engine.answers
       in
       let lazy_inst = Adversary.generate cfg in
       let r =
         Lazy_eval.run ~registry:lazy_inst.Adversary.registry lazy_inst.Adversary.query
           lazy_inst.Adversary.doc
       in
-      let answers = Gen.tuples r.Lazy_eval.answers in
+      let answers = Gen.tuples r.Engine.answers in
       Alcotest.(check bool) "lazy ⊆ naive" true (Gen.subset answers reference);
-      Alcotest.(check bool) "complete" true r.Lazy_eval.complete;
+      Alcotest.(check bool) "complete" true r.Engine.complete;
       Alcotest.(check bool) "complete ⟹ equal" true (answers = reference))
     [ 1; 2; 3; 4; 5 ]
 

@@ -12,7 +12,7 @@ module Parser = Axml_query.Parser
 module Eval = Axml_query.Eval
 module Registry = Axml_services.Registry
 module Lazy_eval = Axml_core.Lazy_eval
-module Naive = Axml_core.Naive
+module Engine = Axml_engine.Engine
 module City = Axml_workload.City
 module Obs = Axml_obs.Obs
 module Metrics = Axml_obs.Metrics
@@ -128,7 +128,8 @@ let test_envelope_rejection () =
       Json.String "hello";
     ]
 
-(* Frame-level rejection, against a real socketpair. *)
+(* Frame-level rejection by [Wire.recv], the path client and server
+   use, against a real socketpair. *)
 let test_frame_rejection () =
   let header len =
     let b = Bytes.create 4 in
@@ -149,7 +150,7 @@ let test_frame_rejection () =
         check b)
   in
   let expect_protocol_error fd =
-    match Wire.read_frame fd with
+    match Wire.recv fd with
     | _ -> Alcotest.fail "garbage frame accepted"
     | exception Wire.Protocol_error _ -> ()
   in
@@ -162,7 +163,7 @@ let test_frame_rejection () =
   (* EOF before a frame *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.close a;
-  (match Wire.read_frame b with
+  (match Wire.recv b with
   | _ -> Alcotest.fail "EOF produced a frame"
   | exception Wire.Closed -> ());
   Unix.close b
@@ -473,11 +474,11 @@ let test_server_killed_mid_run () =
              calls 2 and 3 fail through the whole real retry/backoff loop *)
           Server.kill_after_reply server;
           let r = Lazy_eval.run ~strategy:Lazy_eval.nfqa ~registry query doc in
-          Alcotest.(check bool) "degraded, not crashed" false r.Lazy_eval.complete;
-          Alcotest.(check int) "two calls permanently failed" 2 r.Lazy_eval.failed_calls;
-          Alcotest.(check int) "first answer survives" 1 (List.length r.Lazy_eval.answers);
+          Alcotest.(check bool) "degraded, not crashed" false r.Engine.complete;
+          Alcotest.(check int) "two calls permanently failed" 2 r.Engine.failed_calls;
+          Alcotest.(check int) "first answer survives" 1 (List.length r.Engine.answers);
           Alcotest.(check int) "real retries happened" (2 * fast_policy.Registry.max_retries)
-            r.Lazy_eval.retries;
+            r.Engine.retries;
           (* the unexpanded calls survive in the document and its serialization *)
           Alcotest.(check int) "calls still pending" 2 (Doc.count_calls doc);
           let xml = Doc.to_string doc in
@@ -535,19 +536,19 @@ let test_e2e_city_acceptance () =
       in
       let remote_lazy, lazy_reg = remote_run ~port ~eval:(lazy_eval ~push:false) () in
       Alcotest.(check bool) "remote evaluation is complete" true
-        remote_lazy.Lazy_eval.complete;
+        remote_lazy.Engine.complete;
       Alcotest.(check bool) "identical answers remote vs in-process" true
-        (tuples remote_lazy.Lazy_eval.answers = tuples local.Lazy_eval.answers);
+        (tuples remote_lazy.Engine.answers = tuples local.Engine.answers);
       Alcotest.(check bool) "answers are non-trivial" true
-        (tuples remote_lazy.Lazy_eval.answers <> []);
+        (tuples remote_lazy.Engine.answers <> []);
       (* (b) lazy crosses the wire strictly less often than naive *)
       let remote_naive, naive_reg =
         remote_run ~port
-          ~eval:(fun ~registry ~inst -> Naive.run registry inst.City.query inst.City.doc)
+          ~eval:(fun ~registry ~inst -> Engine.naive_run registry inst.City.query inst.City.doc)
           ()
       in
       Alcotest.(check bool) "naive finds the same answers" true
-        (tuples remote_naive.Naive.answers = tuples local.Lazy_eval.answers);
+        (tuples remote_naive.Engine.answers = tuples local.Engine.answers);
       let lazy_wire = wire_invocations lazy_reg in
       let naive_wire = wire_invocations naive_reg in
       Alcotest.(check bool)
@@ -557,9 +558,9 @@ let test_e2e_city_acceptance () =
       (* (c) pushing ships strictly fewer response bytes *)
       let remote_push, push_reg = remote_run ~port ~eval:(lazy_eval ~push:true) () in
       Alcotest.(check bool) "pushed answers still identical" true
-        (tuples remote_push.Lazy_eval.answers = tuples local.Lazy_eval.answers);
+        (tuples remote_push.Engine.answers = tuples local.Engine.answers);
       Alcotest.(check bool) "subqueries were actually pushed" true
-        (remote_push.Lazy_eval.pushed > 0);
+        (remote_push.Engine.pushed > 0);
       let pushed_bytes = wire_response_bytes push_reg in
       let plain_bytes = wire_response_bytes lazy_reg in
       Alcotest.(check bool)

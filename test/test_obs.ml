@@ -12,7 +12,6 @@ module Obs = Axml_obs.Obs
 module Doc = Axml_doc
 module Registry = Axml_services.Registry
 module Faults = Axml_services.Faults
-module Naive = Axml_core.Naive
 module Engine = Axml_engine.Engine
 module Lazy_eval = Axml_core.Lazy_eval
 module City = Axml_workload.City
@@ -501,31 +500,31 @@ let test_lazy_reconciliation () =
       inst.City.doc
   in
   (* the workload must actually exercise the fault machinery *)
-  Alcotest.(check bool) "faults were hit" true (r.Lazy_eval.retries > 0);
+  Alcotest.(check bool) "faults were hit" true (r.Engine.retries > 0);
   let m = obs.Obs.metrics in
   (* metrics vs report: the eval.* counters *)
-  Alcotest.(check int) "invoked" r.Lazy_eval.invoked (Metrics.count m "eval.invoked");
-  Alcotest.(check int) "pushed" r.Lazy_eval.pushed (Metrics.count m "eval.pushed");
-  Alcotest.(check int) "rounds" r.Lazy_eval.rounds (Metrics.count m "eval.rounds");
-  Alcotest.(check int) "passes" r.Lazy_eval.passes (Metrics.count m "eval.passes");
-  Alcotest.(check int) "detections" r.Lazy_eval.relevance_evals
+  Alcotest.(check int) "invoked" r.Engine.invoked (Metrics.count m "eval.invoked");
+  Alcotest.(check int) "pushed" r.Engine.pushed (Metrics.count m "eval.pushed");
+  Alcotest.(check int) "rounds" r.Engine.rounds (Metrics.count m "eval.rounds");
+  Alcotest.(check int) "passes" r.Engine.passes (Metrics.count m "eval.passes");
+  Alcotest.(check int) "detections" r.Engine.relevance_evals
     (Metrics.count m "eval.relevance_evals");
-  Alcotest.(check int) "retries" r.Lazy_eval.retries (Metrics.count m "eval.retries");
-  Alcotest.(check int) "timeouts" r.Lazy_eval.timeouts (Metrics.count m "eval.timeouts");
-  Alcotest.(check int) "failed calls" r.Lazy_eval.failed_calls (Metrics.count m "eval.failed_calls");
-  Alcotest.(check int) "bytes" r.Lazy_eval.bytes_transferred (Metrics.count m "eval.bytes");
-  feq "backoff" r.Lazy_eval.backoff_seconds (Metrics.value m "eval.backoff_seconds");
-  feq "simulated seconds" r.Lazy_eval.simulated_seconds (Metrics.value m "eval.simulated_seconds");
+  Alcotest.(check int) "retries" r.Engine.retries (Metrics.count m "eval.retries");
+  Alcotest.(check int) "timeouts" r.Engine.timeouts (Metrics.count m "eval.timeouts");
+  Alcotest.(check int) "failed calls" r.Engine.failed_calls (Metrics.count m "eval.failed_calls");
+  Alcotest.(check int) "bytes" r.Engine.bytes_transferred (Metrics.count m "eval.bytes");
+  feq "backoff" r.Engine.backoff_seconds (Metrics.value m "eval.backoff_seconds");
+  feq "simulated seconds" r.Engine.simulated_seconds (Metrics.value m "eval.simulated_seconds");
   (* the service-layer counters tell the same story from below *)
   Alcotest.(check int) "service invocations"
-    (r.Lazy_eval.invoked + r.Lazy_eval.failed_calls)
+    (r.Engine.invoked + r.Engine.failed_calls)
     (Metrics.total_count m "service.invocations");
-  Alcotest.(check int) "service retries" r.Lazy_eval.retries
+  Alcotest.(check int) "service retries" r.Engine.retries
     (Metrics.total_count m "service.retries");
-  Alcotest.(check int) "service timeouts" r.Lazy_eval.timeouts
+  Alcotest.(check int) "service timeouts" r.Engine.timeouts
     (Metrics.total_count m "service.timeouts");
-  feq "service backoff" r.Lazy_eval.backoff_seconds (Metrics.total m "service.backoff_seconds");
-  Alcotest.(check int) "service bytes" r.Lazy_eval.bytes_transferred
+  feq "service backoff" r.Engine.backoff_seconds (Metrics.total m "service.backoff_seconds");
+  Alcotest.(check int) "service bytes" r.Engine.bytes_transferred
     (Metrics.total_count m "service.request_bytes" + Metrics.total_count m "service.response_bytes");
   (* trace rollups: the span forest is well-formed and sums to the report *)
   (match Trace.well_formed obs.Obs.trace with
@@ -536,18 +535,18 @@ let test_lazy_reconciliation () =
   | Ok forest ->
     let invokes = spans_named "service.invoke" forest in
     Alcotest.(check int) "one invoke span per attempt sequence"
-      (r.Lazy_eval.invoked + r.Lazy_eval.failed_calls)
+      (r.Engine.invoked + r.Engine.failed_calls)
       (List.length invokes);
-    Alcotest.(check int) "trace bytes" r.Lazy_eval.bytes_transferred (sum_int "bytes" invokes);
-    Alcotest.(check int) "trace retries" r.Lazy_eval.retries (sum_int "retries" invokes);
-    Alcotest.(check int) "trace timeouts" r.Lazy_eval.timeouts (sum_int "timeouts" invokes);
-    feq "trace backoff" r.Lazy_eval.backoff_seconds (sum_float "backoff_s" invokes);
+    Alcotest.(check int) "trace bytes" r.Engine.bytes_transferred (sum_int "bytes" invokes);
+    Alcotest.(check int) "trace retries" r.Engine.retries (sum_int "retries" invokes);
+    Alcotest.(check int) "trace timeouts" r.Engine.timeouts (sum_int "timeouts" invokes);
+    feq "trace backoff" r.Engine.backoff_seconds (sum_float "backoff_s" invokes);
     match spans_named "eval.run" forest with
     | [ root ] ->
-      Alcotest.(check int) "root invoked" r.Lazy_eval.invoked (int_attr "invoked" root);
-      Alcotest.(check int) "root rounds" r.Lazy_eval.rounds (int_attr "rounds" root);
-      Alcotest.(check int) "root passes" r.Lazy_eval.passes (int_attr "passes" root);
-      Alcotest.(check int) "root bytes" r.Lazy_eval.bytes_transferred (int_attr "bytes" root)
+      Alcotest.(check int) "root invoked" r.Engine.invoked (int_attr "invoked" root);
+      Alcotest.(check int) "root rounds" r.Engine.rounds (int_attr "rounds" root);
+      Alcotest.(check int) "root passes" r.Engine.passes (int_attr "passes" root);
+      Alcotest.(check int) "root bytes" r.Engine.bytes_transferred (int_attr "bytes" root)
     | _ -> Alcotest.fail "expected exactly one eval.run root");
   (* the --report-json wire format round-trips and agrees with both *)
   match Json.parse (Json.to_string (Engine.report_to_json r)) with
@@ -561,7 +560,7 @@ let test_lazy_reconciliation () =
     feq "json backoff"
       (Metrics.value m "eval.backoff_seconds")
       (Option.get (Json.float_value (Json.member "backoff_seconds" j)));
-    Alcotest.(check int) "json answers" (List.length r.Lazy_eval.answers)
+    Alcotest.(check int) "json answers" (List.length r.Engine.answers)
       (List.length (Json.to_list (Json.member "answers" j)))
 
 (* The analysis phases outside detection and rounds have spans too: one
@@ -586,17 +585,17 @@ let test_plan_and_push_spans () =
     (List.length
        (List.filter (fun (n : Trace.node) -> n.Trace.node_name = "eval.plan") root.Trace.children));
   let pushes = spans_named "eval.push_pattern" [ root ] in
-  Alcotest.(check bool) "pushed" true (r.Lazy_eval.pushed > 0);
-  Alcotest.(check int) "one push_pattern span per round" r.Lazy_eval.rounds (List.length pushes);
+  Alcotest.(check bool) "pushed" true (r.Engine.pushed > 0);
+  Alcotest.(check int) "one push_pattern span per round" r.Engine.rounds (List.length pushes);
   Alcotest.(check int) "push_pattern calls = round calls"
     (sum_int "calls" (spans_named "eval.round" [ root ]))
     (sum_int "calls" pushes);
   List.iter
     (fun n -> Alcotest.(check bool) "every pushed batch has a source" true (int_attr "sources" n > 0))
     pushes;
-  Alcotest.(check int) "one doc.splice span per invocation" r.Lazy_eval.invoked
+  Alcotest.(check int) "one doc.splice span per invocation" r.Engine.invoked
     (List.length (spans_named "doc.splice" [ root ]));
-  Alcotest.(check int) "every doc.splice sits directly under an eval.round" r.Lazy_eval.invoked
+  Alcotest.(check int) "every doc.splice sits directly under an eval.round" r.Engine.invoked
     (List.length
        (List.concat_map
           (fun (n : Trace.node) ->
@@ -606,29 +605,29 @@ let test_plan_and_push_spans () =
 let test_naive_reconciliation () =
   let inst = faulty_city () in
   let obs = Obs.create () in
-  let r = Naive.run ~obs inst.City.registry inst.City.query inst.City.doc in
+  let r = Engine.naive_run ~obs inst.City.registry inst.City.query inst.City.doc in
   let m = obs.Obs.metrics in
-  Alcotest.(check int) "invoked" r.Naive.invoked (Metrics.count m "eval.invoked");
-  Alcotest.(check int) "rounds" r.Naive.rounds (Metrics.count m "eval.rounds");
-  Alcotest.(check int) "retries" r.Naive.retries (Metrics.count m "eval.retries");
-  Alcotest.(check int) "timeouts" r.Naive.timeouts (Metrics.count m "eval.timeouts");
-  Alcotest.(check int) "failed" r.Naive.failed_calls (Metrics.count m "eval.failed_calls");
-  Alcotest.(check int) "bytes" r.Naive.bytes_transferred (Metrics.count m "eval.bytes");
-  feq "backoff" r.Naive.backoff_seconds (Metrics.value m "eval.backoff_seconds");
+  Alcotest.(check int) "invoked" r.Engine.invoked (Metrics.count m "eval.invoked");
+  Alcotest.(check int) "rounds" r.Engine.rounds (Metrics.count m "eval.rounds");
+  Alcotest.(check int) "retries" r.Engine.retries (Metrics.count m "eval.retries");
+  Alcotest.(check int) "timeouts" r.Engine.timeouts (Metrics.count m "eval.timeouts");
+  Alcotest.(check int) "failed" r.Engine.failed_calls (Metrics.count m "eval.failed_calls");
+  Alcotest.(check int) "bytes" r.Engine.bytes_transferred (Metrics.count m "eval.bytes");
+  feq "backoff" r.Engine.backoff_seconds (Metrics.value m "eval.backoff_seconds");
   (match Trace.tree obs.Obs.trace with
   | Error e -> Alcotest.fail e
   | Ok forest ->
-    Alcotest.(check int) "round spans" r.Naive.rounds
+    Alcotest.(check int) "round spans" r.Engine.rounds
       (List.length (spans_named "eval.round" forest));
     Alcotest.(check int) "invoke spans"
-      (r.Naive.invoked + r.Naive.failed_calls)
+      (r.Engine.invoked + r.Engine.failed_calls)
       (List.length (spans_named "service.invoke" forest));
-    Alcotest.(check int) "trace bytes" r.Naive.bytes_transferred
+    Alcotest.(check int) "trace bytes" r.Engine.bytes_transferred
       (sum_int "bytes" (spans_named "service.invoke" forest)));
   match Json.parse (Json.to_string (Engine.report_to_json r)) with
   | Error e -> Alcotest.fail e
   | Ok j ->
-    Alcotest.(check (option int)) "json invoked" (Some r.Naive.invoked)
+    Alcotest.(check (option int)) "json invoked" (Some r.Engine.invoked)
       (Json.int_value (Json.member "invoked" j))
 
 let test_observation_does_not_perturb () =
@@ -641,15 +640,15 @@ let test_observation_does_not_perturb () =
   in
   let watched = run (Obs.create ()) in
   let unwatched = run Obs.null in
-  Alcotest.(check int) "invoked" unwatched.Lazy_eval.invoked watched.Lazy_eval.invoked;
-  Alcotest.(check int) "rounds" unwatched.Lazy_eval.rounds watched.Lazy_eval.rounds;
-  Alcotest.(check int) "retries" unwatched.Lazy_eval.retries watched.Lazy_eval.retries;
-  Alcotest.(check int) "bytes" unwatched.Lazy_eval.bytes_transferred
-    watched.Lazy_eval.bytes_transferred;
-  feq "simulated seconds" unwatched.Lazy_eval.simulated_seconds
-    watched.Lazy_eval.simulated_seconds;
-  Alcotest.(check int) "answers" (List.length unwatched.Lazy_eval.answers)
-    (List.length watched.Lazy_eval.answers)
+  Alcotest.(check int) "invoked" unwatched.Engine.invoked watched.Engine.invoked;
+  Alcotest.(check int) "rounds" unwatched.Engine.rounds watched.Engine.rounds;
+  Alcotest.(check int) "retries" unwatched.Engine.retries watched.Engine.retries;
+  Alcotest.(check int) "bytes" unwatched.Engine.bytes_transferred
+    watched.Engine.bytes_transferred;
+  feq "simulated seconds" unwatched.Engine.simulated_seconds
+    watched.Engine.simulated_seconds;
+  Alcotest.(check int) "answers" (List.length unwatched.Engine.answers)
+    (List.length watched.Engine.answers)
 
 (* ------------------------------------------------------------------ *)
 
