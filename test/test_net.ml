@@ -128,6 +128,144 @@ let test_envelope_rejection () =
       Json.String "hello";
     ]
 
+(* Golden frames: the exact bytes (hex, header included) of one frame
+   per envelope shape in both codecs. The round-trip and binary ≡ JSON
+   properties cannot see a format change made to both codecs at once;
+   this table can. Regenerating it is a wire-format change. *)
+let golden_pattern =
+  P.make (P.Const "r")
+    [
+      P.make ~axis:P.Descendant (P.Value "v") [];
+      P.make ~result:true (P.Var "X") [];
+      P.make ~axis:P.Descendant P.Wildcard [];
+      P.make P.Or [ P.make (P.Const "a") []; P.make (P.Const "b") [] ];
+      P.make (P.Fun P.Any_fun) [];
+      P.make ~axis:P.Descendant (P.Fun (P.Named [ "f"; "g" ])) [];
+    ]
+
+let golden_tree =
+  Tree.Element
+    {
+      Tree.name = "h";
+      attrs = [ ("k", "v"); ("q", "\"") ];
+      children = [ t " \n"; el "e" []; t "x" ];
+    }
+
+let golden_messages =
+  [
+    ("hello", Wire.Hello { version = Wire.version; caps = [ Wire.cap_project; Wire.cap_binary ] });
+    ("hello-nocaps", Wire.Hello { version = Wire.version; caps = [] });
+    ( "welcome",
+      Wire.Welcome
+        {
+          version = Wire.version;
+          services = [ { Wire.name = "a"; push = true }; { Wire.name = "b"; push = false } ];
+          caps = [ Wire.cap_shard ];
+        } );
+    ( "invoke",
+      Wire.Invoke
+        { id = 300; service = "s"; params = [ golden_tree; t "p" ]; push = Some golden_pattern } );
+    ("invoke-nopush", Wire.Invoke { id = 2; service = "s"; params = []; push = None });
+    ("result", Wire.Result { id = 3; pushed = true; forest = [ golden_tree ] });
+    ("error", Wire.Error { id = 4; transient = false; message = "no" });
+    ("degraded", Wire.Degraded { id = 5; message = "down"; retries = 3; timeouts = 1 });
+    ( "eval",
+      Wire.Eval
+        { id = 6; strategy = "lazy"; query = P.make (P.Var "X") []; doc = golden_tree; projected = true }
+    );
+    ( "eval-unprojected",
+      Wire.Eval
+        { id = 7; strategy = "naive"; query = P.make P.Wildcard []; doc = t ""; projected = false }
+    );
+    ( "report",
+      Wire.Report
+        {
+          id = 8;
+          report =
+            Json.Obj
+              [
+                ("l", Json.List [ Json.Null; Json.Bool true; Json.Int (-5) ]);
+                ("f", Json.Float 0.5);
+                ("s", Json.String "é");
+              ];
+        } );
+  ]
+
+let golden_frames =
+  [
+    ( "hello/json",
+      "000000387b2274797065223a2268656c6c6f222c2276657273696f6e223a312c2263617073223a5b2270726f6a656374222c2262696e617279225d7d" );
+    ( "hello/binary",
+      "800000120001020770726f6a6563740662696e617279" );
+    ( "hello-nocaps/json",
+      "000000267b2274797065223a2268656c6c6f222c2276657273696f6e223a312c2263617073223a5b5d7d" );
+    ( "hello-nocaps/binary",
+      "80000003000100" );
+    ( "welcome/json",
+      "0000006f7b2274797065223a2277656c636f6d65222c2276657273696f6e223a312c227365727669636573223a5b7b226e616d65223a2261222c2270757368223a747275657d2c7b226e616d65223a2262222c2270757368223a66616c73657d5d2c2263617073223a5b227368617264225d7d" );
+    ( "welcome/binary",
+      "8000001001010201610101620001057368617264" );
+    ( "invoke/json",
+      "000002c97b2274797065223a22696e766f6b65222c226964223a3330302c2273657276696365223a2273222c22706172616d73223a5b7b226e223a2268222c2261223a5b5b226b222c2276225d2c5b2271222c225c22225d5d2c2263223a5b22205c6e222c7b226e223a2265227d2c2278225d7d2c2270225d2c2270757368223a7b2261786973223a226368696c64222c226c6162656c223a7b22636f6e7374223a2272227d2c22726573756c74223a66616c73652c226368696c6472656e223a5b7b2261786973223a2264657363222c226c6162656c223a7b2276616c7565223a2276227d2c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d2c7b2261786973223a226368696c64222c226c6162656c223a7b22766172223a2258227d2c22726573756c74223a747275652c226368696c6472656e223a5b5d7d2c7b2261786973223a2264657363222c226c6162656c223a222a222c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d2c7b2261786973223a226368696c64222c226c6162656c223a226f72222c22726573756c74223a66616c73652c226368696c6472656e223a5b7b2261786973223a226368696c64222c226c6162656c223a7b22636f6e7374223a2261227d2c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d2c7b2261786973223a226368696c64222c226c6162656c223a7b22636f6e7374223a2262227d2c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d5d7d2c7b2261786973223a226368696c64222c226c6162656c223a7b2266756e223a6e756c6c7d2c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d2c7b2261786973223a2264657363222c226c6162656c223a7b2266756e223a5b2266222c2267225d7d2c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d5d7d7d" );
+    ( "invoke/binary",
+      "8000005602ac0201730201016802016b017601710122030002200a010165000000017800017001000001720006010101760000000201580100010300000004000200000161000000000162000000050000010602016601670000" );
+    ( "invoke-nopush/json",
+      "000000327b2274797065223a22696e766f6b65222c226964223a322c2273657276696365223a2273222c22706172616d73223a5b5d7d" );
+    ( "invoke-nopush/binary",
+      "80000006020201730000" );
+    ( "result/json",
+      "000000707b2274797065223a22726573756c74222c226964223a332c22707573686564223a747275652c22666f72657374223a5b7b226e223a2268222c2261223a5b5b226b222c2276225d2c5b2271222c225c22225d5d2c2263223a5b22205c6e222c7b226e223a2265227d2c2278225d7d5d7d" );
+    ( "result/binary",
+      "8000001d0303010101016802016b017601710122030002200a0101650000000178" );
+    ( "error/json",
+      "000000387b2274797065223a226572726f72222c226964223a342c227472616e7369656e74223a66616c73652c226d657373616765223a226e6f227d" );
+    ( "error/binary",
+      "80000006040400026e6f" );
+    ( "degraded/json",
+      "000000447b2274797065223a226465677261646564222c226964223a352c226d657373616765223a22646f776e222c2272657472696573223a332c2274696d656f757473223a317d" );
+    ( "degraded/binary",
+      "80000009050504646f776e0301" );
+    ( "eval/json",
+      "000000c87b2274797065223a226576616c222c226964223a362c227374726174656779223a226c617a79222c227175657279223a7b2261786973223a226368696c64222c226c6162656c223a7b22766172223a2258227d2c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d2c22646f63223a7b226e223a2268222c2261223a5b5b226b222c2276225d2c5b2271222c225c22225d5d2c2263223a5b22205c6e222c7b226e223a2265227d2c2278225d7d2c2270726f6a6563746564223a747275657d" );
+    ( "eval/binary",
+      "800000270606046c617a7900020158000001016802016b017601710122030002200a010165000000017801" );
+    ( "eval-unprojected/json",
+      "000000747b2274797065223a226576616c222c226964223a372c227374726174656779223a226e61697665222c227175657279223a7b2261786973223a226368696c64222c226c6162656c223a222a222c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d2c22646f63223a22227d" );
+    ( "eval-unprojected/binary",
+      "8000000f0607056e6169766500030000000000" );
+    ( "report/json",
+      "000000477b2274797065223a227265706f7274222c226964223a382c227265706f7274223a7b226c223a5b6e756c6c2c747275652c2d355d2c2266223a302e352c2273223a22c3a9227d7d" );
+    ( "report/binary",
+      "8000001e07080603016c05030001010209016603000000000000e03f01730402c3a9" );
+  ]
+
+let hex s =
+  String.to_seq s |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) |> List.of_seq
+  |> String.concat ""
+
+let unhex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* Both directions: the encoder reproduces the pinned bytes, and the
+   pinned bytes decode back to the message. *)
+let test_golden_frames () =
+  let key_of m = Json.to_string (Wire.message_to_json m) in
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun codec ->
+          let key = name ^ "/" ^ Wire.codec_name codec in
+          let want = List.assoc key golden_frames in
+          Alcotest.(check string) key want (hex (Wire.encode_frame ~codec m));
+          let frame = unhex want in
+          Alcotest.(check bool) (key ^ " header") true
+            (Wire.decode_frame_header frame = (codec, String.length frame - 4));
+          Alcotest.(check string) (key ^ " decodes") (key_of m)
+            (key_of (Wire.decode_payload ~pos:4 codec frame)))
+        [ Wire.Json; Wire.Binary ])
+    golden_messages
+
 (* Frame-level rejection by [Wire.recv], the path client and server
    use, against a real socketpair. *)
 let test_frame_rejection () =
@@ -647,6 +785,7 @@ let () =
           Alcotest.test_case "pattern round-trip" `Quick test_pattern_roundtrip;
           Alcotest.test_case "message round-trip" `Quick test_message_roundtrip;
           Alcotest.test_case "envelope rejection" `Quick test_envelope_rejection;
+          Alcotest.test_case "golden frames" `Quick test_golden_frames;
           Alcotest.test_case "frame rejection" `Quick test_frame_rejection;
           QCheck_alcotest.to_alcotest prop_garbage_frames_rejected;
           Alcotest.test_case "server survives garbage" `Quick test_server_survives_garbage;
