@@ -1007,7 +1007,7 @@ let e10 () =
    run. *)
 
 let e11_wire_bytes tr =
-  String.length (Axml_obs.Json.to_string (Axml_net.Wire.tree_to_json tr))
+  String.length (Axml_obs.Json.to_string (Axml_net.Wire.(to_json tree) tr))
 
 let e11_arm ~make ~project =
   (* fresh instance per arm: evaluation expands the document in place *)

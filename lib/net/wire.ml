@@ -11,316 +11,15 @@ exception Closed
 let fail fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Trees *)
+(* Binary primitives.
 
-let rec tree_to_json = function
-  | Tree.Text s -> Json.String s
-  | Tree.Element { Tree.name; attrs; children } ->
-    Json.Obj
-      (("n", Json.String name)
-      :: ((if attrs = [] then []
-           else
-             [
-               ( "a",
-                 Json.List
-                   (List.map (fun (k, v) -> Json.List [ Json.String k; Json.String v ]) attrs)
-               );
-             ])
-         @
-         if children = [] then []
-         else [ ("c", Json.List (List.map tree_to_json children)) ]))
-
-let forest_to_json f = Json.List (List.map tree_to_json f)
-
-let rec tree_of_json = function
-  | Json.String s -> Tree.Text s
-  | Json.Obj _ as j ->
-    let name =
-      match Json.member "n" j with
-      | Json.String s -> s
-      | _ -> fail "tree element without a string \"n\" field"
-    in
-    let attrs =
-      match Json.member "a" j with
-      | Json.Null -> []
-      | Json.List kvs ->
-        List.map
-          (function
-            | Json.List [ Json.String k; Json.String v ] -> (k, v)
-            | _ -> fail "tree attribute is not a [key, value] string pair")
-          kvs
-      | _ -> fail "tree \"a\" field is not a list"
-    in
-    let children =
-      match Json.member "c" j with
-      | Json.Null -> []
-      | Json.List cs -> List.map tree_of_json cs
-      | _ -> fail "tree \"c\" field is not a list"
-    in
-    Tree.Element { Tree.name; attrs; children }
-  | _ -> fail "tree node is neither a string nor an object"
-
-let forest_of_json = function
-  | Json.List ts -> List.map tree_of_json ts
-  | _ -> fail "forest is not a list"
-
-(* ------------------------------------------------------------------ *)
-(* Patterns *)
-
-let axis_to_json = function
-  | P.Child -> Json.String "child"
-  | P.Descendant -> Json.String "desc"
-
-let axis_of_json = function
-  | Json.String "child" -> P.Child
-  | Json.String "desc" -> P.Descendant
-  | _ -> fail "pattern axis is neither \"child\" nor \"desc\""
-
-let label_to_json = function
-  | P.Const s -> Json.Obj [ ("const", Json.String s) ]
-  | P.Value s -> Json.Obj [ ("value", Json.String s) ]
-  | P.Var s -> Json.Obj [ ("var", Json.String s) ]
-  | P.Wildcard -> Json.String "*"
-  | P.Or -> Json.String "or"
-  | P.Fun P.Any_fun -> Json.Obj [ ("fun", Json.Null) ]
-  | P.Fun (P.Named names) ->
-    Json.Obj [ ("fun", Json.List (List.map (fun n -> Json.String n) names)) ]
-
-let label_of_json = function
-  | Json.String "*" -> P.Wildcard
-  | Json.String "or" -> P.Or
-  | Json.Obj [ (key, v) ] -> (
-    match (key, v) with
-    | "const", Json.String s -> P.Const s
-    | "value", Json.String s -> P.Value s
-    | "var", Json.String s -> P.Var s
-    | "fun", Json.Null -> P.Fun P.Any_fun
-    | "fun", Json.List names ->
-      P.Fun
-        (P.Named
-           (List.map
-              (function Json.String n -> n | _ -> fail "pattern fun name is not a string")
-              names))
-    | _ -> fail "unknown pattern label %S" key)
-  | _ -> fail "pattern label does not decode"
-
-let rec pattern_to_json (n : P.node) =
-  Json.Obj
-    [
-      ("axis", axis_to_json n.P.axis);
-      ("label", label_to_json n.P.label);
-      ("result", Json.Bool n.P.result);
-      ("children", Json.List (List.map pattern_to_json n.P.children));
-    ]
-
-let rec pattern_of_json j =
-  match j with
-  | Json.Obj _ ->
-    let axis = axis_of_json (Json.member "axis" j) in
-    let label = label_of_json (Json.member "label" j) in
-    let result =
-      match Json.member "result" j with
-      | Json.Bool b -> b
-      | Json.Null -> false
-      | _ -> fail "pattern result flag is not a boolean"
-    in
-    let children =
-      match Json.member "children" j with
-      | Json.Null -> []
-      | Json.List cs -> List.map pattern_of_json cs
-      | _ -> fail "pattern children is not a list"
-    in
-    P.make ~axis ~result label children
-  | _ -> fail "pattern node is not an object"
-
-(* ------------------------------------------------------------------ *)
-(* Envelopes *)
-
-type service_info = { name : string; push : bool }
-
-(* Capabilities ride the handshake as a list of opaque strings; peers
-   that predate them decode no "caps" field as the empty list and ignore
-   the extra JSON member when encoding — negotiation degrades to "none". *)
-let cap_project = "project"
-
-(* A shard-aware peer: its Welcome service list is complete enough to be
-   used for replica discovery and shard assignment. Purely an
-   advertisement — no wire-format change rides on it. *)
-let cap_shard = "shard"
-
-type message =
-  | Hello of { version : int; caps : string list }
-  | Welcome of { version : int; services : service_info list; caps : string list }
-  | Invoke of {
-      id : int;
-      service : string;
-      params : Tree.forest;
-      push : P.node option;
-    }
-  | Result of { id : int; pushed : bool; forest : Tree.forest }
-  | Error of { id : int; transient : bool; message : string }
-  | Degraded of { id : int; message : string; retries : int; timeouts : int }
-  | Eval of { id : int; strategy : string; query : P.node; doc : Tree.t; projected : bool }
-  | Report of { id : int; report : Json.t }
-
-let caps_to_json caps = ("caps", Json.List (List.map (fun c -> Json.String c) caps))
-
-let message_to_json = function
-  | Hello { version; caps } ->
-    Json.Obj
-      [ ("type", Json.String "hello"); ("version", Json.Int version); caps_to_json caps ]
-  | Welcome { version; services; caps } ->
-    Json.Obj
-      [
-        ("type", Json.String "welcome");
-        ("version", Json.Int version);
-        ( "services",
-          Json.List
-            (List.map
-               (fun s ->
-                 Json.Obj [ ("name", Json.String s.name); ("push", Json.Bool s.push) ])
-               services) );
-        caps_to_json caps;
-      ]
-  | Invoke { id; service; params; push } ->
-    Json.Obj
-      ([
-         ("type", Json.String "invoke");
-         ("id", Json.Int id);
-         ("service", Json.String service);
-         ("params", forest_to_json params);
-       ]
-      @ match push with None -> [] | Some p -> [ ("push", pattern_to_json p) ])
-  | Result { id; pushed; forest } ->
-    Json.Obj
-      [
-        ("type", Json.String "result");
-        ("id", Json.Int id);
-        ("pushed", Json.Bool pushed);
-        ("forest", forest_to_json forest);
-      ]
-  | Error { id; transient; message } ->
-    Json.Obj
-      [
-        ("type", Json.String "error");
-        ("id", Json.Int id);
-        ("transient", Json.Bool transient);
-        ("message", Json.String message);
-      ]
-  | Degraded { id; message; retries; timeouts } ->
-    Json.Obj
-      [
-        ("type", Json.String "degraded");
-        ("id", Json.Int id);
-        ("message", Json.String message);
-        ("retries", Json.Int retries);
-        ("timeouts", Json.Int timeouts);
-      ]
-  | Eval { id; strategy; query; doc; projected } ->
-    Json.Obj
-      ([
-         ("type", Json.String "eval");
-         ("id", Json.Int id);
-         ("strategy", Json.String strategy);
-         ("query", pattern_to_json query);
-         ("doc", tree_to_json doc);
-       ]
-      @ if projected then [ ("projected", Json.Bool true) ] else [])
-  | Report { id; report } ->
-    Json.Obj [ ("type", Json.String "report"); ("id", Json.Int id); ("report", report) ]
-
-let int_field key j =
-  match Json.member key j with Json.Int i -> i | _ -> fail "missing int field %S" key
-
-let string_field key j =
-  match Json.member key j with
-  | Json.String s -> s
-  | _ -> fail "missing string field %S" key
-
-let bool_field key j =
-  match Json.member key j with Json.Bool b -> b | _ -> fail "missing bool field %S" key
-
-(* Absent on pre-capability peers: decode to []. *)
-let caps_field j =
-  match Json.member "caps" j with
-  | Json.Null -> []
-  | Json.List cs ->
-    List.map (function Json.String c -> c | _ -> fail "capability is not a string") cs
-  | _ -> fail "caps is not a list"
-
-let message_of_json j =
-  match Json.member "type" j with
-  | Json.String "hello" -> Hello { version = int_field "version" j; caps = caps_field j }
-  | Json.String "welcome" ->
-    let services =
-      List.map
-        (fun s -> { name = string_field "name" s; push = bool_field "push" s })
-        (Json.to_list (Json.member "services" j))
-    in
-    Welcome { version = int_field "version" j; services; caps = caps_field j }
-  | Json.String "invoke" ->
-    let push =
-      match Json.member "push" j with
-      | Json.Null -> None
-      | p -> Some (pattern_of_json p)
-    in
-    Invoke
-      {
-        id = int_field "id" j;
-        service = string_field "service" j;
-        params = forest_of_json (Json.member "params" j);
-        push;
-      }
-  | Json.String "result" ->
-    Result
-      {
-        id = int_field "id" j;
-        pushed = bool_field "pushed" j;
-        forest = forest_of_json (Json.member "forest" j);
-      }
-  | Json.String "error" ->
-    Error
-      {
-        id = int_field "id" j;
-        transient = bool_field "transient" j;
-        message = string_field "message" j;
-      }
-  | Json.String "degraded" ->
-    Degraded
-      {
-        id = int_field "id" j;
-        message = string_field "message" j;
-        retries = int_field "retries" j;
-        timeouts = int_field "timeouts" j;
-      }
-  | Json.String "eval" ->
-    Eval
-      {
-        id = int_field "id" j;
-        strategy = string_field "strategy" j;
-        query = pattern_of_json (Json.member "query" j);
-        doc = tree_of_json (Json.member "doc" j);
-        projected = (match Json.member "projected" j with Json.Bool b -> b | _ -> false);
-      }
-  | Json.String "report" -> (
-    match Json.member "report" j with
-    | Json.Null -> fail "report envelope without a \"report\" field"
-    | report -> Report { id = int_field "id" j; report })
-  | Json.String other -> fail "unknown message type %S" other
-  | _ -> fail "envelope without a \"type\" field"
-
-(* ------------------------------------------------------------------ *)
-(* The binary codec.
-
-   A compact alternative to the JSON payloads, negotiated as the
-   "binary" capability: strings are length-prefixed, ints are
-   LEB128 varints (zigzag where a value can be negative), every
-   composite opens with a one-byte tag. Decoding is hardened for
-   hostile peers: every read is bounds-checked against the frame,
-   every length/count is capped by the bytes that remain (an item
-   costs at least one byte, so a count beyond that is garbage), and
-   pathological nesting surfaces as {!Protocol_error}, never as an
-   escaped [Stack_overflow]. *)
+   Strings are length-prefixed, ints are LEB128 varints (zigzag where a
+   value can be negative), every composite opens with a one-byte tag.
+   Decoding is hardened for hostile peers: every read is bounds-checked
+   against the frame, every length/count is capped by the bytes that
+   remain (an item costs at least one byte, so a count beyond that is
+   garbage), and pathological nesting surfaces as {!Protocol_error},
+   never as an escaped [Stack_overflow]. *)
 
 type codec = Json | Binary
 
@@ -368,14 +67,6 @@ let rec put_uv w n =
     put_uv w (n lsr 7)
   end
 
-let put_int w n = put_uv w ((n lsl 1) lxor (n asr 62))
-
-let put_str w s =
-  put_uv w (String.length s);
-  put_raw w s
-
-let put_bool w b = put_byte w (if b then 1 else 0)
-
 let put_u64 w x =
   for i = 0 to 7 do
     put_byte w (Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xff)
@@ -400,10 +91,6 @@ let rd_uv r =
   in
   go 0 0
 
-let rd_int r =
-  let u = rd_uv r in
-  (u lsr 1) lxor (-(u land 1))
-
 (* A length or item count: every string byte / list item costs at least
    one input byte, so anything beyond the bytes that remain is garbage —
    reject it before allocating. *)
@@ -412,18 +99,6 @@ let rd_len r =
   if n < 0 || n > r.limit - r.pos then
     fail "binary length %d exceeds the %d bytes remaining" n (r.limit - r.pos);
   n
-
-let rd_str r =
-  let n = rd_len r in
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let rd_bool r =
-  match rd_byte r with
-  | 0 -> false
-  | 1 -> true
-  | b -> fail "binary bool byte %d" b
 
 let rd_u64 r =
   let x = ref 0L in
@@ -437,111 +112,361 @@ let rd_list r n f =
   let rec go i acc = if i = n then List.rev acc else go (i + 1) (f r :: acc) in
   go 0 []
 
-(* ----- trees ----- *)
+(* ------------------------------------------------------------------ *)
+(* Codec descriptions.
 
-let rec tree_to_bin w = function
-  | Tree.Text s ->
-    put_byte w 0;
-    put_str w s
-  | Tree.Element { Tree.name; attrs; children } ->
-    put_byte w 1;
-    put_str w name;
-    put_uv w (List.length attrs);
-    List.iter
-      (fun (k, v) ->
-        put_str w k;
-        put_str w v)
-      attrs;
-    put_uv w (List.length children);
-    List.iter (tree_to_bin w) children
+   An ['a t] carries all four directions of one type: JSON out and in,
+   binary out and in. Each wire type is described once below and both
+   codecs derive from that description. The binary directions write
+   straight into a [wbuf] and read straight off a [rdr], never through a
+   [Json.t]; every description is built once, at module initialisation.
+   JSON decoding is as strict as binary: a member present with the wrong
+   type is a {!Protocol_error}. *)
 
-let forest_to_bin w f =
-  put_uv w (List.length f);
-  List.iter (tree_to_bin w) f
+type 'a t = {
+  to_json : 'a -> Json.t;
+  of_json : Json.t -> 'a;
+  put : wbuf -> 'a -> unit;
+  get : rdr -> 'a;
+}
 
-let rec tree_of_bin r =
-  match rd_byte r with
-  | 0 -> Tree.Text (rd_str r)
-  | 1 ->
-    let name = rd_str r in
-    let attrs =
-      rd_list r (rd_len r) (fun r ->
-          let k = rd_str r in
-          let v = rd_str r in
-          (k, v))
-    in
-    let children = rd_list r (rd_len r) tree_of_bin in
-    Tree.Element { Tree.name; attrs; children }
-  | t -> fail "unknown binary tree tag %d" t
+let expected what = fail "expected %s" what
 
-let forest_of_bin r = rd_list r (rd_len r) tree_of_bin
+let unit =
+  {
+    to_json = (fun () -> Json.Null);
+    of_json = (function Json.Null -> () | _ -> expected "null");
+    put = (fun _ () -> ());
+    get = (fun _ -> ());
+  }
 
-(* ----- patterns ----- *)
+let string =
+  {
+    to_json = (fun s -> Json.String s);
+    of_json = (function Json.String s -> s | _ -> expected "a string");
+    put =
+      (fun w s ->
+        put_uv w (String.length s);
+        put_raw w s);
+    get =
+      (fun r ->
+        let n = rd_len r in
+        let s = String.sub r.src r.pos n in
+        r.pos <- r.pos + n;
+        s);
+  }
 
-let label_to_bin w = function
-  | P.Const s ->
-    put_byte w 0;
-    put_str w s
-  | P.Value s ->
-    put_byte w 1;
-    put_str w s
-  | P.Var s ->
-    put_byte w 2;
-    put_str w s
-  | P.Wildcard -> put_byte w 3
-  | P.Or -> put_byte w 4
-  | P.Fun P.Any_fun -> put_byte w 5
-  | P.Fun (P.Named names) ->
-    put_byte w 6;
-    put_uv w (List.length names);
-    List.iter (put_str w) names
+(* An unsigned LEB128 varint in binary, a JSON integer. *)
+let uint =
+  {
+    to_json = (fun n -> Json.Int n);
+    of_json = (function Json.Int n -> n | _ -> expected "an integer");
+    put = put_uv;
+    get = rd_uv;
+  }
 
-let label_of_bin r =
-  match rd_byte r with
-  | 0 -> P.Const (rd_str r)
-  | 1 -> P.Value (rd_str r)
-  | 2 -> P.Var (rd_str r)
-  | 3 -> P.Wildcard
-  | 4 -> P.Or
-  | 5 -> P.Fun P.Any_fun
-  | 6 -> P.Fun (P.Named (rd_list r (rd_len r) rd_str))
-  | t -> fail "unknown binary pattern label tag %d" t
+(* Zigzag before the varint, so small negative ints stay short. *)
+let zint =
+  {
+    uint with
+    put = (fun w n -> put_uv w ((n lsl 1) lxor (n asr 62)));
+    get =
+      (fun r ->
+        let u = rd_uv r in
+        (u lsr 1) lxor (-(u land 1)));
+  }
 
-let rec pattern_to_bin w (n : P.node) =
-  put_byte w (match n.P.axis with P.Child -> 0 | P.Descendant -> 1);
-  label_to_bin w n.P.label;
-  put_bool w n.P.result;
-  put_uv w (List.length n.P.children);
-  List.iter (pattern_to_bin w) n.P.children
+let bool =
+  {
+    to_json = (fun b -> Json.Bool b);
+    of_json = (function Json.Bool b -> b | _ -> expected "a boolean");
+    put = (fun w b -> put_byte w (if b then 1 else 0));
+    get =
+      (fun r ->
+        match rd_byte r with 0 -> false | 1 -> true | b -> fail "binary bool byte %d" b);
+  }
 
-let rec pattern_of_bin r =
-  let axis =
-    match rd_byte r with
-    | 0 -> P.Child
-    | 1 -> P.Descendant
-    | t -> fail "unknown binary pattern axis tag %d" t
+let list c =
+  {
+    to_json = (fun xs -> Json.List (List.map c.to_json xs));
+    of_json = (function Json.List xs -> List.map c.of_json xs | _ -> expected "a list");
+    put =
+      (fun w xs ->
+        put_uv w (List.length xs);
+        List.iter (c.put w) xs);
+    get = (fun r -> rd_list r (rd_len r) c.get);
+  }
+
+(* JSON null for [None]; a 0/1 tag byte in binary. *)
+let option c =
+  {
+    to_json = (function None -> Json.Null | Some x -> c.to_json x);
+    of_json = (function Json.Null -> None | j -> Some (c.of_json j));
+    put =
+      (fun w -> function
+        | None -> put_byte w 0
+        | Some x ->
+          put_byte w 1;
+          c.put w x);
+    get =
+      (fun r ->
+        match rd_byte r with
+        | 0 -> None
+        | 1 -> Some (c.get r)
+        | t -> fail "unknown binary option tag %d" t);
+  }
+
+let conv proj inj c =
+  {
+    to_json = (fun x -> c.to_json (proj x));
+    of_json = (fun j -> inj (c.of_json j));
+    put = (fun w x -> c.put w (proj x));
+    get = (fun r -> inj (c.get r));
+  }
+
+(* Two values in a row in binary; [to_json] and [of_json] say how they
+   pair up in JSON. *)
+let seq a b to_json of_json =
+  {
+    to_json;
+    of_json;
+    put =
+      (fun w (x, y) ->
+        a.put w x;
+        b.put w y);
+    get =
+      (fun r ->
+        let x = a.get r in
+        (x, b.get r));
+  }
+
+(* A positional pair: a two-element JSON list. *)
+let pair a b =
+  seq a b
+    (fun (x, y) -> Json.List [ a.to_json x; b.to_json y ])
+    (function
+      | Json.List [ x; y ] -> (a.of_json x, b.of_json y) | _ -> expected "a two-element list")
+
+(* A named record field: one member of a JSON object, the bare value in
+   binary. With a [default], an absent member decodes to it, and [omit]
+   leaves the member out of the JSON when the value equals it. *)
+let field ?default ?(omit = false) name c =
+  {
+    to_json =
+      (fun x ->
+        match default with
+        | Some d when omit && x = d -> Json.Obj []
+        | _ -> Json.Obj [ (name, c.to_json x) ]);
+    of_json =
+      (fun j ->
+        match (Json.member name j, default) with
+        | Json.Null, Some d -> d
+        | Json.Null, None -> fail "missing field %S" name
+        | v, _ -> c.of_json v);
+    put = c.put;
+    get = c.get;
+  }
+
+let members = function Json.Obj kvs -> kvs | _ -> expected "an object"
+
+(* Fields side by side: the members of one JSON object. Right-
+   associative, so [a & b & c] describes [(x, (y, z))]. *)
+let ( & ) a b =
+  seq a b
+    (fun (x, y) -> Json.Obj (members (a.to_json x) @ members (b.to_json y)))
+    (fun j -> (a.of_json j, b.of_json j))
+
+(* How one case of a union shows in JSON: [wrap] dresses the payload's
+   JSON, [unwrap] recognises the case and strips the dressing. *)
+type form = { wrap : Json.t -> Json.t; unwrap : Json.t -> Json.t option }
+
+(* The payload's JSON as is, recognised by its shape. *)
+let bare is = { wrap = Fun.id; unwrap = (fun j -> if is j then Some j else None) }
+
+(* A fixed string, for payload-less cases. *)
+let named s =
+  {
+    wrap = (fun _ -> Json.String s);
+    unwrap = (function Json.String s' when s' = s -> Some Json.Null | _ -> None);
+  }
+
+(* A one-member object [{key: payload}]. *)
+let keyed ?(is = fun _ -> true) key =
+  {
+    wrap = (fun p -> Json.Obj [ (key, p) ]);
+    unwrap = (function Json.Obj [ (k, p) ] when k = key && is p -> Some p | _ -> None);
+  }
+
+(* The payload's object with a leading ["type"] member. *)
+let typed name =
+  {
+    wrap = (fun p -> Json.Obj (("type", Json.String name) :: members p));
+    unwrap = (fun j -> if Json.member "type" j = Json.String name then Some j else None);
+  }
+
+type 'a case =
+  | Case : { tag : int; form : form; c : 'b t; proj : 'a -> 'b option; inj : 'b -> 'a } -> 'a case
+
+let case tag form c proj inj = Case { tag; form; c; proj; inj }
+
+(* A payload-less case standing for the one value [v]. *)
+let const tag form v = case tag form unit (fun x -> if x = v then Some () else None) (fun () -> v)
+
+(* A tagged union: a one-byte tag and the case's payload in binary; in
+   JSON, the first case whose form recognises the value decodes it. *)
+let union what cases =
+  let by_tag = Array.make 256 None in
+  List.iter (fun (Case k as case) -> by_tag.(k.tag) <- Some case) cases;
+  let rec to_json x = function
+    | [] -> invalid_arg ("Wire: no case describes this " ^ what)
+    | Case k :: rest -> (
+      match k.proj x with Some y -> k.form.wrap (k.c.to_json y) | None -> to_json x rest)
   in
-  let label = label_of_bin r in
-  let result = rd_bool r in
-  let children = rd_list r (rd_len r) pattern_of_bin in
-  P.make ~axis ~result label children
+  let rec of_json j = function
+    | [] -> fail "%s does not decode" what
+    | Case k :: rest -> (
+      match k.form.unwrap j with Some p -> k.inj (k.c.of_json p) | None -> of_json j rest)
+  in
+  let rec put w x = function
+    | [] -> invalid_arg ("Wire: no case describes this " ^ what)
+    | Case k :: rest -> (
+      match k.proj x with
+      | Some y ->
+        put_byte w k.tag;
+        k.c.put w y
+      | None -> put w x rest)
+  in
+  {
+    to_json = (fun x -> to_json x cases);
+    of_json = (fun j -> of_json j cases);
+    put = (fun w x -> put w x cases);
+    get =
+      (fun r ->
+        let t = rd_byte r in
+        match by_tag.(t) with
+        | Some (Case k) -> k.inj (k.c.get r)
+        | None -> fail "unknown binary %s tag %d" what t);
+  }
 
-(* ----- JSON values (the Report envelope carries one verbatim) ----- *)
+(* A recursive description: [f] receives the description it defines. *)
+let fix f =
+  let rec self =
+    lazy
+      (f
+         {
+           to_json = (fun x -> (Lazy.force self).to_json x);
+           of_json = (fun j -> (Lazy.force self).of_json j);
+           put = (fun w x -> (Lazy.force self).put w x);
+           get = (fun r -> (Lazy.force self).get r);
+         })
+  in
+  Lazy.force self
 
+(* ------------------------------------------------------------------ *)
+(* The wire types *)
+
+let is_string = function Json.String _ -> true | _ -> false
+let is_obj = function Json.Obj _ -> true | _ -> false
+
+(* Text is a JSON string, an element a {"n","a","c"} object whose empty
+   attribute and child lists are left out. *)
+let tree =
+  fix (fun tree ->
+      union "tree node"
+        [
+          case 0 (bare is_string) string
+            (function Tree.Text s -> Some s | _ -> None)
+            (fun s -> Tree.Text s);
+          case 1 (bare is_obj)
+            (field "n" string
+            & field ~default:[] ~omit:true "a" (list (pair string string))
+            & field ~default:[] ~omit:true "c" (list tree))
+            (function
+              | Tree.Element { Tree.name; attrs; children } -> Some (name, (attrs, children))
+              | _ -> None)
+            (fun (name, (attrs, children)) -> Tree.Element { Tree.name; attrs; children });
+        ])
+
+let forest = list tree
+
+let axis =
+  union "pattern axis" [ const 0 (named "child") P.Child; const 1 (named "desc") P.Descendant ]
+
+let label =
+  union "pattern label"
+    [
+      case 0 (keyed "const") string (function P.Const s -> Some s | _ -> None) (fun s -> P.Const s);
+      case 1 (keyed "value") string (function P.Value s -> Some s | _ -> None) (fun s -> P.Value s);
+      case 2 (keyed "var") string (function P.Var s -> Some s | _ -> None) (fun s -> P.Var s);
+      const 3 (named "*") P.Wildcard;
+      const 4 (named "or") P.Or;
+      const 5 (keyed ~is:(( = ) Json.Null) "fun") (P.Fun P.Any_fun);
+      case 6 (keyed "fun") (list string)
+        (function P.Fun (P.Named names) -> Some names | _ -> None)
+        (fun names -> P.Fun (P.Named names));
+    ]
+
+let pattern =
+  fix (fun pattern ->
+      conv
+        (fun (n : P.node) -> (n.P.axis, (n.P.label, (n.P.result, n.P.children))))
+        (fun (axis, (label, (result, children))) -> P.make ~axis ~result label children)
+        (field "axis" axis & field "label" label
+        & field ~default:false "result" bool
+        & field ~default:[] "children" (list pattern)))
+
+(* ------------------------------------------------------------------ *)
+(* Envelopes *)
+
+type service_info = { name : string; push : bool }
+
+(* Capabilities ride the handshake as a list of opaque strings; peers
+   that predate them decode no "caps" field as the empty list and ignore
+   the extra JSON member when encoding — negotiation degrades to "none". *)
+let cap_project = "project"
+
+(* A shard-aware peer: its Welcome service list is complete enough to be
+   used for replica discovery and shard assignment. Purely an
+   advertisement — no wire-format change rides on it. *)
+let cap_shard = "shard"
+
+type message =
+  | Hello of { version : int; caps : string list }
+  | Welcome of { version : int; services : service_info list; caps : string list }
+  | Invoke of {
+      id : int;
+      service : string;
+      params : Tree.forest;
+      push : P.node option;
+    }
+  | Result of { id : int; pushed : bool; forest : Tree.forest }
+  | Error of { id : int; transient : bool; message : string }
+  | Degraded of { id : int; message : string; retries : int; timeouts : int }
+  | Eval of { id : int; strategy : string; query : P.node; doc : Tree.t; projected : bool }
+  | Report of { id : int; report : Json.t }
+
+let service_info =
+  conv
+    (fun s -> (s.name, s.push))
+    (fun (name, push) -> { name; push })
+    (field "name" string & field "push" bool)
+
+(* JSON values: the Report envelope carries one verbatim, so its JSON
+   side is the identity and only the binary side needs a walk. *)
 let rec json_to_bin w = function
   | Json.Null -> put_byte w 0
   | Json.Bool b ->
     put_byte w 1;
-    put_bool w b
+    bool.put w b
   | Json.Int i ->
     put_byte w 2;
-    put_int w i
+    zint.put w i
   | Json.Float f ->
     put_byte w 3;
     put_u64 w (Int64.bits_of_float f)
   | Json.String s ->
     put_byte w 4;
-    put_str w s
+    string.put w s
   | Json.List xs ->
     put_byte w 5;
     put_uv w (List.length xs);
@@ -551,163 +476,109 @@ let rec json_to_bin w = function
     put_uv w (List.length kvs);
     List.iter
       (fun (k, v) ->
-        put_str w k;
+        string.put w k;
         json_to_bin w v)
       kvs
 
 let rec json_of_bin r =
   match rd_byte r with
   | 0 -> Json.Null
-  | 1 -> Json.Bool (rd_bool r)
-  | 2 -> Json.Int (rd_int r)
+  | 1 -> Json.Bool (bool.get r)
+  | 2 -> Json.Int (zint.get r)
   | 3 -> Json.Float (Int64.float_of_bits (rd_u64 r))
-  | 4 -> Json.String (rd_str r)
+  | 4 -> Json.String (string.get r)
   | 5 -> Json.List (rd_list r (rd_len r) json_of_bin)
   | 6 ->
     Json.Obj
       (rd_list r (rd_len r) (fun r ->
-           let k = rd_str r in
+           let k = string.get r in
            (k, json_of_bin r)))
   | t -> fail "unknown binary JSON tag %d" t
 
-(* ----- envelopes ----- *)
+let json_value = { to_json = Fun.id; of_json = Fun.id; put = json_to_bin; get = json_of_bin }
 
-let message_to_bin w = function
-  | Hello { version; caps } ->
-    put_byte w 0;
-    put_uv w version;
-    put_uv w (List.length caps);
-    List.iter (put_str w) caps
-  | Welcome { version; services; caps } ->
-    put_byte w 1;
-    put_uv w version;
-    put_uv w (List.length services);
-    List.iter
-      (fun s ->
-        put_str w s.name;
-        put_bool w s.push)
-      services;
-    put_uv w (List.length caps);
-    List.iter (put_str w) caps
-  | Invoke { id; service; params; push } -> (
-    put_byte w 2;
-    put_uv w id;
-    put_str w service;
-    forest_to_bin w params;
-    match push with
-    | None -> put_byte w 0
-    | Some p ->
-      put_byte w 1;
-      pattern_to_bin w p)
-  | Result { id; pushed; forest } ->
-    put_byte w 3;
-    put_uv w id;
-    put_bool w pushed;
-    forest_to_bin w forest
-  | Error { id; transient; message } ->
-    put_byte w 4;
-    put_uv w id;
-    put_bool w transient;
-    put_str w message
-  | Degraded { id; message; retries; timeouts } ->
-    put_byte w 5;
-    put_uv w id;
-    put_str w message;
-    put_uv w retries;
-    put_uv w timeouts
-  | Eval { id; strategy; query; doc; projected } ->
-    put_byte w 6;
-    put_uv w id;
-    put_str w strategy;
-    pattern_to_bin w query;
-    tree_to_bin w doc;
-    put_bool w projected
-  | Report { id; report } ->
-    put_byte w 7;
-    put_uv w id;
-    json_to_bin w report
+(* Absent on pre-capability peers: decode to []. *)
+let caps = field ~default:[] "caps" (list string)
+let id = field "id" uint
 
-let message_of_bin r =
-  match rd_byte r with
-  | 0 ->
-    let version = rd_uv r in
-    let caps = rd_list r (rd_len r) rd_str in
-    Hello { version; caps }
-  | 1 ->
-    let version = rd_uv r in
-    let services =
-      rd_list r (rd_len r) (fun r ->
-          let name = rd_str r in
-          let push = rd_bool r in
-          { name; push })
-    in
-    let caps = rd_list r (rd_len r) rd_str in
-    Welcome { version; services; caps }
-  | 2 ->
-    let id = rd_uv r in
-    let service = rd_str r in
-    let params = forest_of_bin r in
-    let push =
-      match rd_byte r with
-      | 0 -> None
-      | 1 -> Some (pattern_of_bin r)
-      | t -> fail "unknown binary option tag %d" t
-    in
-    Invoke { id; service; params; push }
-  | 3 ->
-    let id = rd_uv r in
-    let pushed = rd_bool r in
-    let forest = forest_of_bin r in
-    Result { id; pushed; forest }
-  | 4 ->
-    let id = rd_uv r in
-    let transient = rd_bool r in
-    let message = rd_str r in
-    Error { id; transient; message }
-  | 5 ->
-    let id = rd_uv r in
-    let message = rd_str r in
-    let retries = rd_uv r in
-    let timeouts = rd_uv r in
-    Degraded { id; message; retries; timeouts }
-  | 6 ->
-    let id = rd_uv r in
-    let strategy = rd_str r in
-    let query = pattern_of_bin r in
-    let doc = tree_of_bin r in
-    let projected = rd_bool r in
-    Eval { id; strategy; query; doc; projected }
-  | 7 ->
-    let id = rd_uv r in
-    let report = json_of_bin r in
-    Report { id; report }
-  | t -> fail "unknown binary message tag %d" t
+let message =
+  union "message"
+    [
+      case 0 (typed "hello") (field "version" uint & caps)
+        (function Hello { version; caps } -> Some (version, caps) | _ -> None)
+        (fun (version, caps) -> Hello { version; caps });
+      case 1 (typed "welcome")
+        (field "version" uint & field "services" (list service_info) & caps)
+        (function
+          | Welcome { version; services; caps } -> Some (version, (services, caps)) | _ -> None)
+        (fun (version, (services, caps)) -> Welcome { version; services; caps });
+      case 2 (typed "invoke")
+        (id & field "service" string & field "params" forest
+        & field ~default:None ~omit:true "push" (option pattern))
+        (function
+          | Invoke { id; service; params; push } -> Some (id, (service, (params, push)))
+          | _ -> None)
+        (fun (id, (service, (params, push))) -> Invoke { id; service; params; push });
+      case 3 (typed "result")
+        (id & field "pushed" bool & field "forest" forest)
+        (function Result { id; pushed; forest } -> Some (id, (pushed, forest)) | _ -> None)
+        (fun (id, (pushed, forest)) -> Result { id; pushed; forest });
+      case 4 (typed "error")
+        (id & field "transient" bool & field "message" string)
+        (function
+          | Error { id; transient; message } -> Some (id, (transient, message)) | _ -> None)
+        (fun (id, (transient, message)) -> Error { id; transient; message });
+      case 5 (typed "degraded")
+        (id & field "message" string & field "retries" uint & field "timeouts" uint)
+        (function
+          | Degraded { id; message; retries; timeouts } ->
+            Some (id, (message, (retries, timeouts)))
+          | _ -> None)
+        (fun (id, (message, (retries, timeouts))) -> Degraded { id; message; retries; timeouts });
+      case 6 (typed "eval")
+        (id & field "strategy" string & field "query" pattern & field "doc" tree
+        & field ~default:false ~omit:true "projected" bool)
+        (function
+          | Eval { id; strategy; query; doc; projected } ->
+            Some (id, (strategy, (query, (doc, projected))))
+          | _ -> None)
+        (fun (id, (strategy, (query, (doc, projected)))) ->
+          Eval { id; strategy; query; doc; projected });
+      case 7 (typed "report") (id & field "report" json_value)
+        (function Report { id; report } -> Some (id, report) | _ -> None)
+        (fun (id, report) -> Report { id; report });
+    ]
 
-(* Standalone per-type binary codecs (tests, tools). *)
+let to_json c = c.to_json
+let of_json c = c.of_json
+let message_to_json = message.to_json
+let message_of_json = message.of_json
 
-let to_bin_str enc x =
+let to_binary c x =
   let w = wbuf_make 256 in
-  enc w x;
+  c.put w x;
   Bytes.sub_string w.wb 0 w.wlen
 
-let of_bin_str name dec s =
-  let r = { src = s; pos = 0; limit = String.length s } in
-  match dec r with
+(* Decodes exactly [s.[pos .. limit-1]]: trailing bytes and hostile
+   nesting are protocol errors. *)
+let of_binary_slice c s pos limit =
+  let r = { src = s; pos; limit } in
+  match c.get r with
   | v ->
-    if r.pos <> r.limit then
-      fail "binary %s has %d trailing bytes" name (r.limit - r.pos);
+    if r.pos <> r.limit then fail "binary value has %d trailing bytes" (r.limit - r.pos);
     v
-  | exception Stack_overflow -> fail "binary %s nests too deeply" name
+  | exception Stack_overflow -> fail "binary value nests too deeply"
 
-let tree_to_binary t = to_bin_str tree_to_bin t
-let tree_of_binary s = of_bin_str "tree" tree_of_bin s
-let forest_to_binary f = to_bin_str forest_to_bin f
-let forest_of_binary s = of_bin_str "forest" forest_of_bin s
-let pattern_to_binary p = to_bin_str pattern_to_bin p
-let pattern_of_binary s = of_bin_str "pattern" pattern_of_bin s
+let of_binary c s = of_binary_slice c s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
-(* Frames *)
+(* Frames.
+
+   Wire format: a 4-byte big-endian payload length, then the payload.
+   [max_frame] fits in 26 bits, so the top bit of the first header byte
+   is free; the binary codec sets it (frames are self-describing and
+   [recv] needs no out-of-band state), JSON frames — including every
+   frame a pre-binary peer can produce — leave it clear. *)
 
 let rec really_write fd buf off len =
   if len > 0 then
@@ -721,15 +592,6 @@ let rec really_read fd buf off len =
     | 0 -> raise Closed
     | n -> really_read fd buf (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> really_read fd buf off len
-
-(* ------------------------------------------------------------------ *)
-(* Codec-aware frames.
-
-   Wire format: a 4-byte big-endian payload length, then the payload.
-   [max_frame] fits in 26 bits, so the top bit of the first header byte
-   is free; the binary codec sets it (frames are self-describing and
-   [recv] needs no out-of-band state), JSON frames — including every
-   frame a pre-binary peer can produce — leave it clear. *)
 
 let binary_flag = 0x80
 
@@ -763,7 +625,7 @@ let encode_into scr codec msg =
   wbuf_ensure w 4;
   w.wlen <- 4;
   (match codec with
-  | Binary -> message_to_bin w msg
+  | Binary -> message.put w msg
   | Json ->
     Buffer.clear scr.jb;
     Json.to_buffer scr.jb (message_to_json msg);
@@ -799,14 +661,7 @@ let decode_payload ?(pos = 0) ?len codec s =
     | Ok v -> message_of_json v
     | Error m -> fail "frame payload is not JSON (%s)" m
     | exception Stack_overflow -> fail "frame payload nests too deeply")
-  | Binary -> (
-    let r = { src = s; pos; limit = pos + len } in
-    match message_of_bin r with
-    | msg ->
-      if r.pos <> r.limit then
-        fail "binary frame has %d trailing bytes" (r.limit - r.pos);
-      msg
-    | exception Stack_overflow -> fail "binary frame nests too deeply")
+  | Binary -> of_binary_slice message s pos (pos + len)
 
 let send ?(codec = Json) ?scratch:scr fd msg =
   let scr = match scr with Some s -> s | None -> scratch () in
@@ -822,12 +677,6 @@ let recv ?scratch:scr fd =
   let codec, len = frame_header (byte 0) (byte 1) (byte 2) (byte 3) in
   if Bytes.length scr.inb < len then scr.inb <- Bytes.create len;
   really_read fd scr.inb 0 len;
-  let msg =
-    match codec with
-    | Json -> decode_payload Json (Bytes.sub_string scr.inb 0 len)
-    | Binary ->
-      (* decode copies every string it keeps, so reading straight off
-         the reusable buffer is safe *)
-      decode_payload Binary ~len (Bytes.unsafe_to_string scr.inb)
-  in
-  (msg, 4 + len)
+  (* decoding copies everything it keeps, so reading straight off the
+     reusable buffer is safe *)
+  (decode_payload ~len codec (Bytes.unsafe_to_string scr.inb), 4 + len)

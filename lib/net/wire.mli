@@ -5,7 +5,8 @@
     the same hand-rolled JSON the observability sinks use, so the whole
     protocol needs no dependency beyond [Unix] — or, when both ends
     advertise the {!cap_binary} capability, the length-prefixed binary
-    codec ({!Binary}). {!max_frame} fits in 26 bits, so the top bit of
+    codec ({!Binary}). Both codecs derive from one description per wire
+    type (see {!type-t}). {!max_frame} fits in 26 bits, so the top bit of
     the first header byte is free: binary frames set it and are
     self-describing; JSON frames (including everything a pre-binary
     peer can produce) leave it clear. One message per frame; the
@@ -70,47 +71,42 @@ exception Protocol_error of string
 exception Closed
 (** The peer closed the connection (EOF mid-frame or before one). *)
 
-(** {2 Codecs} *)
+(** {2 Codecs}
 
-val tree_to_json : Axml_xml.Tree.t -> Axml_obs.Json.t
-val tree_of_json : Axml_obs.Json.t -> Axml_xml.Tree.t
-(** Raises {!Protocol_error}. *)
+    Each wire type is described once, by an ['a t]; its JSON and binary
+    codecs both derive from that one description. The binary codec is
+    the compact one: one-byte tags, length-prefixed strings, LEB128
+    varints (zigzag where values can be negative). Decoding is strict in
+    both: a JSON member present with the wrong type is a
+    {!Protocol_error} (only an absent optional member decodes to its
+    default); every binary read is bounds-checked, every length/count is
+    capped by the bytes remaining, and pathological nesting raises
+    {!Protocol_error}, never an escaped [Stack_overflow]. *)
 
-val forest_to_json : Axml_xml.Tree.forest -> Axml_obs.Json.t
-val forest_of_json : Axml_obs.Json.t -> Axml_xml.Tree.forest
+type 'a t
 
-val pattern_to_json : Axml_query.Pattern.node -> Axml_obs.Json.t
-val pattern_of_json : Axml_obs.Json.t -> Axml_query.Pattern.node
+val tree : Axml_xml.Tree.t t
+val forest : Axml_xml.Tree.forest t
+
+val pattern : Axml_query.Pattern.node t
 (** The decoded pattern carries fresh pids (pattern nodes are allocated
     from a global counter); axes, labels, result flags and structure
-    round-trip exactly. Raises {!Protocol_error}. *)
+    round-trip exactly. *)
 
-(** {2 The binary codec}
+val to_json : 'a t -> 'a -> Axml_obs.Json.t
 
-    A compact alternative to the JSON payloads: one-byte tags,
-    length-prefixed strings, LEB128 varints (zigzag where values can be
-    negative). Semantically identical to the JSON codec — every value
-    that round-trips through one round-trips through the other to the
-    same result. Decoding is hardened against hostile bytes: all reads
-    are bounds-checked, every length/count is capped by the bytes
-    remaining in the frame, and pathological nesting raises
-    {!Protocol_error}, never an escaped [Stack_overflow]. *)
+val of_json : 'a t -> Axml_obs.Json.t -> 'a
+(** Raises {!Protocol_error}. *)
+
+val to_binary : 'a t -> 'a -> string
+
+val of_binary : 'a t -> string -> 'a
+(** Raises {!Protocol_error} (also on trailing bytes). *)
 
 type codec = Json | Binary
 
 val codec_name : codec -> string
 (** ["json"] / ["binary"] — the values the CLI's [--wire] flag takes. *)
-
-val tree_to_binary : Axml_xml.Tree.t -> string
-val tree_of_binary : string -> Axml_xml.Tree.t
-(** Raises {!Protocol_error} (also on trailing bytes). *)
-
-val forest_to_binary : Axml_xml.Tree.forest -> string
-val forest_of_binary : string -> Axml_xml.Tree.forest
-
-val pattern_to_binary : Axml_query.Pattern.node -> string
-val pattern_of_binary : string -> Axml_query.Pattern.node
-(** Fresh pids, exactly like {!pattern_of_json}. *)
 
 (** {2 Envelopes} *)
 

@@ -71,8 +71,11 @@ type transport =
   Tree.forest * wire
 
 (* Where the service actually runs: an in-process closure charged on the
-   simulated clock, or a remote provider behind a real wire. *)
-type provider = Local of behavior | Remote of transport
+   simulated clock by its cost model and fault schedule, or a remote
+   provider behind a real wire, whose faults come off the wire. *)
+type local = { behavior : behavior; cost_model : cost_model; mutable faults : Faults.schedule }
+
+type provider = Local of local | Remote of transport
 
 (* One memo-cache entry. [Pending] is a claim: some thread is computing
    this key right now; duplicates wait on [cache_cv] instead of invoking
@@ -82,11 +85,9 @@ type cache_slot = Filled of Tree.forest | Pending
 
 type service = {
   provider : provider;
-  cost_model : cost_model;
   push_capable : bool;
   cache : (string, cache_slot) Hashtbl.t option;
       (* memoized services: parameter serialization -> full result *)
-  mutable faults : Faults.schedule;
   mutable retry : retry_policy;
 }
 
@@ -167,21 +168,13 @@ let register t ~name ?(cost = default_cost) ?(push_capable = true) ?(memoize = f
   if not (Hashtbl.mem t.services name) then t.order <- name :: t.order;
   let cache = if memoize then Some (Hashtbl.create 16) else None in
   Hashtbl.replace t.services name
-    { provider = Local behavior; cost_model = cost; push_capable; cache; faults; retry }
+    { provider = Local { behavior; cost_model = cost; faults }; push_capable; cache; retry }
 
 let register_remote t ~name ?(push_capable = true) ?(memoize = false)
     ?(retry = default_policy) transport =
   if not (Hashtbl.mem t.services name) then t.order <- name :: t.order;
   let cache = if memoize then Some (Hashtbl.create 16) else None in
-  Hashtbl.replace t.services name
-    {
-      provider = Remote transport;
-      cost_model = default_cost;
-      push_capable;
-      cache;
-      faults = [];
-      retry;
-    }
+  Hashtbl.replace t.services name { provider = Remote transport; push_capable; cache; retry }
 
 let is_registered t name = Hashtbl.mem t.services name
 let names t = List.rev t.order
@@ -193,7 +186,9 @@ let inject_faults t ?seed faults =
   | Ok () -> ()
   | Error m -> invalid_arg m);
   (match seed with Some s -> t.fault_seed <- s | None -> ());
-  Hashtbl.iter (fun _ svc -> svc.faults <- faults) t.services
+  Hashtbl.iter
+    (fun _ svc -> match svc.provider with Local l -> l.faults <- faults | Remote _ -> ())
+    t.services
 
 let set_retry_policy t policy =
   Hashtbl.iter (fun _ svc -> svc.retry <- policy) t.services
@@ -203,7 +198,9 @@ let find_exn t name =
   | Some s -> s
   | None -> raise (Unknown_service name)
 
-let fault_schedule t name = (find_exn t name).faults
+let fault_schedule t name =
+  match (find_exn t name).provider with Local l -> l.faults | Remote _ -> []
+
 let retry_policy t name = (find_exn t name).retry
 let push_capable t name = (find_exn t name).push_capable
 
@@ -275,11 +272,11 @@ let ship push full =
    retry index, and the behavior runs at most once. Every loss is
    retryable; an answer slower than [attempt_timeout] is a timeout
    that costs the whole budget. *)
-let local_attempt t service behavior ~name ~params ~params_str ~push =
-  let cm = service.cost_model and policy = service.retry in
+let local_attempt t service local ~name ~params ~params_str ~push =
+  let cm = local.cost_model and policy = service.retry in
   let request_bytes = Print.forest_byte_size params in
   let request_time = cm.per_byte *. float_of_int request_bytes in
-  let result = lazy (behavior params) in
+  let result = lazy (local.behavior params) in
   (* the fault-PRNG key of this logical call: a pure function of the
      parameters, so the seeded fault fate is identical on any thread,
      at any --jobs level, in any interleaving *)
@@ -308,10 +305,10 @@ let local_attempt t service behavior ~name ~params ~params_str ~push =
       else Answered { shipped; full = Some full; pushed; sent = request_bytes; received; seconds }
     in
     let outcome =
-      if service.faults = [] then Faults.Healthy
+      if local.faults = [] then Faults.Healthy
       else
         Faults.plan ~seed:fault_seed ~service:name ~key:(Lazy.force fault_key) ~retry
-          service.faults
+          local.faults
     in
     match outcome with
     | Faults.Healthy -> answer 0.0
@@ -393,8 +390,8 @@ let invoke t ~name ~params ?push ?(obs = Obs.null) () =
      backoff really sleeps. *)
   let attempt, attempt_attrs, clock_attr, sleep =
     match service.provider with
-    | Local behavior ->
-      (local_attempt t service behavior ~name ~params ~params_str ~push, [], "sim_s", ignore)
+    | Local local ->
+      (local_attempt t service local ~name ~params ~params_str ~push, [], "sim_s", ignore)
     | Remote transport ->
       ( remote_attempt service transport ~name ~params ~push ~obs,
         [ ("transport", Trace.Str "net") ],

@@ -113,10 +113,10 @@ type invocation = {
     clock is real — [attempt_timeout] becomes a socket deadline, the
     exponential backoff actually sleeps, [cost] is measured wall-clock
     seconds instead of cost-model arithmetic, and only a [transient]
-    error is retried. The fault
-    schedule of a remote service is ignored: real networks inject their
-    own faults ({!Transport_error}). See {!Axml_net} for the TCP
-    implementation. *)
+    error is retried. Only local services carry a cost model and a
+    fault schedule: a remote service has neither, since real networks
+    inject their own faults ({!Transport_error}). See {!Axml_net} for
+    the TCP implementation. *)
 
 type wire = {
   sent : int;  (** bytes put on the wire for this attempt (framing included) *)
@@ -207,16 +207,17 @@ val set_fault_seed : t -> int -> unit
 (** The seed keying every service's fault schedule (default 0). *)
 
 val inject_faults : t -> ?seed:int -> Faults.schedule -> unit
-(** Installs the schedule on every currently registered service —
-    the bench/CLI "--fault-rate" knob. Remote services keep the
-    schedule but never consult it (their faults come off the wire).
-    Raises [Invalid_argument] on an invalid schedule. *)
+(** Installs the schedule on every currently registered local service —
+    the bench/CLI "--fault-rate" knob. Remote services are skipped:
+    their faults come off the wire. Raises [Invalid_argument] on an
+    invalid schedule. *)
 
 val set_retry_policy : t -> retry_policy -> unit
 (** Installs the policy on every currently registered service. *)
 
 val fault_schedule : t -> string -> Faults.schedule
-(** The service's current schedule. Raises {!Unknown_service}. *)
+(** The service's current schedule; [[]] for a remote service. Raises
+    {!Unknown_service}. *)
 
 val retry_policy : t -> string -> retry_policy
 (** The service's current policy. Raises {!Unknown_service}. *)

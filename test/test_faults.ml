@@ -378,6 +378,30 @@ let test_remote_memoization () =
   Alcotest.(check int) "no bytes" 0 (hit.Registry.request_bytes + hit.Registry.response_bytes);
   Alcotest.(check bool) "cached answer" true (result = full)
 
+(* Injected faults reach local services only: a remote service keeps an
+   empty schedule and retries exactly as its transport dictates. *)
+let test_remote_skips_injected_faults () =
+  let transport, calls =
+    scripted
+      [
+        lose ~sent:4 ~received:0 ~elapsed:0.001 "connection reset";
+        answer ~sent:4 ~received:6 ~elapsed:0.001 [ t "ok" ];
+      ]
+  in
+  let r = Registry.create () in
+  Registry.register_remote r ~name:"remote" ~retry:fast_policy transport;
+  Registry.register r ~name:"local" (fun _ -> [ t "l" ]);
+  Registry.inject_faults r ~seed:3 [ Faults.Fail_transient ];
+  Alcotest.(check bool) "local gets the schedule" true
+    (Registry.fault_schedule r "local" = [ Faults.Fail_transient ]);
+  Alcotest.(check bool) "remote schedule stays empty" true
+    (Registry.fault_schedule r "remote" = []);
+  let result, inv = Registry.invoke r ~name:"remote" ~params:[ t "k" ] () in
+  Alcotest.(check int) "two attempts" 2 !calls;
+  Alcotest.(check bool) "answer" true (result = [ t "ok" ]);
+  Alcotest.(check int) "one retry" 1 inv.Registry.retries;
+  Alcotest.(check bool) "not failed" false inv.Registry.failed
+
 (* ------------------------------------------------------------------ *)
 (* Spec attributes *)
 
@@ -564,6 +588,7 @@ let () =
           quick "transient, timeout, ok" test_remote_transient_timeout_ok;
           quick "fatal first attempt" test_remote_fatal_first_attempt;
           quick "memoizes full replies only" test_remote_memoization;
+          quick "injected faults skip remote services" test_remote_skips_injected_faults;
         ] );
       ( "determinism",
         [

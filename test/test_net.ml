@@ -67,23 +67,23 @@ let test_tree_roundtrip () =
       t "top-level text";
     ]
   in
-  let decoded = Wire.forest_of_json (Wire.forest_to_json forest) in
+  let decoded = Wire.of_json Wire.forest (Wire.to_json Wire.forest forest) in
   Alcotest.(check bool) "forest round-trips exactly" true (decoded = forest);
   (* and through an actual serialized frame *)
-  let s = Json.to_string (Wire.forest_to_json forest) in
+  let s = Json.to_string (Wire.to_json Wire.forest forest) in
   match Json.parse s with
   | Error m -> Alcotest.fail m
   | Ok j ->
-    Alcotest.(check bool) "via JSON text too" true (Wire.forest_of_json j = forest)
+    Alcotest.(check bool) "via JSON text too" true (Wire.of_json Wire.forest j = forest)
 
 let test_pattern_roundtrip () =
   let q =
     Parser.parse
       {|/guide/hotel[name="Best Western"][rating=$R!]/nearby//restaurant[name=$X!]|}
   in
-  let reencoded p = Json.to_string (Wire.pattern_to_json p) in
+  let reencoded p = Json.to_string (Wire.to_json Wire.pattern p) in
   let before = reencoded q.P.root in
-  let decoded = Wire.pattern_of_json (Wire.pattern_to_json q.P.root) in
+  let decoded = Wire.of_json Wire.pattern (Wire.to_json Wire.pattern q.P.root) in
   Alcotest.(check string) "pattern round-trips structurally" before (reencoded decoded)
 
 let test_message_roundtrip () =
@@ -126,6 +126,18 @@ let test_envelope_rejection () =
       (* missing fields *)
       Json.Obj [ ("type", Json.Int 3) ];
       Json.String "hello";
+      (* present fields of the wrong type are errors, not defaults *)
+      Json.Obj
+        [ ("type", Json.String "welcome"); ("version", Json.Int 1); ("services", Json.Int 5) ];
+      Json.Obj
+        [
+          ("type", Json.String "eval");
+          ("id", Json.Int 1);
+          ("strategy", Json.String "lazy");
+          ("query", Json.Obj [ ("axis", Json.String "child"); ("label", Json.String "*") ]);
+          ("doc", Json.String "");
+          ("projected", Json.Int 5);
+        ];
     ]
 
 (* Golden frames: the exact bytes (hex, header included) of one frame
@@ -366,19 +378,19 @@ let arb_wire_tree = QCheck.make ~print:(Fmt.to_to_string Tree.pp) gen_wire_tree
 let prop_binary_tree_differential =
   QCheck.Test.make ~name:"binary tree codec ≡ JSON tree codec" ~count:200 arb_wire_tree
     (fun tr ->
-      let via_bin = Wire.tree_of_binary (Wire.tree_to_binary tr) in
-      let via_json = Wire.tree_of_json (Wire.tree_to_json tr) in
+      let via_bin = Wire.of_binary Wire.tree (Wire.to_binary Wire.tree tr) in
+      let via_json = Wire.of_json Wire.tree (Wire.to_json Wire.tree tr) in
       via_bin = tr && via_json = tr
-      && Wire.forest_of_binary (Wire.forest_to_binary [ tr; Tree.Text " " ])
+      && Wire.of_binary Wire.forest (Wire.to_binary Wire.forest [ tr; Tree.Text " " ])
          = [ tr; Tree.Text " " ])
 
 let test_binary_pattern_roundtrip () =
   List.iter
     (fun src ->
       let q = (Parser.parse src).P.root in
-      let key p = Json.to_string (Wire.pattern_to_json p) in
+      let key p = Json.to_string (Wire.to_json Wire.pattern p) in
       Alcotest.(check string) (Printf.sprintf "pattern %s survives binary" src) (key q)
-        (key (Wire.pattern_of_binary (Wire.pattern_to_binary q))))
+        (key (Wire.of_binary Wire.pattern (Wire.to_binary Wire.pattern q))))
     [
       {|/guide/hotel[name="Best Western"][rating=$R!]/nearby//restaurant[name=$X!]|};
       {|/a//b[c=$X!]|};
