@@ -355,6 +355,56 @@ let test_reconciliation () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The --report-json wire format, pinned byte for byte: every field's
+   name, order and encoding, on a report whose fields all differ *)
+
+let test_report_json_golden () =
+  let doc =
+    Doc.of_xml
+      (Tree.Element
+         { name = "hotel"; attrs = []; children = [ Tree.Text "Ritz" ] })
+  in
+  let r =
+    {
+      Engine.answers = [ { Eval.results = [ (1, Doc.root doc) ]; vars = [ ("x", "hotel") ] } ];
+      invoked = 1;
+      pushed = 2;
+      rounds = 3;
+      passes = 4;
+      relevance_evals = 5;
+      candidates_checked = 6;
+      layer_count = 7;
+      simulated_seconds = 8.25;
+      analysis_seconds = 9.5;
+      bytes_transferred = 10;
+      retries = 11;
+      timeouts = 12;
+      failed_calls = 13;
+      backoff_seconds = 14.75;
+      full_nodes = 15;
+      projected_nodes = 16;
+      projected_bytes_saved = 17;
+      sharded_calls = 18;
+      rebalanced_calls = 19;
+      rerouted_calls = 20;
+      view_rebuild_nodes = 21;
+      parallel_match_batches = 22;
+      complete = false;
+    }
+  in
+  Alcotest.(check string)
+    "report JSON"
+    ("{\"answers\":[{\"vars\":{\"x\":\"hotel\"},\"results\":[\"<hotel>Ritz</hotel>\"]}],"
+   ^ "\"invoked\":1,\"pushed\":2,\"rounds\":3,\"passes\":4,\"relevance_evals\":5,"
+   ^ "\"candidates_checked\":6,\"layer_count\":7,\"simulated_seconds\":8.25,"
+   ^ "\"analysis_seconds\":9.5,\"bytes_transferred\":10,\"retries\":11,\"timeouts\":12,"
+   ^ "\"failed_calls\":13,\"backoff_seconds\":14.75,\"full_nodes\":15,\"projected_nodes\":16,"
+   ^ "\"projected_bytes_saved\":17,\"sharded_calls\":18,\"rebalanced_calls\":19,"
+   ^ "\"rerouted_calls\":20,\"view_rebuild_nodes\":21,\"parallel_match_batches\":22,"
+   ^ "\"complete\":false}")
+    (Json.to_string (Engine.report_to_json r))
+
+(* ------------------------------------------------------------------ *)
 (* The whole-batch-fits-budget guard: the budget cuts at the same call
    at every pool width *)
 
@@ -586,6 +636,7 @@ let () =
         ] );
       ( "reconciliation",
         [ quick "report = metrics = trace for both strategies" test_reconciliation ] );
+      ("report", [ quick "report JSON is pinned byte for byte" test_report_json_golden ]);
       ( "memoization",
         [
           quick "pooled duplicates run the behaviour once" test_memo_single_flight;
