@@ -1,4 +1,4 @@
-.PHONY: all build test test-faults test-obs test-net test-exec test-engine test-gen test-project test-sched test-view test-query test-wire-bin fuzz-smoke check-one-report bench bench-e9-smoke bench-e11-smoke bench-e12-smoke bench-e13-smoke bench-e14-smoke examples doc clean trace-demo serve-demo
+.PHONY: all build test test-faults test-obs test-net test-exec test-engine test-gen test-project test-sched test-view test-query test-wire-bin fuzz-smoke bench bench-e9-smoke bench-e11-smoke bench-e12-smoke bench-e13-smoke bench-e14-smoke examples doc clean trace-demo serve-demo
 
 all: build
 
@@ -87,19 +87,6 @@ test-query:
 # on the first violation, printing the shrunk case and its replay seed
 fuzz-smoke:
 	dune exec bin/axml.exe -- fuzz --seed 7 --iters 200
-
-# the unified report may not silently re-fork: only the engine may
-# define report_to_json or serialize report fields (there is no other
-# report record to reach into: Engine.report is the only one)
-check-one-report:
-	@test "$$(grep -rln 'let report_to_json' lib bin bench)" = "lib/engine/engine.ml" \
-	  || { echo 'report_to_json defined outside lib/engine'; exit 1; }
-	@! grep -rn '"full_nodes"\|"projected_nodes"\|"projected_bytes_saved"' bin bench lib/net lib/core --include='*.ml' \
-	  || { echo 'projection report fields serialized outside lib/engine'; exit 1; }
-	@! grep -rn '"sharded_calls"\|"rebalanced_calls"\|"rerouted_calls"' bin bench lib/net lib/core lib/sched --include='*.ml' \
-	  || { echo 'routing report fields serialized outside lib/engine'; exit 1; }
-	@! grep -rn '"view_rebuild_nodes"\|"parallel_match_batches"' bin bench lib/net lib/core lib/sched --include='*.ml' \
-	  || { echo 'view report fields serialized outside lib/engine'; exit 1; }
 
 # record a traced + measured run, then pretty-print the span tree;
 # load /tmp/axml-demo.trace.json in chrome://tracing or ui.perfetto.dev

@@ -635,24 +635,8 @@ let evaluate ~strategy ~push ~fguide ~project ~match_jobs ?schema ~obs ?pool ?di
     in
     Lazy_eval.run ?schema ~registry ~strategy ~obs ?pool ?projector ?dispatch query doc
 
-let print_summary (r : Engine.report) =
-  Printf.printf
-    "\ninvoked %d call(s) (%d pushed) in %d round(s), %d detection(s), %d layer(s)\n"
-    r.Engine.invoked r.Engine.pushed r.Engine.rounds r.Engine.relevance_evals
-    r.Engine.layer_count;
-  Printf.printf "%.3f s simulated service time, %.1f ms analysis, %d bytes, complete=%b\n"
-    r.Engine.simulated_seconds
-    (r.Engine.analysis_seconds *. 1000.0)
-    r.Engine.bytes_transferred r.Engine.complete;
-  if r.Engine.full_nodes > 0 then
-    Printf.printf "projection: kept %d of %d node(s), saved %d byte(s)\n"
-      r.Engine.projected_nodes r.Engine.full_nodes r.Engine.projected_bytes_saved;
-  if r.Engine.sharded_calls > 0 then
-    Printf.printf "routing: %d sharded call(s), %d rebalanced, %d rerouted\n"
-      r.Engine.sharded_calls r.Engine.rebalanced_calls r.Engine.rerouted_calls
-
 let finish_run ~registry ?sched ~trace_out ~metrics_out ~report_json obs (r : Engine.report) =
-  print_summary r;
+  print_string ("\n" ^ Engine.summary r);
   print_fault_counters
     (match sched with
     | None -> [ registry ]

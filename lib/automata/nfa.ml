@@ -158,12 +158,6 @@ let is_empty a =
     (Array.exists (fun s -> s)
        (Array.mapi (fun i r -> r && a.accepting.(i)) seen))
 
-let reachable_accepting_states a =
-  let seen = reachable a in
-  let count = ref 0 in
-  Array.iteri (fun i r -> if r && a.accepting.(i) then incr count) seen;
-  !count
-
 let check_same_alphabet a b =
   if a.alphabet <> b.alphabet then
     invalid_arg "Nfa: automata have different alphabets"

@@ -53,11 +53,7 @@ val some_word : t -> string list option
 (** [some_word a] is a shortest accepted word, if any — used to produce
     counterexamples and satisfiability witnesses. *)
 
-val reachable_accepting_states : t -> int
-(** Number of accepting states reachable from the start state (exposed for
-    white-box tests). *)
-
-(** {2 Low-level view (used by {!Dfa} and tests)} *)
+(** {2 Low-level view (used by schema satisfiability and projection)} *)
 
 val start : t -> int
 val is_accepting : t -> int -> bool

@@ -28,9 +28,6 @@ val alt : t list -> t
 val nullable : t -> bool
 (** [nullable r] holds iff the empty word is in the language of [r]. *)
 
-val is_empty_language : t -> bool
-(** [is_empty_language r] holds iff the language of [r] is ∅. *)
-
 val symbols : t -> string list
 (** [symbols r] lists the distinct symbols occurring in [r], in first
     occurrence order. Does not include {!Any}. *)
@@ -42,7 +39,7 @@ val occurring_symbols : t -> string list
 
 val matches : t -> string list -> bool
 (** [matches r w] tests membership via Brzozowski derivatives. Serves as
-    the reference semantics against which the NFA/DFA constructions are
+    the reference semantics against which the NFA construction is
     property-tested. *)
 
 val of_string : string -> t
@@ -57,9 +54,6 @@ val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
 (** Structural (not language) equality. *)
-
-val compare_words : string list -> string list -> int
-(** Lexicographic word order, useful for enumerations in tests. *)
 
 val enumerate : ?max_len:int -> ?limit:int -> alphabet:string list -> t -> string list list
 (** [enumerate ~alphabet r] lists words of [r] over [alphabet] (expanding

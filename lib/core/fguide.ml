@@ -121,12 +121,6 @@ let memoized d =
 
 let call_count t = t.calls
 
-let node_count t =
-  let rec count trie =
-    List.fold_left (fun acc (_, c) -> acc + count c) 1 trie.children
-  in
-  count t.root
-
 let remove_call t call =
   match Hashtbl.find_opt t.location call.Doc.id with
   | None -> ()

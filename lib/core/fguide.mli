@@ -16,11 +16,6 @@ val build : Axml_doc.t -> t
 (** A fresh guide from the document's snapshot view (one pure O(n)
     pass). *)
 
-val of_view : Axml_doc.View.t -> t
-(** A fresh guide from an explicit snapshot view — identical visit
-    order to {!build}, so extents (and downstream invocation order) are
-    unchanged. *)
-
 val memoized : Axml_doc.t -> t * bool
 (** [memoized d] returns the cached guide for [d] when one exists for
     the document's current generation ([true] = reused, counted by the
@@ -46,10 +41,6 @@ val update_after_replace : t -> invoked:Axml_doc.node -> added:Axml_doc.node lis
 
 val call_count : t -> int
 (** Number of calls currently indexed. *)
-
-val node_count : t -> int
-(** Number of trie nodes — the guide's size, typically far smaller than
-    the document. *)
 
 val paths : t -> string list list
 (** The distinct label paths that currently hold calls, in insertion

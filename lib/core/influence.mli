@@ -10,9 +10,6 @@
 val may_influence : Relevance.t -> Relevance.t -> bool
 (** Prop. 3: non-emptiness of [L(lin_v) ∩ prefixes(L(lin_v'))]. *)
 
-val disjoint_lin : Relevance.t -> Relevance.t -> bool
-(** [L(lin_v) ∩ L(lin_v') = ∅] — the building block of condition ★. *)
-
 val independent_in_layer : Relevance.t -> Relevance.t list -> bool
 (** Condition ★ (§4.4): the query's path language is disjoint from every
     {e other} member's. All the calls an independent query retrieves can

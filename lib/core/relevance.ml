@@ -30,10 +30,6 @@ let relevant_calls ?relax_joins ?par t d =
     it was kept in sync with [Eval.forget]. *)
 let relevant_calls_in ctx t d = Eval.matches_of_in ctx t.query d ~target:t.target
 
-(** Same, over an explicit snapshot view. *)
-let relevant_calls_view ?relax_joins ?par t v =
-  Eval.matches_of_view ?relax_joins ?par t.query v ~target:t.target
-
 (** Candidate-anchored check: does the relevance query retrieve this
     specific call? (used after F-guide filtering, §6.2). *)
 let retrieves ?relax_joins t = Eval.anchored_matches ?relax_joins t.query ~target:t.target

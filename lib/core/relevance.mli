@@ -31,14 +31,6 @@ val relevant_calls_in :
     context resets itself when the document changed, unless it was kept
     in sync across the splice with {!Axml_query.Eval.forget}. *)
 
-val relevant_calls_view :
-  ?relax_joins:bool ->
-  ?par:Axml_query.Eval.par ->
-  t ->
-  Axml_doc.View.t ->
-  Axml_doc.node list
-(** Same, over an explicit snapshot view. *)
-
 val retrieves : ?relax_joins:bool -> t -> Axml_doc.t -> Axml_doc.node -> bool
 (** Candidate-anchored check: does the query retrieve this specific
     call of the document? (used after F-guide filtering, §6.2).

@@ -31,11 +31,6 @@ let sub_query t pid =
   | Some n -> n
   | None -> invalid_arg "Typing: pid not in the original query"
 
-(** Is service [fname] able to contribute the original-query subtree
-    rooted at node [source]? *)
-let call_eligible t ~source ~fname =
-  Sat.function_satisfies t.sat ~fname (sub_query t source)
-
 (** The declared services eligible for [source], plus every name of
     [known_functions] the schema does not declare. *)
 let eligible_names t ~known_functions ~source =

@@ -15,15 +15,6 @@ val create : ?mode:Axml_schema.Sat.mode -> Axml_schema.Schema.t -> Axml_query.Pa
 (** [create schema q] precomputes satisfiability for every subtree of
     [q] (default mode [Exact]). *)
 
-val call_eligible : t -> source:int -> fname:string -> bool
-(** Can service [fname] contribute the original-query subtree rooted at
-    node [source]? Raises [Invalid_argument] if [source] is not a node of
-    the original query. *)
-
-val eligible_names : t -> known_functions:string list -> source:int -> string list
-(** The members of [known_functions] eligible for [source]: declared
-    services that satisfy the subtree, plus every undeclared name. *)
-
 val refine : t -> known_functions:string list -> Relevance.t -> Relevance.t option
 (** The refined relevance query (§5): star function nodes become concrete
     name lists; OR branches with no eligible service are dropped; [None]

@@ -447,8 +447,6 @@ module View = struct
     let rec go j acc = if j >= stop then List.rev acc else go (subtree_end v j) (j :: acc) in
     go (i + 1) []
 
-  let top_subtrees v = children v 0
-
   let partition v ~jobs tops =
     let jobs = max 1 jobs in
     if jobs <= 1 then [ tops ]
@@ -475,18 +473,6 @@ module View = struct
       close ();
       List.rev !chunks
     end
-
-  let visible_calls v =
-    let n = size v in
-    let rec go i acc =
-      if i >= n then List.rev acc
-      else
-        let nd = node v i in
-        match nd.label with
-        | Call _ -> go (subtree_end v i) (nd :: acc)
-        | Elem _ | Data _ -> go (i + 1) acc
-    in
-    go 0 []
 
   let rec subtree_to_xml v i =
     let nd = node v i in

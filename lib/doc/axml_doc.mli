@@ -136,7 +136,6 @@ val data_children : node -> node list
 val text_value : node -> string option
 (** [text_value n] is [Some v] when [n] is a [Data v] leaf. *)
 
-val pp_node : Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit
 
 (** {2 Generation tracking} *)
@@ -215,19 +214,10 @@ module View : sig
   (** Position of a node in this view, or [None] when the node is not
       covered (e.g. it was spliced out, or the view predates it). *)
 
-  val top_subtrees : t -> int list
-  (** The root's child indices — the natural units of intra-document
-      parallelism. *)
-
   val partition : t -> jobs:int -> int list -> int list list
   (** Contiguous, subtree-size-weighted partition of an index list into
       at most [jobs] chunks; deterministic, order-preserving. *)
 
-  val visible_calls : t -> node list
-  (** Function nodes not nested inside other calls' parameters, in
-      document order (the view-side [visible_function_nodes]). *)
-
-  val subtree_to_xml : t -> int -> Axml_xml.Tree.t
   val materialize : t -> Axml_xml.Tree.t
   (** Serializes the view itself (never the mutable tree) — the
       round-trip anchor: [materialize (snapshot d) = to_xml d]. *)

@@ -60,49 +60,123 @@ type report = {
   complete : bool;  (** the answers are the full snapshot result *)
 }
 
+(* The report's fields, each defined once: its JSON key (also the
+   summary label), the [eval.*] instrument bumped or set alongside it,
+   that instrument's kind, its attribute on the strategy's root span,
+   and its accessor. The JSON, the final gauges, the root span, the
+   metrics reconciliation and the printed summary all read this table;
+   the counter increments stay where the tallies are bumped, so
+   [reconcile] compares two independent tallies. *)
+
+type kind = Counter | Gauge
+type value = Int of (report -> int) | Float of (report -> float) | Bool of (report -> bool)
+
+type field = {
+  name : string;
+  metric : string;
+  kind : kind;
+  span : string option;
+  value : value;
+}
+
+let field ?metric ?span name kind value =
+  { name; metric = Option.value metric ~default:("eval." ^ name); kind; span; value }
+
+let fields =
+  [
+    field "invoked" Counter (Int (fun r -> r.invoked)) ~span:"invoked";
+    field "pushed" Counter (Int (fun r -> r.pushed));
+    field "rounds" Counter (Int (fun r -> r.rounds)) ~span:"rounds";
+    field "passes" Counter (Int (fun r -> r.passes)) ~span:"passes";
+    field "relevance_evals" Counter (Int (fun r -> r.relevance_evals));
+    field "candidates_checked" Counter (Int (fun r -> r.candidates_checked));
+    field "layer_count" Gauge (Int (fun r -> r.layer_count));
+    field "simulated_seconds" Gauge (Float (fun r -> r.simulated_seconds)) ~span:"simulated_s";
+    field "analysis_seconds" Gauge (Float (fun r -> r.analysis_seconds));
+    field "bytes_transferred" Counter
+      (Int (fun r -> r.bytes_transferred))
+      ~metric:"eval.bytes" ~span:"bytes";
+    field "retries" Counter (Int (fun r -> r.retries));
+    field "timeouts" Counter (Int (fun r -> r.timeouts));
+    field "failed_calls" Counter (Int (fun r -> r.failed_calls));
+    field "backoff_seconds" Counter (Float (fun r -> r.backoff_seconds));
+    field "full_nodes" Gauge (Int (fun r -> r.full_nodes));
+    field "projected_nodes" Gauge (Int (fun r -> r.projected_nodes));
+    field "projected_bytes_saved" Gauge (Int (fun r -> r.projected_bytes_saved));
+    field "sharded_calls" Counter (Int (fun r -> r.sharded_calls));
+    field "rebalanced_calls" Counter (Int (fun r -> r.rebalanced_calls));
+    field "rerouted_calls" Counter (Int (fun r -> r.rerouted_calls));
+    field "view_rebuild_nodes" Gauge (Int (fun r -> r.view_rebuild_nodes));
+    field "parallel_match_batches" Gauge (Int (fun r -> r.parallel_match_batches));
+    field "complete" Gauge (Bool (fun r -> r.complete)) ~span:"complete";
+  ]
+
+(* the value a metric of this field holds: booleans are 0/1 gauges *)
+let to_float r = function
+  | Int f -> float_of_int (f r)
+  | Float f -> f r
+  | Bool f -> if f r then 1.0 else 0.0
+
 let report_to_json (r : report) : Axml_obs.Json.t =
   let module J = Axml_obs.Json in
+  let answer (b : Eval.binding) =
+    J.Obj
+      [
+        ("vars", J.Obj (List.map (fun (x, v) -> (x, J.String v)) b.Eval.vars));
+        ( "results",
+          J.List
+            (List.map
+               (fun (_, n) -> J.String (Axml_xml.Print.to_string (Doc.node_to_xml n)))
+               b.Eval.results) );
+      ]
+  in
   J.Obj
-    [
-      ( "answers",
-        J.List
-          (List.map
-             (fun (b : Eval.binding) ->
-               J.Obj
-                 [
-                   ("vars", J.Obj (List.map (fun (x, v) -> (x, J.String v)) b.Eval.vars));
-                   ( "results",
-                     J.List
-                       (List.map
-                          (fun (_, n) ->
-                            J.String (Axml_xml.Print.to_string (Doc.node_to_xml n)))
-                          b.Eval.results) );
-                 ])
-             r.answers) );
-      ("invoked", J.Int r.invoked);
-      ("pushed", J.Int r.pushed);
-      ("rounds", J.Int r.rounds);
-      ("passes", J.Int r.passes);
-      ("relevance_evals", J.Int r.relevance_evals);
-      ("candidates_checked", J.Int r.candidates_checked);
-      ("layer_count", J.Int r.layer_count);
-      ("simulated_seconds", J.Float r.simulated_seconds);
-      ("analysis_seconds", J.Float r.analysis_seconds);
-      ("bytes_transferred", J.Int r.bytes_transferred);
-      ("retries", J.Int r.retries);
-      ("timeouts", J.Int r.timeouts);
-      ("failed_calls", J.Int r.failed_calls);
-      ("backoff_seconds", J.Float r.backoff_seconds);
-      ("full_nodes", J.Int r.full_nodes);
-      ("projected_nodes", J.Int r.projected_nodes);
-      ("projected_bytes_saved", J.Int r.projected_bytes_saved);
-      ("sharded_calls", J.Int r.sharded_calls);
-      ("rebalanced_calls", J.Int r.rebalanced_calls);
-      ("rerouted_calls", J.Int r.rerouted_calls);
-      ("view_rebuild_nodes", J.Int r.view_rebuild_nodes);
-      ("parallel_match_batches", J.Int r.parallel_match_batches);
-      ("complete", J.Bool r.complete);
-    ]
+    (("answers", J.List (List.map answer r.answers))
+    :: List.map
+         (fun f ->
+           ( f.name,
+             match f.value with
+             | Int g -> J.Int (g r)
+             | Float g -> J.Float (g r)
+             | Bool g -> J.Bool (g r) ))
+         fields)
+
+type mismatch = { field : string; report : float; metrics : float }
+
+let reconcile r m =
+  List.filter_map
+    (fun f ->
+      let report = to_float r f.value and metrics = Metrics.value m f.metric in
+      let agree =
+        match f.value with
+        | Float _ ->
+          Float.abs (report -. metrics)
+          <= 1e-6 *. (1.0 +. Float.abs report +. Float.abs metrics)
+        | Int _ | Bool _ -> report = metrics
+      in
+      if agree then None else Some { field = f.name; report; metrics })
+    fields
+
+let differing a b =
+  List.filter_map
+    (fun f ->
+      if f.name <> "analysis_seconds" && to_float a f.value <> to_float b f.value then
+        Some f.name
+      else None)
+    fields
+
+let summary r =
+  String.concat ""
+    (List.filter_map
+       (fun f ->
+         let shown =
+           match f.value with
+           | Int g -> if g r = 0 then None else Some (string_of_int (g r))
+           | Float g -> if g r = 0.0 then None else Some (Printf.sprintf "%g" (g r))
+           | Bool g -> Some (string_of_bool (g r))
+         in
+         Option.map (Printf.sprintf "%s=%s\n" f.name) shown)
+       fields)
 
 (* ------------------------------------------------------------------ *)
 (* Call helpers *)
@@ -216,7 +290,6 @@ let on_replace t f = t.on_replace <- f
 let invoked t = t.invoked
 let failed_calls t = Hashtbl.length t.failed
 let permanently_failed t id = Hashtbl.mem t.failed id
-let budget_hit t = t.budget_hit
 let simulated_seconds t = t.simulated_seconds
 
 let account t (inv : Registry.invocation) =
@@ -378,62 +451,53 @@ let round ?(attrs = []) ?push ~accounting t calls =
 
 let finish ?passes ?(relevance_evals = 0) ?(candidates_checked = 0) ?layer_count
     ?analysis_seconds ?(parallel_match_batches = 0) t ~root ~answers ~budget_ok =
-  let complete = budget_ok && Hashtbl.length t.failed = 0 in
-  let view_rebuild_nodes = Doc.view_indexed_total t.doc - t.view_baseline in
+  let r =
+    {
+      answers;
+      invoked = t.invoked;
+      pushed = t.pushed;
+      rounds = t.rounds;
+      passes = Option.value passes ~default:0;
+      relevance_evals;
+      candidates_checked;
+      layer_count = Option.value layer_count ~default:0;
+      simulated_seconds = t.simulated_seconds;
+      analysis_seconds = Option.value analysis_seconds ~default:0.0;
+      bytes_transferred = t.bytes;
+      retries = t.retries;
+      timeouts = t.timeouts;
+      failed_calls = Hashtbl.length t.failed;
+      backoff_seconds = t.backoff_seconds;
+      full_nodes = t.projection.Project.full_nodes;
+      projected_nodes = t.projection.Project.kept_nodes;
+      projected_bytes_saved = t.projection.Project.bytes_saved;
+      sharded_calls = t.sharded_calls;
+      rebalanced_calls = t.rebalanced_calls;
+      rerouted_calls = t.rerouted_calls;
+      view_rebuild_nodes = Doc.view_indexed_total t.doc - t.view_baseline;
+      parallel_match_batches;
+      complete = budget_ok && Hashtbl.length t.failed = 0;
+    }
+  in
   if Obs.enabled t.obs then begin
     let m = t.obs.Obs.metrics in
-    (match layer_count with
-    | Some lc -> Metrics.set m "eval.layer_count" (float_of_int lc)
-    | None -> ());
     Metrics.set m "eval.answers" (float_of_int (List.length answers));
-    Metrics.set m "eval.full_nodes" (float_of_int t.projection.Project.full_nodes);
-    Metrics.set m "eval.projected_nodes" (float_of_int t.projection.Project.kept_nodes);
-    Metrics.set m "eval.projected_bytes_saved"
-      (float_of_int t.projection.Project.bytes_saved);
-    Metrics.set m "eval.complete" (if complete then 1.0 else 0.0);
-    Metrics.set m "eval.view_rebuild_nodes" (float_of_int view_rebuild_nodes);
-    Metrics.set m "eval.parallel_match_batches" (float_of_int parallel_match_batches);
-    Metrics.set m "eval.simulated_seconds" t.simulated_seconds;
-    (match analysis_seconds with
-    | Some a -> Metrics.set m "eval.analysis_seconds" a
-    | None -> ());
-    Trace.close_span t.obs.Obs.trace
-      ~attrs:
-        ([ ("invoked", Trace.Int t.invoked); ("rounds", Trace.Int t.rounds) ]
-        @ (match passes with Some p -> [ ("passes", Trace.Int p) ] | None -> [])
-        @ [
-            ("bytes", Trace.Int t.bytes);
-            ("simulated_s", Trace.Float t.simulated_seconds);
-            ("complete", Trace.Bool complete);
-          ])
-      root
+    List.iter
+      (fun f -> if f.kind = Gauge then Metrics.set m f.metric (to_float r f.value))
+      fields;
+    let attr f =
+      Option.map
+        (fun a ->
+          ( a,
+            match f.value with
+            | Int g -> Trace.Int (g r)
+            | Float g -> Trace.Float (g r)
+            | Bool g -> Trace.Bool (g r) ))
+        f.span
+    in
+    Trace.close_span t.obs.Obs.trace ~attrs:(List.filter_map attr fields) root
   end;
-  {
-    answers;
-    invoked = t.invoked;
-    pushed = t.pushed;
-    rounds = t.rounds;
-    passes = Option.value passes ~default:0;
-    relevance_evals;
-    candidates_checked;
-    layer_count = Option.value layer_count ~default:0;
-    simulated_seconds = t.simulated_seconds;
-    analysis_seconds = Option.value analysis_seconds ~default:0.0;
-    bytes_transferred = t.bytes;
-    retries = t.retries;
-    timeouts = t.timeouts;
-    failed_calls = Hashtbl.length t.failed;
-    backoff_seconds = t.backoff_seconds;
-    full_nodes = t.projection.Project.full_nodes;
-    projected_nodes = t.projection.Project.kept_nodes;
-    projected_bytes_saved = t.projection.Project.bytes_saved;
-    sharded_calls = t.sharded_calls;
-    rebalanced_calls = t.rebalanced_calls;
-    rerouted_calls = t.rerouted_calls;
-    view_rebuild_nodes;
-    parallel_match_batches;
-    complete;
-  }
+  r
 
 (* ------------------------------------------------------------------ *)
 (* The naive strategy (§1): every visible call is relevant, one round

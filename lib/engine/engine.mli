@@ -5,7 +5,10 @@
     {!Axml_core.Lazy_eval.run}) — are loops that pick batches of pending
     calls; the engine owns everything below that choice:
 
-    - the single {!report} record and its {!report_to_json} wire format;
+    - the single {!report} record, its field table and the readers
+      derived from it: the {!report_to_json} wire format, the final
+      gauges and root-span attributes, the {!reconcile} oracle and the
+      CLI {!summary};
     - the invocation driver: the thread-safe request half against
       {!Axml_services.Registry.invoke} (optionally dispatched on an
       {!Axml_exec.Exec} worker pool), and the sequential in-order apply
@@ -19,7 +22,8 @@
       unexpanded function node, is never re-attempted, and only costs
       bindings (Def. 4's leniency), never fabricates them;
     - all [eval.*] span and metric emission, so the report ≡ metrics ≡
-      trace reconciliation invariant lives in exactly one place.
+      trace reconciliation invariant lives in exactly one place and is
+      checked by one oracle ({!reconcile}).
 
     Future strategies (sharded registries, result caching, alternate
     backends) plug into the same driver instead of growing a third
@@ -82,18 +86,45 @@ type report = {
           the full result (missing data only loses bindings). *)
 }
 
+(** Each report field is defined once, in the engine's field table: its
+    JSON key, the [eval.*] metric it mirrors (a counter bumped where the
+    tally is bumped, or a gauge set by {!finish}), its attribute on the
+    strategy's root span where it has one, and its accessor. The four
+    readers below are derived from that table, so a field added to the
+    record and the table reaches all of them at once. *)
+
 val report_to_json : report -> Axml_obs.Json.t
 (** The full report as JSON — the [--report-json] and peer wire format:
-    answer tuples (variable bindings plus result XML) and every counter. *)
+    [answers] first (variable bindings plus result XML), then every
+    other field in record order under its own name. *)
+
+type mismatch = { field : string; report : float; metrics : float }
+(** A field whose report value differs from its [eval.*] metric
+    (booleans read as 0/1, floats within a relative 1e-6). *)
+
+val reconcile : report -> Axml_obs.Metrics.t -> mismatch list
+(** The report ≡ metrics oracle: every field against the [eval.*]
+    instrument it mirrors, in table order; [[]] when they all agree.
+    Meaningful only for a metrics registry that recorded exactly one
+    run (counters accumulate across runs). *)
+
+val differing : report -> report -> string list
+(** The fields, in table order, whose values differ between two reports
+    — every field but [answers] and the wall-clock [analysis_seconds]:
+    what two runs that must agree exactly (the fuzzer's shared ≡
+    isolated contexts oracle) are compared on. *)
+
+val summary : report -> string
+(** The CLI summary: one [name=value] line per field, in table order,
+    omitting numeric fields that are zero ([complete=true|false] is
+    always shown). [analysis_seconds] is wall-clock time; strip its
+    line before diffing two runs. *)
 
 (** {2 Call helpers} *)
 
 val call_params : Axml_doc.node -> Axml_xml.Tree.forest
 (** A call's parameter forest, serialized (nested calls included as
     [<axml:call>] elements). *)
-
-val call_name_exn : Axml_doc.node -> string
-(** Raises [Invalid_argument] on data nodes. *)
 
 (** {2 Routing} *)
 
@@ -181,7 +212,7 @@ val round :
     attached, the accounting is [Max], the batch has at least two calls
     and fits the remaining budget in full), charges the simulated clock
     and returns the batch cost. Calls reached with the budget exhausted
-    are skipped and set {!budget_hit}. [push] ships the optimistic
+    are skipped and mark the run incomplete. [push] ships the optimistic
     subquery with every call of the round (§7). *)
 
 val invoked : t -> int
@@ -189,9 +220,6 @@ val failed_calls : t -> int
 val permanently_failed : t -> int -> bool
 (** Whether the node with this id is a failed-call tombstone — excluded
     from future batches by every strategy. *)
-
-val budget_hit : t -> bool
-(** A call was skipped because [max_calls] was already spent. *)
 
 val simulated_seconds : t -> float
 
@@ -207,17 +235,15 @@ val finish :
   answers:Axml_query.Eval.binding list ->
   budget_ok:bool ->
   report
-(** Emits the final gauges ([eval.answers], [eval.complete],
-    [eval.view_rebuild_nodes], [eval.parallel_match_batches],
-    [eval.simulated_seconds], plus [eval.layer_count] /
-    [eval.analysis_seconds] when given), closes the strategy's [root]
-    span with the summary attributes, and assembles the report.
-    [complete] is [budget_ok] and no tombstones; [view_rebuild_nodes] is
-    computed by the engine ({!Axml_doc.view_indexed_total} differenced
-    against {!create}'s baseline). The optional analysis fields are the
-    strategy's own counters; absent ones report zero (and [passes] is
-    also omitted from the root span's attributes, matching the
-    strategies that never sweep). *)
+(** Assembles the report, then (when [obs] is enabled) sets
+    [eval.answers] and every gauge field of the table, and closes the
+    strategy's [root] span with the table's root-span attributes
+    ([invoked], [rounds], [passes], [simulated_s], [bytes],
+    [complete]). [complete] is [budget_ok] and no tombstones;
+    [view_rebuild_nodes] is computed by the engine
+    ({!Axml_doc.view_indexed_total} differenced against {!create}'s
+    baseline). The optional analysis fields are the strategy's own
+    counters; absent ones report, and set their gauges to, zero. *)
 
 (** {2 The naive strategy}
 

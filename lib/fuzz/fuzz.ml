@@ -296,32 +296,10 @@ let violate oracle fmt =
   Printf.ksprintf (fun detail -> raise (Violation { oracle; detail })) fmt
 
 let reconcile (obs : Obs.t) (r : Engine.report) =
-  let m = obs.Obs.metrics in
-  let ck name got =
-    let counted = Metrics.count m name in
-    if counted <> got then violate "reconcile" "%s: report %d, metrics %d" name got counted
-  in
-  ck "eval.invoked" r.Engine.invoked;
-  ck "eval.rounds" r.Engine.rounds;
-  ck "eval.retries" r.Engine.retries;
-  ck "eval.timeouts" r.Engine.timeouts;
-  ck "eval.failed_calls" r.Engine.failed_calls;
-  ck "eval.bytes" r.Engine.bytes_transferred;
-  ck "eval.sharded_calls" r.Engine.sharded_calls;
-  ck "eval.rebalanced_calls" r.Engine.rebalanced_calls;
-  ck "eval.rerouted_calls" r.Engine.rerouted_calls;
-  if not (feq (Metrics.value m "eval.backoff_seconds") r.Engine.backoff_seconds) then
-    violate "reconcile" "backoff_seconds: report %g, metrics %g" r.Engine.backoff_seconds
-      (Metrics.value m "eval.backoff_seconds");
-  let gauge name got =
-    let v = int_of_float (Metrics.value m name) in
-    if v <> got then violate "reconcile" "%s: report %d, metrics %d" name got v
-  in
-  gauge "eval.full_nodes" r.Engine.full_nodes;
-  gauge "eval.view_rebuild_nodes" r.Engine.view_rebuild_nodes;
-  gauge "eval.parallel_match_batches" r.Engine.parallel_match_batches;
-  gauge "eval.projected_nodes" r.Engine.projected_nodes;
-  gauge "eval.projected_bytes_saved" r.Engine.projected_bytes_saved;
+  (match Engine.reconcile r obs.Obs.metrics with
+  | [] -> ()
+  | { Engine.field; report; metrics } :: _ ->
+    violate "reconcile" "%s: report %g, metrics %g" field report metrics);
   (match Trace.well_formed obs.Obs.trace with
   | Ok () -> ()
   | Error e -> violate "reconcile" "trace not well-formed: %s" e);
@@ -358,22 +336,17 @@ let compare_jobs ?(oracle = "jobs-determinism") ~local (a : Engine.report) (b : 
         a.Engine.simulated_seconds b.Engine.simulated_seconds
   end
 
-let compare_contexts (a : Engine.report) (b : Engine.report) =
+let compare_contexts ~local (a : Engine.report) (b : Engine.report) =
   let oracle = "shared-context-determinism" in
   if answer_bytes a <> answer_bytes b then
     violate oracle "serialized answers differ between shared and isolated contexts";
-  let ck name f =
-    if f a <> f b then
-      violate oracle "%s differs between shared and isolated contexts (%d vs %d)" name (f a)
-        (f b)
+  (* a remote call's cost is measured on the wall clock *)
+  let untimed (r : Engine.report) =
+    if local then r else { r with Engine.simulated_seconds = 0.0 }
   in
-  ck "invoked" (fun (r : Engine.report) -> r.Engine.invoked);
-  ck "rounds" (fun (r : Engine.report) -> r.Engine.rounds);
-  ck "passes" (fun (r : Engine.report) -> r.Engine.passes);
-  ck "relevance_evals" (fun (r : Engine.report) -> r.Engine.relevance_evals);
-  ck "view_rebuild_nodes" (fun (r : Engine.report) -> r.Engine.view_rebuild_nodes);
-  if a.Engine.complete <> b.Engine.complete then
-    violate oracle "complete flag differs between shared and isolated contexts"
+  match Engine.differing (untimed a) (untimed b) with
+  | [] -> ()
+  | field :: _ -> violate oracle "%s differs between shared and isolated contexts" field
 
 let check ?(watchdog = 30.0) (c : case) : failure option =
   try
@@ -433,7 +406,7 @@ let check ?(watchdog = 30.0) (c : case) : failure option =
       let arm share_contexts =
         run_arm ~watchdog c ~jobs:1 ~share_contexts ~push:c.push ~project:c.project ()
       in
-      compare_contexts (arm true) (arm false)
+      compare_contexts ~local:(not c.remote) (arm true) (arm false)
     end;
     (* projected ≡ full: type-based projection must never change what a
        run can answer. Fault fates are keyed by (service, params, retry),

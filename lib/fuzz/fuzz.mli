@@ -108,11 +108,6 @@ val check : ?watchdog:float -> case -> failure option
 (** Runs the full oracle battery on one case. [watchdog] (default 30
     wall-clock seconds) bounds every evaluation arm. *)
 
-val shrink : ?watchdog:float -> case -> failure -> case * failure
-(** Greedy deterministic minimization: keeps a mutation iff the case
-    still fails {e some} oracle. Returns the minimal case and its
-    failure. *)
-
 type fail_report = {
   failed_case : case;
   first_failure : failure;

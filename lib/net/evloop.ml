@@ -26,8 +26,6 @@ type t = {
          both backends. *)
 }
 
-let available_backend () = if epoll_available () then "epoll" else "select"
-
 let create ?(force_select = false) () =
   let backend =
     if (not force_select) && epoll_available () then Epoll (epoll_create ())
@@ -80,8 +78,6 @@ let remove t fd =
     | Select -> ());
     Hashtbl.remove t.interest fd
   end
-
-let registered t = Hashtbl.length t.interest
 
 let wait t ~timeout =
   match t.backend with

@@ -11,10 +11,6 @@ type event = { fd : Unix.file_descr; readable : bool; writable : bool }
 
 type t
 
-val available_backend : unit -> string
-(** ["epoll"] when the platform supports it, ["select"] otherwise —
-    without creating anything. *)
-
 val create : ?force_select:bool -> unit -> t
 (** Picks epoll when available unless [force_select] (default false)
     demands the portable backend (used by tests to cover both). *)
@@ -34,8 +30,6 @@ val modify : t -> Unix.file_descr -> read:bool -> write:bool -> unit
 val remove : t -> Unix.file_descr -> unit
 (** Deregisters [fd]; forgiving of fds that were never added. Call
     {e before} closing the fd. *)
-
-val registered : t -> int
 
 val wait : t -> timeout:float -> event list
 (** Blocks up to [timeout] seconds (negative = forever) and returns the

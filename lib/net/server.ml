@@ -137,8 +137,6 @@ let inject_latency t =
   in
   if wait > 0.0 then Unix.sleepf wait
 
-let connections t = Mutex.protect t.mu (fun () -> List.length t.conns)
-
 let welcome t =
   Mutex.protect t.mu (fun () ->
       Wire.Welcome

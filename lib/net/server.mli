@@ -111,6 +111,3 @@ val kill_after_reply : t -> unit
     flushed, the server stops exactly as {!stop} does — the client sees
     one successful response and then a dead peer, deterministically
     "mid-run". *)
-
-val connections : t -> int
-(** Live connection count. *)

@@ -671,9 +671,10 @@ let send ?(codec = Json) ?scratch:scr fd msg =
 
 let recv ?scratch:scr fd =
   let scr = match scr with Some s -> s | None -> scratch () in
-  let header = Bytes.create 4 in
-  really_read fd header 0 4;
-  let byte i = Char.code (Bytes.get header i) in
+  (* the header is read into the payload buffer too (never shorter than
+     4 bytes): it is decoded before the payload overwrites it *)
+  really_read fd scr.inb 0 4;
+  let byte i = Char.code (Bytes.get scr.inb i) in
   let codec, len = frame_header (byte 0) (byte 1) (byte 2) (byte 3) in
   if Bytes.length scr.inb < len then scr.inb <- Bytes.create len;
   really_read fd scr.inb 0 len;

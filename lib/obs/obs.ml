@@ -6,7 +6,6 @@ type t = {
 let null = { trace = Trace.null; metrics = Metrics.null }
 
 let create ?clock () = { trace = Trace.create ?clock (); metrics = Metrics.create () }
-let tracing ?clock () = { trace = Trace.create ?clock (); metrics = Metrics.null }
 let measuring () = { trace = Trace.null; metrics = Metrics.create () }
 
 let enabled t = Trace.enabled t.trace || Metrics.enabled t.metrics

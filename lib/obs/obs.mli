@@ -19,9 +19,6 @@ val create : ?clock:(unit -> float) -> unit -> t
 (** Both components enabled. [clock] feeds the tracer's wall clock
     (default [Unix.gettimeofday]; tests inject a fake). *)
 
-val tracing : ?clock:(unit -> float) -> unit -> t
-(** Tracer only; metrics stay disabled. *)
-
 val measuring : unit -> t
 (** Metrics only; tracer stays disabled. *)
 

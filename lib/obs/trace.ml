@@ -37,7 +37,6 @@ let create ?(clock = Unix.gettimeofday) () =
 let enabled t = t.on
 
 let advance t d = if t.on then Mutex.protect t.mu (fun () -> t.sim <- t.sim +. d)
-let set_sim t s = if t.on then Mutex.protect t.mu (fun () -> t.sim <- s)
 let sim_now t = if t.on then Mutex.protect t.mu (fun () -> t.sim) else t.sim
 
 type span = int

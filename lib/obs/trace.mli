@@ -51,14 +51,10 @@ val enabled : t -> bool
 
     The sink does not compute simulated time — the instrumented code
     does (batch aggregation lives in the evaluator) and keeps the sink's
-    clock posted. Both operations are no-ops on a disabled sink. *)
+    clock posted. [advance] is a no-op on a disabled sink. *)
 
 val advance : t -> float -> unit
 (** Adds simulated seconds (e.g. one attempt's duration). *)
-
-val set_sim : t -> float -> unit
-(** Posts an absolute simulated time (e.g. after a parallel batch is
-    aggregated at its slowest member). *)
 
 val sim_now : t -> float
 
@@ -121,9 +117,6 @@ val well_formed : t -> (unit, string) result
 
 (** {2 Serialization} *)
 
-val to_jsonl : t -> Json.t list
-(** One object per event, in order — the exact format. *)
-
 val to_chrome : t -> Json.t
 (** Chrome [trace_event] JSON ([{"traceEvents": [...]}]): duration
     events ([ph:"B"]/[ph:"E"]) in microseconds on two threads — tid 1
@@ -150,8 +143,6 @@ type node = {
 val tree : t -> (node list, string) result
 (** The span forest of a recording sink (requires well-formedness). *)
 
-val tree_of_events : event list -> (node list, string) result
-
 val load_file : string -> (node list, string) result
 (** Loads a saved trace — Chrome [trace_event] (an object with a
     [traceEvents] field, or a bare event array) or JSONL — back into a
@@ -161,8 +152,6 @@ val pp_forest : Format.formatter -> node list -> unit
 (** Pretty-prints the forest as an indented tree, one line per span:
     name, inline attributes, wall/simulated durations, and rollups
     (descendant span count; summed [bytes] attributes when present). *)
-
-val attr_to_json : attr -> Json.t
 
 val rollup_int : string -> node -> int
 (** Sums an [Int] attribute over a node and all its descendants. *)

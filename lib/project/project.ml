@@ -418,28 +418,6 @@ let spliced_forest t ~parent (f : Tree.forest) =
     let kept = List.filter_map (fun tr -> keep_tree t ctx tr st) f in
     (kept, { !st with bytes_saved = full_bytes - Print.forest_byte_size kept })
 
-let spliced t d ~added =
-  match added with
-  | [] -> ([], zero_stats)
-  | n0 :: _ -> (
-    match n0.Doc.parent with
-    | None -> (added, zero_stats)
-    | Some parent -> (
-      match parent_context t parent with
-      | `Keep_all ->
-        let k = List.fold_left (fun a n -> a + dnode_size n) 0 added in
-        (added, { full_nodes = k; kept_nodes = k; bytes_saved = 0 })
-      | `Ctx ctx ->
-        let full_bytes =
-          List.fold_left (fun a n -> a + Print.byte_size (Doc.node_to_xml n)) 0 added
-        in
-        let st = ref zero_stats in
-        let kept = List.filter (fun n -> prune_node t ctx d n st) added in
-        let kept_bytes =
-          List.fold_left (fun a n -> a + Print.byte_size (Doc.node_to_xml n)) 0 kept
-        in
-        (kept, { !st with bytes_saved = full_bytes - kept_bytes })))
-
 let keeps_call t _d ~fname ~parent =
   match parent_context t parent with
   | `Keep_all -> true

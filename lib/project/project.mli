@@ -31,7 +31,7 @@
     query's answers (variable bindings and serialized result subtrees)
     on the projected document equal those on the full document — at
     every intermediate rewriting stage, provided call results are
-    re-projected as they are spliced (see {!spliced}). *)
+    re-projected before they are spliced (see {!spliced_forest}). *)
 
 type t
 
@@ -78,17 +78,9 @@ val spliced_forest :
 (** [spliced_forest t ~parent f] projects a service-result forest
     {e before} it is spliced under [parent] (the invoked call's parent):
     the state context is recomputed along the root-to-[parent] path and
-    each tree kept, pruned or dropped exactly as {!spliced} would after
-    the fact — same survivors, same stats — without mutating the
-    document post-splice, so the engine's incremental snapshot-view
-    patch stays valid. *)
-
-val spliced : t -> Axml_doc.t -> added:Axml_doc.node list -> Axml_doc.node list * stats
-(** [spliced t d ~added] re-projects the nodes just spliced into [d] by
-    {!Axml_doc.replace_call} (all sharing one parent): the state context
-    is recomputed along the root-to-parent path, each added root is then
-    kept, pruned or detached accordingly. Returns the surviving roots.
-    If some ancestor lies under a result image, everything is kept. *)
+    each tree kept, pruned or dropped — without mutating the document
+    post-splice, so the engine's incremental snapshot-view patch stays
+    valid. *)
 
 val keeps_call : t -> Axml_doc.t -> fname:string -> parent:Axml_doc.node -> bool
 (** Would a call to [fname] spliced under [parent] be kept? (white-box

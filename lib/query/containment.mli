@@ -15,10 +15,6 @@
     {e certain}. Result markers are ignored (containment of the boolean
     patterns). *)
 
-val homomorphism : from:Pattern.node -> into:Pattern.node -> bool
-(** [homomorphism ~from ~into] — is there a pattern homomorphism mapping
-    the root of [from] to the root of [into]? *)
-
 val contained : Pattern.t -> Pattern.t -> bool
 (** [contained q q'] — sound test for [q ⊆ q'] (a homomorphism
     [q' → q]). *)

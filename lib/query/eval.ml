@@ -346,18 +346,9 @@ type context = ctx
 
 let context ?(relax_joins = false) ?par () = make_ctx ~relax_joins ?par ()
 
-let match_at ?(relax_joins = false) p n =
-  let v = View.of_node n in
-  let ctx = make_ctx ~relax_joins () in
-  bind ctx v;
-  match_at_ctx ctx v p (View.root v)
-
 let eval_view_in ctx (q : P.t) v =
   bind ctx v;
   match_root ctx v q.P.root
-
-let eval_view ?(relax_joins = false) ?par (q : P.t) v =
-  eval_view_in (make_ctx ~relax_joins ?par ()) q v
 
 let eval_in ctx (q : P.t) (d : Doc.t) = eval_view_in ctx q (View.snapshot d)
 
@@ -388,9 +379,6 @@ let check_target (q : P.t) ~target =
 let matches_of_view_in ctx (q : P.t) v ~target =
   check_target q ~target;
   collect_target (eval_view_in ctx q v) ~target
-
-let matches_of_view ?(relax_joins = false) ?par (q : P.t) v ~target =
-  matches_of_view_in (make_ctx ~relax_joins ?par ()) q v ~target
 
 let matches_of_in ctx (q : P.t) (d : Doc.t) ~target =
   matches_of_view_in ctx q (View.snapshot d) ~target

@@ -80,28 +80,16 @@ val matches_of : ?relax_joins:bool -> ?par:par -> Pattern.t -> Axml_doc.t -> tar
     order. The node must be marked [result] (raise [Invalid_argument]
     otherwise). This is how NFQs retrieve relevant calls. *)
 
-(** {2 View-level entry points}
+(** {2 View-level entry point}
 
-    Pure evaluation over an explicit snapshot view — what the
-    document-taking functions above delegate to. *)
-
-val eval_view : ?relax_joins:bool -> ?par:par -> Pattern.t -> Axml_doc.View.t -> binding list
-val eval_view_in : context -> Pattern.t -> Axml_doc.View.t -> binding list
-val matches_of_view :
-  ?relax_joins:bool -> ?par:par -> Pattern.t -> Axml_doc.View.t -> target:int -> Axml_doc.node list
-val matches_of_view_in : context -> Pattern.t -> Axml_doc.View.t -> target:int -> Axml_doc.node list
+    Pure anchored matching over an explicit snapshot view — the form the
+    parallel candidate filter runs on domains. *)
 
 val anchored_matches_view :
   ?relax_joins:bool -> Pattern.t -> target:int -> Axml_doc.View.t -> int -> bool
 (** [anchored_matches_view q ~target v i] tests whether some embedding of
     [q] maps the result node [target] to position [i] of [v], with the
     same label prefilter and staging as {!anchored_matches}. *)
-
-val match_at : ?relax_joins:bool -> Pattern.node -> Axml_doc.node -> binding list
-(** [match_at p n] matches the pattern subtree [p] with its root mapped
-    exactly to [n] (used by services evaluating pushed queries, where the
-    pattern root is tried against each tree of the result forest). Builds
-    an ad-hoc view of [n]'s subtree. *)
 
 val anchored_matches : ?relax_joins:bool -> Pattern.t -> target:int -> Axml_doc.t -> Axml_doc.node -> bool
 (** [anchored_matches q ~target d n] tests whether some embedding of [q]

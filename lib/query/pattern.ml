@@ -39,13 +39,6 @@ let fold f acc q =
 let nodes q = List.rev (fold (fun acc n -> n :: acc) [] q)
 let find q pid = List.find_opt (fun n -> n.pid = pid) (nodes q)
 
-let parent_in q n =
-  let rec search candidate =
-    if List.exists (fun c -> c.pid = n.pid) candidate.children then Some candidate
-    else List.find_map search candidate.children
-  in
-  if q.root.pid = n.pid then None else search q.root
-
 let result_nodes q = List.filter (fun n -> n.result) (nodes q)
 
 let variables q =

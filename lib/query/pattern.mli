@@ -54,7 +54,6 @@ val with_axis : node -> axis -> node
 val find : t -> int -> node option
 (** [find q pid] locates a node by id. *)
 
-val parent_in : t -> node -> node option
 val nodes : t -> node list
 (** All nodes in preorder. *)
 

@@ -94,10 +94,6 @@ let owns s name =
   (match s.spec.services with None -> true | Some l -> List.mem name l)
   && Registry.is_registered s.spec.registry name
 
-let owners t name =
-  Mutex.protect t.mu (fun () ->
-      List.filter_map (fun s -> if owns s name then Some s.spec.id else None) t.shards)
-
 let dispatched t =
   Mutex.protect t.mu (fun () -> List.map (fun s -> (s.spec.id, s.dispatched)) t.shards)
 

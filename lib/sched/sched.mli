@@ -96,9 +96,6 @@ val registries : t -> Axml_services.Registry.t list
     what a caller pools to report fault counters or histories across
     the whole scheduler. *)
 
-val owners : t -> string -> string list
-(** The shards currently owning a name, in declaration order. *)
-
 val dispatched : t -> (string * int) list
 (** Calls started per shard (successful or not), by shard id. *)
 

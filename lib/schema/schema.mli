@@ -31,8 +31,6 @@ type signature = { input : Axml_automata.Regex.t; output : Axml_automata.Regex.t
 
 type t
 
-val empty : t
-
 val add_function : t -> string -> signature -> t
 (** Replaces any previous definition of the same name. *)
 

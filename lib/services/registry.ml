@@ -483,7 +483,6 @@ let invoke t ~name ~params ?push ?(obs = Obs.null) () =
 type view = t list
 
 let view regs = regs
-let view_registries v = v
 let view_owners v name = List.filter (fun r -> is_registered r name) v
 let view_is_registered v name = List.exists (fun r -> is_registered r name) v
 

@@ -262,8 +262,6 @@ val view : t list -> view
 (** Order matters: it is the shard declaration order, and routing layers
     treat the first owner as the default placement. *)
 
-val view_registries : view -> t list
-
 val view_owners : view -> string -> t list
 (** The registries that can serve [name], in view order — the replica
     set a balancer chooses from. Empty when nobody serves it. *)

@@ -39,9 +39,5 @@
 
 exception Error of string
 
-val load : Registry.t -> Axml_xml.Tree.t -> string list
-(** Registers every service of the spec; returns their names in document
-    order. Raises {!Error} on malformed specs. *)
-
 val load_string : Registry.t -> string -> string list
 val load_file : Registry.t -> string -> string list

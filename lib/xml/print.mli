@@ -12,13 +12,6 @@ val to_string : ?indent:int -> Tree.t -> string
 
 val forest_to_string : ?indent:int -> Tree.forest -> string
 
-val escape_text : string -> string
-(** Escapes [& < >] for use as character data. *)
-
-val escape_attr : string -> string
-(** Escapes ampersand, angle brackets and double quote for use inside a
-    double-quoted attribute value. *)
-
 val byte_size : Tree.t -> int
 (** [byte_size t] is the length of the compact serialization — the unit
     used by the service cost model for data-transfer accounting. *)

@@ -31,7 +31,6 @@ let text_content t =
   Buffer.contents buf
 
 let size t = fold (fun n _ -> n + 1) 0 t
-let forest_size f = List.fold_left (fun n t -> n + size t) 0 f
 
 let rec depth = function
   | Text _ -> 1

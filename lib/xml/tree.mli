@@ -35,8 +35,6 @@ val text_content : t -> string
 val size : t -> int
 (** [size t] is the number of nodes (elements and text leaves) in [t]. *)
 
-val forest_size : forest -> int
-
 val depth : t -> int
 (** [depth t] is the height of the tree; a leaf has depth 1. *)
 

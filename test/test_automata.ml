@@ -1,8 +1,7 @@
-(* Tests for regexes, NFAs and DFAs. *)
+(* Tests for regexes and NFAs. *)
 
 module Regex = Axml_automata.Regex
 module Nfa = Axml_automata.Nfa
-module Dfa = Axml_automata.Dfa
 
 let re = Regex.of_string
 
@@ -142,37 +141,7 @@ let test_influence_example () =
   Alcotest.(check bool) "a ∩ b empty" false (Nfa.intersects (child "a") (child "b"))
 
 (* ------------------------------------------------------------------ *)
-(* DFA *)
-
-let dfa_of ?(alphabet = [ "a"; "b"; "c" ]) src = Dfa.of_regex ~alphabet (re src)
-
-let test_dfa_accepts () =
-  let d = dfa_of "(a|b)*.c" in
-  Alcotest.(check bool) "abc" true (Dfa.accepts d [ "a"; "b"; "c" ]);
-  Alcotest.(check bool) "no" false (Dfa.accepts d [ "a" ])
-
-let test_dfa_complement () =
-  let d = Dfa.complement (dfa_of "a*") in
-  Alcotest.(check bool) "a rejected" false (Dfa.accepts d [ "a" ]);
-  Alcotest.(check bool) "b accepted" true (Dfa.accepts d [ "b" ])
-
-let test_dfa_equal () =
-  Alcotest.(check bool) "a|b = b|a" true (Dfa.equal (dfa_of "a|b") (dfa_of "b|a"));
-  Alcotest.(check bool) "(a*)* = a*" true (Dfa.equal (dfa_of "(a*)*") (dfa_of "a*"));
-  Alcotest.(check bool) "a <> a.a" false (Dfa.equal (dfa_of "a") (dfa_of "a.a"))
-
-let test_dfa_subset () =
-  Alcotest.(check bool) "a+ ⊆ a*" true (Dfa.subset (dfa_of "a+") (dfa_of "a*"));
-  Alcotest.(check bool) "a* ⊄ a+" false (Dfa.subset (dfa_of "a*") (dfa_of "a+"))
-
-let test_dfa_minimize () =
-  let d = dfa_of "(a|b)*.(a|b)" in
-  let m = Dfa.minimize d in
-  Alcotest.(check bool) "same language" true (Dfa.equal d m);
-  Alcotest.(check bool) "not larger" true (Dfa.size m <= Dfa.size d)
-
-(* ------------------------------------------------------------------ *)
-(* Properties: the three implementations agree *)
+(* Properties: derivatives and automata agree *)
 
 let gen_regex =
   let open QCheck.Gen in
@@ -205,17 +174,6 @@ let prop_nfa_matches_regex =
   QCheck.Test.make ~name:"NFA agrees with derivatives" ~count:1000 arb_regex_word
     (fun (r, w) ->
       Regex.matches r w = Nfa.accepts (Nfa.of_regex ~alphabet r) w)
-
-let prop_dfa_matches_regex =
-  QCheck.Test.make ~name:"DFA agrees with derivatives" ~count:500 arb_regex_word
-    (fun (r, w) ->
-      Regex.matches r w = Dfa.accepts (Dfa.of_regex ~alphabet r) w)
-
-let prop_minimize_preserves =
-  QCheck.Test.make ~name:"minimize preserves the language" ~count:300 arb_regex_word
-    (fun (r, w) ->
-      let d = Dfa.of_regex ~alphabet r in
-      Dfa.accepts d w = Dfa.accepts (Dfa.minimize d) w)
 
 let prop_product_is_intersection =
   QCheck.Test.make ~name:"NFA product = intersection" ~count:500
@@ -253,26 +211,6 @@ let prop_prefix_closure =
         | x :: rest -> List.rev acc :: prefixes (x :: acc) rest
       in
       List.for_all (Nfa.accepts p) (prefixes [] w))
-
-let prop_complement_involution =
-  QCheck.Test.make ~name:"DFA complement is an involution" ~count:300 arb_regex_word
-    (fun (r, w) ->
-      let d = Dfa.of_regex ~alphabet r in
-      Dfa.accepts (Dfa.complement (Dfa.complement d)) w = Dfa.accepts d w)
-
-let prop_complement_flips =
-  QCheck.Test.make ~name:"complement flips membership" ~count:300 arb_regex_word
-    (fun (r, w) ->
-      let d = Dfa.of_regex ~alphabet r in
-      Dfa.accepts (Dfa.complement d) w = not (Dfa.accepts d w))
-
-let prop_subset_reflexive_and_equal =
-  QCheck.Test.make ~name:"subset is reflexive; equal is symmetric" ~count:200
-    (QCheck.make ~print:(fun (a, b) -> Regex.to_string a ^ " / " ^ Regex.to_string b)
-       QCheck.Gen.(pair gen_regex gen_regex))
-    (fun (ra, rb) ->
-      let a = Dfa.of_regex ~alphabet ra and b = Dfa.of_regex ~alphabet rb in
-      Dfa.subset a a && Dfa.equal a b = Dfa.equal b a)
 
 let prop_enumerate_members =
   QCheck.Test.make ~name:"enumerated words are members" ~count:200
@@ -325,26 +263,13 @@ let () =
           quick "common alphabet" test_common_alphabet;
           quick "influence example" test_influence_example;
         ] );
-      ( "dfa",
-        [
-          quick "accepts" test_dfa_accepts;
-          quick "complement" test_dfa_complement;
-          quick "equal" test_dfa_equal;
-          quick "subset" test_dfa_subset;
-          quick "minimize" test_dfa_minimize;
-        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_nfa_matches_regex;
-          QCheck_alcotest.to_alcotest prop_dfa_matches_regex;
-          QCheck_alcotest.to_alcotest prop_minimize_preserves;
           QCheck_alcotest.to_alcotest prop_product_is_intersection;
           QCheck_alcotest.to_alcotest prop_intersects_is_nonempty_product;
           QCheck_alcotest.to_alcotest prop_prefix_closure;
           QCheck_alcotest.to_alcotest prop_is_empty_agrees;
-          QCheck_alcotest.to_alcotest prop_complement_involution;
-          QCheck_alcotest.to_alcotest prop_complement_flips;
-          QCheck_alcotest.to_alcotest prop_subset_reflexive_and_equal;
           QCheck_alcotest.to_alcotest prop_enumerate_members;
           QCheck_alcotest.to_alcotest prop_to_string_roundtrip;
         ] );

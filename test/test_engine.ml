@@ -301,22 +301,9 @@ let rec count_named name (ns : Trace.node list) =
 
 let check_reconciles name (r : Engine.report) (obs : Obs.t) registry =
   let m = obs.Obs.metrics in
-  let counter k = int_of_float (Metrics.value m k) in
-  Alcotest.(check int) (name ^ ": eval.invoked metric") r.Engine.invoked
-    (counter "eval.invoked");
-  Alcotest.(check int) (name ^ ": eval.pushed metric") r.Engine.pushed
-    (counter "eval.pushed");
-  Alcotest.(check int) (name ^ ": eval.rounds metric") r.Engine.rounds
-    (counter "eval.rounds");
-  Alcotest.(check int) (name ^ ": eval.retries metric") r.Engine.retries
-    (counter "eval.retries");
-  Alcotest.(check int) (name ^ ": eval.timeouts metric") r.Engine.timeouts
-    (counter "eval.timeouts");
-  Alcotest.(check int)
-    (name ^ ": eval.failed_calls metric")
-    r.Engine.failed_calls (counter "eval.failed_calls");
-  Alcotest.(check int) (name ^ ": eval.bytes metric") r.Engine.bytes_transferred
-    (counter "eval.bytes");
+  Alcotest.(check (list string))
+    (name ^ ": report = metrics") []
+    (List.map (fun (x : Engine.mismatch) -> x.Engine.field) (Engine.reconcile r m));
   (match Trace.well_formed obs.Obs.trace with
   | Ok () -> ()
   | Error e -> Alcotest.fail (name ^ ": trace ill-formed: " ^ e));
@@ -353,6 +340,28 @@ let test_reconciliation () =
       ("city_push_lazy", run_city_push);
       ("synth_faulty_naive", run_synth_naive);
     ]
+
+(* The shared oracle is not vacuous: one metric drifting by one unit,
+   counter or gauge, is reported as exactly that field. *)
+let test_reconcile_names_the_drifted_field () =
+  let run () =
+    let obs = Obs.create () in
+    let r, _ = run_city_lazy ~obs None in
+    Alcotest.(check bool) "faults were hit" true (r.Engine.retries > 0);
+    let drifted () =
+      List.map
+        (fun (x : Engine.mismatch) -> x.Engine.field)
+        (Engine.reconcile r obs.Obs.metrics)
+    in
+    Alcotest.(check (list string)) "report = metrics after a faulty run" [] (drifted ());
+    (r, obs.Obs.metrics, drifted)
+  in
+  let _, m, drifted = run () in
+  Metrics.incr m "eval.retries";
+  Alcotest.(check (list string)) "counter bumped" [ "retries" ] (drifted ());
+  let r, m, drifted = run () in
+  Metrics.set m "eval.view_rebuild_nodes" (float_of_int (r.Engine.view_rebuild_nodes + 1));
+  Alcotest.(check (list string)) "gauge bumped" [ "view_rebuild_nodes" ] (drifted ())
 
 (* ------------------------------------------------------------------ *)
 (* The --report-json wire format, pinned byte for byte: every field's
@@ -635,7 +644,10 @@ let () =
           quick "budget cuts identically at any jobs" test_budget_cut_stable_across_jobs;
         ] );
       ( "reconciliation",
-        [ quick "report = metrics = trace for both strategies" test_reconciliation ] );
+        [
+          quick "report = metrics = trace for both strategies" test_reconciliation;
+          quick "reconcile names the drifted field" test_reconcile_names_the_drifted_field;
+        ] );
       ("report", [ quick "report JSON is pinned byte for byte" test_report_json_golden ]);
       ( "memoization",
         [

@@ -502,19 +502,9 @@ let test_lazy_reconciliation () =
   (* the workload must actually exercise the fault machinery *)
   Alcotest.(check bool) "faults were hit" true (r.Engine.retries > 0);
   let m = obs.Obs.metrics in
-  (* metrics vs report: the eval.* counters *)
-  Alcotest.(check int) "invoked" r.Engine.invoked (Metrics.count m "eval.invoked");
-  Alcotest.(check int) "pushed" r.Engine.pushed (Metrics.count m "eval.pushed");
-  Alcotest.(check int) "rounds" r.Engine.rounds (Metrics.count m "eval.rounds");
-  Alcotest.(check int) "passes" r.Engine.passes (Metrics.count m "eval.passes");
-  Alcotest.(check int) "detections" r.Engine.relevance_evals
-    (Metrics.count m "eval.relevance_evals");
-  Alcotest.(check int) "retries" r.Engine.retries (Metrics.count m "eval.retries");
-  Alcotest.(check int) "timeouts" r.Engine.timeouts (Metrics.count m "eval.timeouts");
-  Alcotest.(check int) "failed calls" r.Engine.failed_calls (Metrics.count m "eval.failed_calls");
-  Alcotest.(check int) "bytes" r.Engine.bytes_transferred (Metrics.count m "eval.bytes");
-  feq "backoff" r.Engine.backoff_seconds (Metrics.value m "eval.backoff_seconds");
-  feq "simulated seconds" r.Engine.simulated_seconds (Metrics.value m "eval.simulated_seconds");
+  Alcotest.(check (list string))
+    "report = metrics" []
+    (List.map (fun (x : Engine.mismatch) -> x.Engine.field) (Engine.reconcile r m));
   (* the service-layer counters tell the same story from below *)
   Alcotest.(check int) "service invocations"
     (r.Engine.invoked + r.Engine.failed_calls)
@@ -607,13 +597,9 @@ let test_naive_reconciliation () =
   let obs = Obs.create () in
   let r = Engine.naive_run ~obs inst.City.registry inst.City.query inst.City.doc in
   let m = obs.Obs.metrics in
-  Alcotest.(check int) "invoked" r.Engine.invoked (Metrics.count m "eval.invoked");
-  Alcotest.(check int) "rounds" r.Engine.rounds (Metrics.count m "eval.rounds");
-  Alcotest.(check int) "retries" r.Engine.retries (Metrics.count m "eval.retries");
-  Alcotest.(check int) "timeouts" r.Engine.timeouts (Metrics.count m "eval.timeouts");
-  Alcotest.(check int) "failed" r.Engine.failed_calls (Metrics.count m "eval.failed_calls");
-  Alcotest.(check int) "bytes" r.Engine.bytes_transferred (Metrics.count m "eval.bytes");
-  feq "backoff" r.Engine.backoff_seconds (Metrics.value m "eval.backoff_seconds");
+  Alcotest.(check (list string))
+    "report = metrics" []
+    (List.map (fun (x : Engine.mismatch) -> x.Engine.field) (Engine.reconcile r m));
   (match Trace.tree obs.Obs.trace with
   | Error e -> Alcotest.fail e
   | Ok forest ->

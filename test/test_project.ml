@@ -161,13 +161,11 @@ let prop_projected_answers_equal =
    and the projection counters must reconcile with the metrics sink. *)
 
 let reconcile_projection (obs : Obs.t) (r : Engine.report) =
-  let m = obs.Obs.metrics in
-  let gauge name got =
-    Alcotest.(check int) ("gauge " ^ name) got (int_of_float (Metrics.value m name))
-  in
-  gauge "eval.full_nodes" r.Engine.full_nodes;
-  gauge "eval.projected_nodes" r.Engine.projected_nodes;
-  gauge "eval.projected_bytes_saved" r.Engine.projected_bytes_saved
+  Alcotest.(check (list string))
+    "report = metrics" []
+    (List.map
+       (fun (x : Engine.mismatch) -> x.Engine.field)
+       (Engine.reconcile r obs.Obs.metrics))
 
 let adversary_arm ~project ?obs (cfg : Adversary.config) ~budget ~lazy_strategy =
   let inst = Adversary.generate cfg in
