@@ -24,8 +24,10 @@ test-obs:
 test-net:
 	dune exec test/test_net.exe
 
-# worker-pool tests: map_batch semantics plus the differential check
-# that pooled evaluation is byte-identical to sequential
+# worker-pool tests: map_batch semantics on a thread pool and on the
+# process-wide domain pool (order, lowest-index re-raise, inline small
+# batches, concurrent fan-outs), plus the differential check that
+# pooled evaluation is byte-identical to sequential
 test-exec:
 	dune exec test/test_exec.exe
 
@@ -137,6 +139,8 @@ bench-e13-smoke:
 
 # the CI-sized E14: a ~20k-node skewed document swept at --match-jobs
 # 1 and 4, always asserting byte-identical answers and counters; the
+# jobs-4 arm runs its 4 chunks per pass on the persistent domain pool
+# (one domain per core, started by the first fan-out), and the
 # wall-clock speedup assertion additionally runs when the machine has
 # at least two cores
 bench-e14-smoke:

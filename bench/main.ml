@@ -1541,9 +1541,10 @@ let e14_sweep ~title ~scale ~sections ~items ~jobs_list =
   arms
 
 (* The strict wall-clock bar only applies where a speedup is physically
-   possible: on a single-core container the domains serialize and the
-   fan-out can only cost overhead, so the timing assertion is skipped
-   (the byte-identity assertion above always runs). *)
+   possible: on a single-core machine the domain pool has no helper, the
+   chunks run one after another on the caller and the fan-out can only
+   cost overhead, so the timing assertion is skipped (the byte-identity
+   assertion above always runs). *)
 let e14_assert_speedup ~label arms =
   let wall_of j =
     let _, _, w = List.assoc j arms in

@@ -190,8 +190,9 @@ let match_jobs_arg =
     & info [ "match-jobs" ] ~docv:"N"
         ~doc:
           "Fan the match/detect passes of the lazy strategies out over top-level document \
-           subtrees on $(docv) domains (real CPU parallelism, unlike $(b,--jobs) whose \
-           worker threads only overlap service I/O under the runtime lock). Answers and \
+           subtrees in $(docv) chunks, run on a pool of one domain per core (real CPU \
+           parallelism, unlike $(b,--jobs) whose worker threads only overlap service I/O \
+           under the runtime lock). Answers and \
            every report counter are byte-identical at every level. 1 (the default) stays \
            sequential; 0 picks a machine-dependent default. Ignored by $(b,naive).")
 
@@ -461,19 +462,6 @@ let emit_report_json dest json =
     Json.write_file ~indent:2 path json;
     Printf.eprintf "wrote report %s\n%!" path
 
-(* Pools over every registry the run touched: with a scheduler in play,
-   calls (and their fault draws) land on shard registries, not just the
-   main one. *)
-let print_fault_counters registries =
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 registries in
-  let retries = sum Registry.total_retries in
-  let timeouts = sum Registry.total_timeouts in
-  let failed = sum Registry.failed_count in
-  if retries > 0 || timeouts > 0 || failed > 0 then
-    Printf.printf "faults: %d retried attempt(s), %d timeout(s), %d permanently failed, %.3f s backoff\n"
-      retries timeouts failed
-      (List.fold_left (fun acc r -> acc +. Registry.total_backoff r) 0.0 registries)
-
 let load_schema = function
   | None -> Ok None
   | Some path -> (
@@ -609,7 +597,7 @@ let strategy_conv =
 (* One evaluate-and-print path for every strategy: run/eval both call
    [evaluate] (naive is the engine's degenerate strategy, the rest are
    Lazy_eval configurations — all return the one engine report) and
-   [finish_run] (summary, fault counters, obs sinks, --report-json). *)
+   [finish_run] (summary, obs sinks, --report-json). *)
 
 let evaluate ~strategy ~push ~fguide ~project ~match_jobs ?schema ~obs ?pool ?dispatch
     ?max_calls ~registry query doc =
@@ -635,14 +623,8 @@ let evaluate ~strategy ~push ~fguide ~project ~match_jobs ?schema ~obs ?pool ?di
     in
     Lazy_eval.run ?schema ~registry ~strategy ~obs ?pool ?projector ?dispatch query doc
 
-let finish_run ~registry ?sched ~trace_out ~metrics_out ~report_json obs (r : Engine.report) =
+let finish_run ~trace_out ~metrics_out ~report_json obs (r : Engine.report) =
   print_string ("\n" ^ Engine.summary r);
-  print_fault_counters
-    (match sched with
-    | None -> [ registry ]
-    | Some s ->
-      let shard_regs = Sched.registries s in
-      if List.memq registry shard_regs then shard_regs else registry :: shard_regs);
   write_obs ~trace:trace_out ~metrics:metrics_out obs;
   emit_report_json report_json (Engine.report_to_json r);
   `Ok ()
@@ -717,7 +699,7 @@ let run_workload verbose workload strategy scale seed push fguide project xml jo
                       (fun (id, n) -> Printf.sprintf "%s=%d" id n)
                       (Sched.dispatched s)))
             | None -> ());
-            finish_run ~registry ?sched ~trace_out ~metrics_out ~report_json obs r)))
+            finish_run ~trace_out ~metrics_out ~report_json obs r)))
 
 let run_cmd =
   let doc =
@@ -899,7 +881,7 @@ let eval_files verbose doc_path schema_path services_path connect wire strategy 
                             (fun (id, n) -> Printf.sprintf "%s=%d" id n)
                             (Sched.dispatched s)))
                   | None -> ());
-                  finish_run ~registry ?sched ~trace_out ~metrics_out ~report_json obs r)))))
+                  finish_run ~trace_out ~metrics_out ~report_json obs r)))))
 
 let eval_cmd =
   let doc =

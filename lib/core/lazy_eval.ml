@@ -67,7 +67,8 @@ type strategy = {
           fully extensional instead of "possibly intensionally" (§2) *)
   match_jobs : int;
       (** fan the match/detect passes out over top-level document
-          subtrees on this many domains (0 = auto, 1 = sequential);
+          subtrees in this many chunks on the domain pool (0 = auto,
+          1 = sequential);
           answers are byte-identical at every level *)
   max_calls : int;
   max_passes : int;
@@ -235,19 +236,6 @@ let timed st f =
   st.analysis_seconds <- st.analysis_seconds +. (Sys.time () -. t0);
   r
 
-(* Contiguous split into at most [jobs] chunks, order-preserving — the
-   concatenated chunk results equal the sequential result exactly. *)
-let chunk_list jobs xs =
-  let n = List.length xs in
-  let per = max 1 ((n + jobs - 1) / jobs) in
-  let rec go cur k acc = function
-    | [] -> List.rev (List.rev cur :: acc)
-    | x :: rest ->
-      if k >= per then go [ x ] 1 (List.rev cur :: acc) rest
-      else go (x :: cur) (k + 1) acc rest
-  in
-  match xs with [] -> [] | x :: rest -> go [ x ] 1 [] rest
-
 (* The [eval.match] span around a (potentially) parallel match pass,
    closed with the number of parallel batches it dispatched. *)
 let with_match_span st f =
@@ -314,34 +302,28 @@ let detect st (rq : Relevance.t) : Doc.node list =
               (* an LPQ is exactly its linear path: guide answers are final *)
               candidates
             | Nfq_relevance -> (
-              (* anchored filtering; chunked over domains when parallel —
-                 contiguous chunks, concatenated back in order, so the
-                 kept list is identical to the sequential filter *)
-              let sequential () =
-                List.filter (Relevance.retrieves ~relax_joins r st.doc) candidates
-              in
-              match st.match_par with
-              | Some par when Eval.par_jobs par > 1 && List.length candidates > 1 ->
-                with_match_span st (fun () ->
-                    let view = Doc.View.snapshot st.doc in
-                    match chunk_list (Eval.par_jobs par) candidates with
-                    | [] | [ _ ] -> sequential ()
-                    | chunks ->
-                      let retrieves = Relevance.retrieves_view ~relax_joins r in
-                      let work chunk =
-                        List.filter
-                          (fun (c : Doc.node) ->
-                            match Doc.View.index_of view c with
-                            | Some i -> retrieves view i
-                            | None -> false)
-                          chunk
-                      in
-                      let kept =
-                        Exec.map_domains ~jobs:(Eval.par_jobs par) work chunks
-                      in
-                      Eval.par_count par (List.length chunks);
-                      List.concat kept)
-              | _ -> sequential ())))
+              (* anchored filtering over one snapshot; fanned out over
+                 domains when parallel — contiguous chunks, concatenated
+                 back in order, so the kept list is identical to the
+                 sequential filter *)
+              match candidates with
+              | [] -> []
+              | _ -> (
+                let view = Doc.View.snapshot st.doc in
+                let retrieves = Relevance.retrieves_view ~relax_joins r in
+                let filter =
+                  List.filter (fun (c : Doc.node) ->
+                      match Doc.View.index_of view c with
+                      | Some i -> retrieves view i
+                      | None -> false)
+                in
+                match st.match_par with
+                | Some par when List.compare_length_with candidates 1 > 0 ->
+                  with_match_span st (fun () ->
+                      match Eval.fan_out par ~weight:(fun _ -> 1) filter candidates with
+                      | Some kept -> List.concat kept
+                      | None -> filter candidates)
+                | _ -> filter candidates))))
       in
       let result =
         if Engine.failed_calls st.eng = 0 then retrieved

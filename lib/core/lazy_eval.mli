@@ -43,7 +43,8 @@ type strategy = {
           ship fully extensional instead of "possibly intensionally" (§2) *)
   match_jobs : int;
       (** fan the match/detect passes out over top-level document
-          subtrees on this many domains (0 = auto-detect from the
+          subtrees in this many chunks, run on the process-wide domain
+          pool ({!Axml_exec.Exec.map_domains}) (0 = auto-detect from the
           machine, 1 = sequential); the reassembly preserves document
           order before deduplication and joins, so answers and every
           report counter are byte-identical at every level *)

@@ -447,33 +447,6 @@ module View = struct
     let rec go j acc = if j >= stop then List.rev acc else go (subtree_end v j) (j :: acc) in
     go (i + 1) []
 
-  let partition v ~jobs tops =
-    let jobs = max 1 jobs in
-    if jobs <= 1 then [ tops ]
-    else begin
-      let weight i = subtree_end v i - i in
-      let total = List.fold_left (fun acc i -> acc + weight i) 0 tops in
-      let target = max 1 ((total + jobs - 1) / jobs) in
-      let chunks = ref [] in
-      let cur = ref [] in
-      let w = ref 0 in
-      let close () =
-        if !cur <> [] then begin
-          chunks := List.rev !cur :: !chunks;
-          cur := [];
-          w := 0
-        end
-      in
-      List.iter
-        (fun i ->
-          cur := i :: !cur;
-          w := !w + weight i;
-          if !w >= target && List.length !chunks < jobs - 1 then close ())
-        tops;
-      close ();
-      List.rev !chunks
-    end
-
   let rec subtree_to_xml v i =
     let nd = node v i in
     match nd.label with

@@ -214,10 +214,6 @@ module View : sig
   (** Position of a node in this view, or [None] when the node is not
       covered (e.g. it was spliced out, or the view predates it). *)
 
-  val partition : t -> jobs:int -> int list -> int list list
-  (** Contiguous, subtree-size-weighted partition of an index list into
-      at most [jobs] chunks; deterministic, order-preserving. *)
-
   val materialize : t -> Axml_xml.Tree.t
   (** Serializes the view itself (never the mutable tree) — the
       round-trip anchor: [materialize (snapshot d) = to_xml d]. *)

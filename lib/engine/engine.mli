@@ -111,8 +111,9 @@ val reconcile : report -> Axml_obs.Metrics.t -> mismatch list
 val differing : report -> report -> string list
 (** The fields, in table order, whose values differ between two reports
     — every field but [answers] and the wall-clock [analysis_seconds]:
-    what two runs that must agree exactly (the fuzzer's shared ≡
-    isolated contexts oracle) are compared on. *)
+    what two runs that must agree exactly (the fuzzer's jobs,
+    match-jobs and shared-context determinism oracles) are compared
+    on. *)
 
 val summary : report -> string
 (** The CLI summary: one [name=value] line per field, in table order,

@@ -1,9 +1,13 @@
+(* One executor: a task queue drained by [jobs - 1] workers running
+   [worker_loop], the caller of [map_batch] being the jobs-th. Workers
+   are threads in the pools [create] makes and domains in the one
+   process-wide pool behind [map_domains]. *)
 type pool = {
   jobs : int;
   mu : Mutex.t;
   cond : Condition.t;  (* signaled when the queue gains a task or on shutdown *)
   queue : (unit -> unit) Queue.t;
-  mutable workers : Thread.t list;
+  mutable joins : (unit -> unit) list;  (* one per worker *)
   mutable stopped : bool;
 }
 
@@ -27,21 +31,26 @@ let worker_loop pool =
   in
   loop ()
 
-let create ?jobs () =
-  let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
+(* [start work] runs [work] on a fresh worker and returns its join *)
+let make ~jobs start =
   let pool =
     {
       jobs;
       mu = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
-      workers = [];
+      joins = [];
       stopped = false;
     }
   in
-  (* the caller of [map_batch] is the jobs-th executor *)
-  pool.workers <- List.init (jobs - 1) (fun _ -> Thread.create worker_loop pool);
+  pool.joins <- List.init (jobs - 1) (fun _ -> start (fun () -> worker_loop pool));
   pool
+
+let create ?jobs () =
+  let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
+  make ~jobs (fun work ->
+      let t = Thread.create work () in
+      fun () -> Thread.join t)
 
 let jobs pool = pool.jobs
 
@@ -50,8 +59,27 @@ let shutdown pool =
   pool.stopped <- true;
   Condition.broadcast pool.cond;
   Mutex.unlock pool.mu;
-  List.iter Thread.join pool.workers;
-  pool.workers <- []
+  List.iter (fun join -> join ()) pool.joins;
+  pool.joins <- []
+
+(* Started by the first fan-out, never at module initialisation: OCaml 5's
+   [Unix.fork] fails once a domain has been spawned. *)
+let domain_pool =
+  let mu = Mutex.create () in
+  let pool = ref None in
+  fun () ->
+    Mutex.protect mu (fun () ->
+        match !pool with
+        | Some p -> p
+        | None ->
+          let p =
+            make ~jobs:(Domain.recommended_domain_count ()) (fun work ->
+                let d = Domain.spawn work in
+                fun () -> Domain.join d)
+          in
+          at_exit (fun () -> shutdown p);
+          pool := Some p;
+          p)
 
 let async pool task =
   Mutex.lock pool.mu;
@@ -133,43 +161,6 @@ let map_batch pool f xs =
            | _ -> assert false (* completed = n and no Error *))
          results)
 
-(* ------------------------------------------------------------------ *)
-
-let map_domains ~jobs f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs when jobs <= 1 -> List.map f xs
-  | xs ->
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let drain () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (try Ok (f arr.(i)) with e -> Error e);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let helpers = min (n - 1) (jobs - 1) in
-    let domains = List.init helpers (fun _ -> Domain.spawn drain) in
-    (* the caller is the jobs-th executor *)
-    drain ();
-    List.iter Domain.join domains;
-    let first_error = ref None in
-    for i = n - 1 downto 0 do
-      match results.(i) with
-      | Some (Error e) -> first_error := Some e
-      | _ -> ()
-    done;
-    (match !first_error with Some e -> raise e | None -> ());
-    Array.to_list
-      (Array.map
-         (function
-           | Some (Ok v) -> v
-           | _ -> assert false)
-         results)
+(* empty and singleton batches never start the domain pool *)
+let map_domains f xs =
+  match xs with [] | [ _ ] -> List.map f xs | xs -> map_batch (domain_pool ()) f xs

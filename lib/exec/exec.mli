@@ -22,7 +22,15 @@
     The pool is safe for nested use: {!map_batch} never parks the
     calling thread while work remains — the caller is itself one of the
     executors — so a batch dispatched from inside another batch's worker
-    cannot deadlock even when every pool thread is busy. *)
+    cannot deadlock even when every pool thread is busy.
+
+    One worker loop and one batch path serve two kinds of pool: the
+    thread pools {!create} makes (behind [--jobs] and the server's
+    request hand-off) and one process-wide domain pool
+    ({!map_domains}, behind [--match-jobs]). Invocation workers stay
+    threads: they spend their time blocked in service sleeps and
+    sockets, and a pool sized to the cores could overlap no more calls
+    than there are cores. *)
 
 type pool
 
@@ -61,15 +69,19 @@ val shutdown : pool -> unit
     dispatched complete first; calling {!map_batch} afterwards runs
     inline. *)
 
-val map_domains : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_domains ~jobs f xs] is {!map_batch} semantics on {e domains}
-    instead of pool threads: results in input order, every element
-    processed exactly once, the lowest-index exception re-raised after
-    the whole batch joined. Unlike the thread pool, domains run on
-    separate cores, so {b CPU-bound} work genuinely parallelizes — this
-    is the substrate for the intra-document match fan-out
-    ([--match-jobs]). [f] must only touch domain-safe state (immutable
-    snapshot views, its own tables). Helper domains are spawned per
-    call ([min (jobs-1) (length xs - 1)] of them, the caller being the
-    last executor) and joined before returning; [jobs <= 1], empty and
-    singleton batches run inline. *)
+val map_domains : ('a -> 'b) -> 'a list -> 'b list
+(** [map_domains f xs] is {!map_batch} on the process-wide {e domain}
+    pool: the same worker loop, claim, join and lowest-index re-raise,
+    but its workers are domains, which run on separate cores, so
+    {b CPU-bound} work genuinely parallelizes — the substrate for the
+    intra-document match fan-out ([--match-jobs]). [f] must only touch
+    domain-safe state (immutable snapshot views, its own tables).
+
+    The pool has [Domain.recommended_domain_count () - 1] worker
+    domains, the caller being the remaining executor; at most
+    [length xs - 1] of them help with one batch. It starts on the first
+    batch of two or more elements, never at module initialisation (OCaml
+    5's [Unix.fork] fails once a domain has been spawned), lives for the
+    rest of the process and is joined at exit. Concurrent callers share
+    it; each drains its own batch, so none can starve. Empty and
+    singleton batches, and single-core machines, run inline. *)

@@ -12,17 +12,18 @@
       exhausted ⟹ [complete];
     - {b budget}: [invoked <= budget], and the unbounded-recursion
       family is always cut incomplete;
-    - {b jobs-determinism}: byte-identical serialized answers and equal
-      counters at jobs 1 and 4 (simulated clock and bytes compared only
-      for local registries — remote costs are wall-clock);
+    - {b jobs-determinism}: byte-identical serialized answers and every
+      report field [Engine.differing] compares equal at jobs 1 and 4
+      (remote registries skip the simulated clock, which is wall-clock
+      for them);
+    - {b match-jobs-determinism} (lazy only): the same at match-jobs 1
+      and 4, minus [parallel_match_batches];
     - {b obs-transparency}: recording a full trace + metrics sink does
       not change the answers;
     - {b reconcile}: report ≡ [eval.*] metrics ≡ trace span rollups;
     - {b shared-context-determinism} (lazy only): a detection context
-      shared across sweeps and kept across splices yields the same
-      serialized answers, [invoked], [rounds], [passes],
-      [relevance_evals], [view_rebuild_nodes] and [complete] as
-      isolated per-detection contexts;
+      shared across sweeps and kept across splices agrees with
+      isolated per-detection contexts as jobs-determinism does;
     - {b push-equivalence} (lazy only): push-on and push-off agree on
       answers, completeness and failure counts, and pushing never
       inflates local transfer bytes;

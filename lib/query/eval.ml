@@ -90,18 +90,43 @@ let join_lists ~relax_joins l1 l2 =
       (List.concat_map (fun b1 -> List.filter_map (fun b2 -> join ~relax_joins b1 b2) l2) l1)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel fan-out accounting: one [par] per evaluation run, shared by
-   every context that should count into the same report.               *)
+(* Parallel fan-out: one [par] per evaluation run, shared by every
+   context that should count into the same report.                     *)
 
 type par = {
   par_jobs : int;
-  mutable batches : int;  (* parallel map dispatches *)
+  mutable batches : int;  (* chunks dispatched to the domain pool *)
 }
 
 let par ~jobs = { par_jobs = max 1 jobs; batches = 0 }
 let par_jobs p = p.par_jobs
 let par_batches p = p.batches
-let par_count p chunks = p.batches <- p.batches + chunks
+
+(* Contiguous, weighted and order-preserving: a chunk closes once its
+   weight reaches the mean share, until [jobs - 1] chunks are closed;
+   the rest is the last chunk. With unit weights every chunk but the
+   last holds ceil(n / jobs) elements. *)
+let chunks ~jobs ~weight xs =
+  let total = List.fold_left (fun acc x -> acc + weight x) 0 xs in
+  let target = max 1 ((total + jobs - 1) / jobs) in
+  let rec go closed k cur w = function
+    | [] -> List.rev (if cur = [] then closed else List.rev cur :: closed)
+    | x :: rest ->
+      let cur = x :: cur and w = w + weight x in
+      if w >= target && k < jobs - 1 then go (List.rev cur :: closed) (k + 1) [] 0 rest
+      else go closed k cur w rest
+  in
+  go [] 0 [] 0 xs
+
+let fan_out p ~weight f xs =
+  if p.par_jobs <= 1 then None
+  else
+    match chunks ~jobs:p.par_jobs ~weight xs with
+    | [] | [ _ ] -> None
+    | cs ->
+      let results = Exec.map_domains f cs in
+      p.batches <- p.batches + List.length cs;
+      Some results
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation context: memo tables that outlive splices.               *)
@@ -282,63 +307,49 @@ and positions_under v i = if View.is_data v i then View.children v i else []
 
 let match_root ctx v (p : P.node) =
   let ri = View.root v in
-  let sequential () = match_at_ctx ctx v p ri in
-  match ctx.par with
-  | None -> sequential ()
-  | Some _ when p.P.label = P.Or -> sequential ()
-  | Some par when par.par_jobs <= 1 -> sequential ()
-  | Some par ->
-    if not (label_matches p.P.label (View.label v ri)) then sequential ()
-    else begin
-      let tops = positions_under v ri in
-      let chunks = View.partition v ~jobs:par.par_jobs tops in
-      match chunks with
-      | [] | [ _ ] -> sequential ()
-      | chunks ->
-        let work chunk =
-          let cctx =
-            make_ctx ~record_images:ctx.record_images ~relax_joins:ctx.relax_joins ()
-          in
-          cctx.view <- Some v;
-          List.map
-            (fun (c : P.node) ->
-              List.concat_map
-                (fun t ->
-                  match c.P.axis with
-                  | P.Child -> match_at_ctx cctx v c t
-                  | P.Descendant ->
-                    let here = match_at_ctx cctx v c t in
-                    let deeper =
-                      if View.is_data v t then match_below cctx v c t else []
-                    in
-                    here @ deeper)
-                chunk)
-            p.P.children
-        in
-        let results = Exec.map_domains ~jobs:par.par_jobs work chunks in
-        par_count par (List.length chunks);
-        let per_child =
-          List.mapi
-            (fun ci (c : P.node) ->
-              let contrib = List.concat_map (fun r -> List.nth r ci) results in
-              match c.P.axis with
-              | P.Child -> dedup contrib
-              | P.Descendant ->
-                let r = dedup contrib in
-                if is_interesting ctx c then r
-                else if r = [] then []
-                else [ empty_binding ])
-            p.P.children
-        in
-        let self = [ self_binding ctx v p ri ] in
-        let r =
-          List.fold_left
-            (fun acc rc ->
-              if acc = [] then [] else join_lists ~relax_joins:ctx.relax_joins acc rc)
-            self per_child
-        in
-        if is_interesting ctx p then r else if r = [] then [] else [ empty_binding ]
-    end
+  let fanned =
+    match ctx.par with
+    | Some par when p.P.label <> P.Or && label_matches p.P.label (View.label v ri) ->
+      let work chunk =
+        let cctx = make_ctx ~record_images:ctx.record_images ~relax_joins:ctx.relax_joins () in
+        cctx.view <- Some v;
+        List.map
+          (fun (c : P.node) ->
+            List.concat_map
+              (fun t ->
+                match c.P.axis with
+                | P.Child -> match_at_ctx cctx v c t
+                | P.Descendant ->
+                  let here = match_at_ctx cctx v c t in
+                  let deeper = if View.is_data v t then match_below cctx v c t else [] in
+                  here @ deeper)
+              chunk)
+          p.P.children
+      in
+      fan_out par ~weight:(fun t -> View.subtree_end v t - t) work (positions_under v ri)
+    | _ -> None
+  in
+  match fanned with
+  | None -> match_at_ctx ctx v p ri
+  | Some results ->
+    let per_child =
+      List.mapi
+        (fun ci (c : P.node) ->
+          let contrib = List.concat_map (fun r -> List.nth r ci) results in
+          match c.P.axis with
+          | P.Child -> dedup contrib
+          | P.Descendant ->
+            let r = dedup contrib in
+            if is_interesting ctx c then r else if r = [] then [] else [ empty_binding ])
+        p.P.children
+    in
+    let self = [ self_binding ctx v p ri ] in
+    let r =
+      List.fold_left
+        (fun acc rc -> if acc = [] then [] else join_lists ~relax_joins:ctx.relax_joins acc rc)
+        self per_child
+    in
+    if is_interesting ctx p then r else if r = [] then [] else [ empty_binding ]
 
 (* ------------------------------------------------------------------ *)
 

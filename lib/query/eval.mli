@@ -17,7 +17,7 @@
     contain neither result nodes nor variables to pure existence tests.
 
     With a {!par} handle carrying [jobs > 1], the match at the view root
-    fans out over top-level subtrees on domains ({!Exec.map_domains}).
+    fans out over top-level subtrees on domains ({!fan_out}).
     The reassembly preserves document order before the same
     deduplication and joins, so the bindings are identical — element for
     element — at every jobs level. *)
@@ -28,19 +28,26 @@ type binding = {
 }
 
 type par
-(** Shared accounting for intra-document parallel matching: the jobs
-    level plus a counter of parallel map dispatches. One [par] value is
-    threaded through every context of an evaluation run so the engine
-    can report [parallel_match_batches]. *)
+(** Shared state for intra-document parallel matching: the jobs level
+    plus a counter of chunks dispatched to the domain pool. One [par]
+    value is threaded through every context of an evaluation run so the
+    engine can report [parallel_match_batches]. *)
 
 val par : jobs:int -> par
 val par_jobs : par -> int
 val par_batches : par -> int
 
-val par_count : par -> int -> unit
-(** [par_count p n] accounts [n] more parallel batches — for callers
-    (e.g. the candidate filter) that dispatch their own chunked maps
-    outside the evaluator. *)
+val fan_out : par -> weight:('a -> int) -> ('a list -> 'b) -> 'a list -> 'b list option
+(** [fan_out p ~weight f xs] is the one match fan-out: it splits [xs]
+    into at most [par_jobs p] contiguous chunks of about equal total
+    [weight] (a chunk closes once it reaches the mean share), maps [f]
+    over them on the domain pool ({!Axml_exec.Exec.map_domains}),
+    accounts the chunks in [par_batches p] and returns the results in
+    chunk order. With unit weights every chunk but the last holds
+    [ceil (length xs / par_jobs p)] elements. It returns [None], running
+    nothing, when there would be fewer than two chunks: the caller then
+    takes its sequential path. The root match uses subtree sizes as
+    weights; the F-guide candidate filter uses unit weights. *)
 
 type context
 (** A reusable evaluation context: memo tables keyed by document node

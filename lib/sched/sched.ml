@@ -84,12 +84,6 @@ let create ?(mode = Adaptive) specs =
 
 let shard_ids t = List.map (fun s -> s.spec.id) t.shards
 
-let registries t =
-  List.rev
-    (List.fold_left
-       (fun acc s -> if List.memq s.spec.registry acc then acc else s.spec.registry :: acc)
-       [] t.shards)
-
 let owns s name =
   (match s.spec.services with None -> true | Some l -> List.mem name l)
   && Registry.is_registered s.spec.registry name

@@ -90,12 +90,6 @@ val total_budget : t -> int option
 
 val shard_ids : t -> string list
 
-val registries : t -> Axml_services.Registry.t list
-(** Every distinct shard registry, in declaration order (physically
-    deduplicated: shards sharing one registry contribute it once) —
-    what a caller pools to report fault counters or histories across
-    the whole scheduler. *)
-
 val dispatched : t -> (string * int) list
 (** Calls started per shard (successful or not), by shard id. *)
 

@@ -251,6 +251,23 @@ let test_push_saves_bytes () =
   Alcotest.(check bool) "fewer bytes" true
     (pushed.Engine.bytes_transferred < plain.Engine.bytes_transferred)
 
+(* The F-guide candidate filter fans out over domains at match-jobs 4:
+   answers and every report field but the batch count stay those of the
+   sequential filter. *)
+let test_fguide_filter_match_jobs () =
+  List.iter
+    (fun (name, strategy) ->
+      let seq = run_strategy small_cfg strategy in
+      let par = run_strategy small_cfg (Lazy_eval.with_match_jobs 4 strategy) in
+      check_tuples (name ^ " answers") (tuples seq.Engine.answers) (tuples par.Engine.answers);
+      Alcotest.(check (list string))
+        (name ^ " report fields") [ "parallel_match_batches" ] (Engine.differing seq par);
+      Alcotest.(check bool) (name ^ " fanned out") true (par.Engine.parallel_match_batches > 0))
+    [
+      ("nfqa+fguide", Lazy_eval.with_fguide Lazy_eval.nfqa);
+      ("nfqa+types+push+fguide", Lazy_eval.with_push (Lazy_eval.with_fguide Lazy_eval.nfqa_typed));
+    ]
+
 (* A query the relevance constructions reject (an OR node, which only
    the wire codec produces) fails before the run touches anything: the
    document is not projected and no span is opened. *)
@@ -660,6 +677,7 @@ let () =
           quick "guide = document for LPQs" test_fguide_matches_lpq;
           quick "maintenance" test_fguide_maintenance;
           quick "xml serialization" test_fguide_to_xml;
+          quick "candidate filter at match-jobs 4" test_fguide_filter_match_jobs;
         ] );
       ("typing", [ quick "refinement names functions" test_refine_names_functions ]);
       ( "workloads",

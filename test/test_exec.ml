@@ -1,6 +1,8 @@
-(* Tests for the Axml_exec worker pool and the concurrent §4.4 batch
+(* Tests for the Axml_exec worker pools (threads, and the process-wide
+   domain pool behind the match fan-out) and the concurrent §4.4 batch
    path: order preservation, exception propagation, the inline fallback
-   at one job, a qcheck property that no work is lost or duplicated, and
+   at one job and for small batches, concurrent callers of the domain
+   pool, a qcheck property that no work is lost or duplicated, and
    a differential check that a pooled evaluation of a seeded faulty
    workload is identical to the sequential one — answers (bytes),
    counts, fault fates, metrics and trace. *)
@@ -23,38 +25,73 @@ let with_pool jobs f =
 (* ------------------------------------------------------------------ *)
 (* The pool itself *)
 
+(* A map_batch case runs on a thread pool of [jobs] and on the
+   process-wide domain pool alike: one worker loop serves both. *)
+type mapper = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
+
+let on_both_pools jobs check =
+  with_pool jobs (fun pool -> check "threads" { map = (fun f xs -> Exec.map_batch pool f xs) });
+  check "domains" { map = Exec.map_domains }
+
 let test_order_preserved () =
-  with_pool 4 (fun pool ->
+  on_both_pools 4 (fun kind { map } ->
       let xs = List.init 100 Fun.id in
       let ys =
-        Exec.map_batch pool
+        map
           (fun x ->
             if x mod 7 = 0 then Thread.yield ();
             x * x)
           xs
       in
-      Alcotest.(check (list int)) "squares in order" (List.map (fun x -> x * x) xs) ys)
+      Alcotest.(check (list int)) (kind ^ ": squares in order") (List.map (fun x -> x * x) xs) ys)
 
 exception Boom of int
 
 let test_exception_propagation () =
-  with_pool 4 (fun pool ->
+  on_both_pools 4 (fun kind { map } ->
       let mu = Mutex.create () in
       let ran = ref 0 in
       let xs = List.init 50 Fun.id in
       match
-        Exec.map_batch pool
+        map
           (fun x ->
             Mutex.protect mu (fun () -> incr ran);
             if x mod 10 = 3 then raise (Boom x);
             x)
           xs
       with
-      | _ -> Alcotest.fail "expected Boom"
+      | _ -> Alcotest.fail (kind ^ ": expected Boom")
       | exception Boom i ->
-        Alcotest.(check int) "lowest failing index wins" 3 i;
+        Alcotest.(check int) (kind ^ ": lowest failing index wins") 3 i;
         (* the batch joins before raising: nothing is abandoned mid-air *)
-        Alcotest.(check int) "every element was still processed" 50 !ran)
+        Alcotest.(check int) (kind ^ ": every element was still processed") 50 !ran)
+
+let test_small_batches_inline () =
+  let me = (Thread.id (Thread.self ()), (Domain.self () :> int)) in
+  on_both_pools 4 (fun kind { map } ->
+      Alcotest.(check (list int)) (kind ^ ": empty batch") [] (map (fun _ -> assert false) []);
+      match map (fun () -> (Thread.id (Thread.self ()), (Domain.self () :> int))) [ () ] with
+      | [ who ] -> Alcotest.(check bool) (kind ^ ": singleton ran in the caller") true (who = me)
+      | _ -> Alcotest.fail (kind ^ ": singleton batch lost its result"))
+
+let test_concurrent_domain_fan_outs () =
+  (* concurrent server [Eval] requests each fan their match out on the
+     one domain pool: every caller drains its own batch and gets its own
+     results back *)
+  let results = Array.make 4 [] in
+  let caller k =
+    for _ = 1 to 25 do
+      results.(k) <- Exec.map_domains (fun x -> (k * 1000) + x) (List.init 16 Fun.id)
+    done
+  in
+  List.iter Thread.join (List.init 4 (fun k -> Thread.create caller k));
+  Array.iteri
+    (fun k ys ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "caller %d got its own results" k)
+        (List.init 16 (fun x -> (k * 1000) + x))
+        ys)
+    results
 
 let test_inline_at_one_job () =
   with_pool 1 (fun pool ->
@@ -88,18 +125,22 @@ let prop_no_lost_or_duplicated_work =
   QCheck.Test.make ~name:"map_batch loses and duplicates nothing" ~count:50
     QCheck.(pair (int_range 1 8) (small_list small_int))
     (fun (jobs, xs) ->
-      with_pool jobs (fun pool ->
+      let ok = ref true in
+      on_both_pools jobs (fun _ { map } ->
           let mu = Mutex.create () in
           let seen = ref [] in
           let ys =
-            Exec.map_batch pool
+            map
               (fun x ->
                 Mutex.protect mu (fun () -> seen := x :: !seen);
                 x + 1)
               xs
           in
-          ys = List.map (fun x -> x + 1) xs
-          && List.sort compare !seen = List.sort compare xs))
+          ok :=
+            !ok
+            && ys = List.map (fun x -> x + 1) xs
+            && List.sort compare !seen = List.sort compare xs);
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: pooled evaluation ≡ sequential evaluation *)
@@ -227,6 +268,8 @@ let () =
           quick "exception propagation" test_exception_propagation;
           quick "jobs=1 runs inline" test_inline_at_one_job;
           quick "nested batches" test_nested_batches;
+          quick "empty and singleton batches run inline" test_small_batches_inline;
+          quick "concurrent domain fan-outs" test_concurrent_domain_fan_outs;
           QCheck_alcotest.to_alcotest prop_no_lost_or_duplicated_work;
         ] );
       ( "differential",

@@ -1,6 +1,6 @@
 (* Property tests for the snapshot-view layer (lib/doc Axml_doc.View):
    round-trips, incremental splice patching (in place, in any splice
-   order), parallel ≡ sequential
+   order), the fan-out's chunking, parallel ≡ sequential
    matching, a match memo kept across splices ≡ a fresh one, and F-guide
    memoization on the generation counter. *)
 
@@ -204,6 +204,35 @@ let prop_splice_consistency =
       List.iter (fun order -> check_in_place order c) [ `Document; `Reverse; `Random ];
       true)
 
+(* The one fan-out chunks contiguously into at most [jobs] chunks, each
+   but the last closing once it reaches the mean weight, and accounts
+   every chunk it dispatched; with unit weights every chunk but the last
+   holds ceil(n / jobs) elements. *)
+let prop_fan_out_chunks =
+  QCheck.Test.make ~count:200 ~name:"fan_out chunks contiguously"
+    QCheck.(triple (int_range 1 6) (small_list (int_range 1 20)) bool)
+    (fun (jobs, ws, unit) ->
+      let weight w = if unit then 1 else w in
+      let par = Eval.par ~jobs in
+      match Eval.fan_out par ~weight Fun.id ws with
+      | None -> Eval.par_batches par = 0
+      | Some cs ->
+        let n = List.length ws and k = List.length cs in
+        let total = List.fold_left (fun a w -> a + weight w) 0 ws in
+        let target = max 1 ((total + jobs - 1) / jobs) in
+        let sum c = List.fold_left (fun a w -> a + weight w) 0 c in
+        let closed = List.filteri (fun i _ -> i < k - 1) cs in
+        List.concat cs = ws
+        && k >= 2 && k <= jobs
+        && Eval.par_batches par = k
+        && List.for_all (fun c -> c <> []) cs
+        && List.for_all
+             (fun c ->
+               sum c >= target
+               && sum c - weight (List.nth c (List.length c - 1)) < target)
+             closed
+        && ((not unit) || List.for_all (fun c -> List.length c = (n + jobs - 1) / jobs) closed))
+
 (* Parallel matching is invisible: same bindings, element for element,
    at every jobs level, across splice sequences. *)
 let prop_parallel_matching =
@@ -395,6 +424,7 @@ let () =
         [
           prop prop_roundtrip;
           prop prop_splice_consistency;
+          prop prop_fan_out_chunks;
           prop prop_parallel_matching;
           prop prop_kept_context;
         ] );
