@@ -35,6 +35,7 @@ type case = {
   wire_binary : bool;
   match_jobs : int;
   share_contexts : bool;
+  fguide : bool;
 }
 
 type failure = { oracle : string; detail : string }
@@ -82,6 +83,11 @@ let case_of_seed seed =
      drawn after the fan-out for the same reason; naive has no sweeps *)
   let share_draw = Random.State.bool rng in
   let share_contexts = lazy_strategy && share_draw in
+  (* whether detection takes its candidates from the F-guide and filters
+     them by anchored matching (§6.2), drawn after the shared contexts
+     for the same reason; naive never detects *)
+  let fguide_draw = Random.State.bool rng in
+  let fguide = lazy_strategy && fguide_draw in
   {
     case_seed = seed;
     family;
@@ -101,19 +107,20 @@ let case_of_seed seed =
     wire_binary;
     match_jobs;
     share_contexts;
+    fguide;
   }
 
 let case_to_string c =
   Printf.sprintf
     "seed=%d family=%s scale=%d strategy=%s jobs=%d remote=%b push=%b memo=%b fault_rate=%.2f \
      permanent=%b retries=%d budget=%d project=%b shards=%d replicate=%b wire=%s \
-     match_jobs=%d share_contexts=%b"
+     match_jobs=%d share_contexts=%b fguide=%b"
     c.case_seed (Adversary.family_name c.family) c.scale
     (if c.lazy_strategy then "lazy" else "naive")
     c.jobs c.remote c.push c.memoize c.fault_rate c.fault_permanent c.max_retries c.budget
     c.project c.shards c.replicate
     (if c.wire_binary then "binary" else "json")
-    c.match_jobs c.share_contexts
+    c.match_jobs c.share_contexts c.fguide
 
 let replay_hint c =
   Printf.sprintf "axml fuzz --seed %d --iters 1 --family %s" c.case_seed
@@ -253,6 +260,7 @@ let run_arm ~watchdog (c : case) ~jobs ?(match_jobs = 1) ?(share_contexts = c.sh
                 { Lazy_eval.nfqa with Lazy_eval.max_calls = c.budget; share_contexts }
               in
               let strategy = Lazy_eval.with_match_jobs match_jobs strategy in
+              let strategy = if c.fguide then Lazy_eval.with_fguide strategy else strategy in
               let strategy = if push then Lazy_eval.with_push strategy else strategy in
               Lazy_eval.run ~strategy ?obs ?pool ?projector ?dispatch ~registry
                 inst.Adversary.query inst.Adversary.doc
@@ -489,11 +497,13 @@ let shrink_candidates (c : case) =
   List.filter
     (fun c' -> c' <> c)
     [
-      (* isolated contexts and sequential matching first: a failure that
-         survives without the kept match memo or the domain fan-out rules
-         those layers out of the report *)
+      (* isolated contexts, sequential matching and no F-guide first: a
+         failure that survives without the kept match memo, the domain
+         fan-out or the anchored candidate filter rules those layers out
+         of the report *)
       { c with share_contexts = false };
       { c with match_jobs = 1 };
+      { c with fguide = false };
       (* routing off next: a failure that survives on one plain shard
          is a simpler report than any scheduler interaction *)
       { c with shards = 1; replicate = false };

@@ -94,6 +94,11 @@ type case = {
           across detection sweeps, kept in sync across splices; every
           lazy case additionally checks the shared ≡ isolated context
           oracle with both settings at jobs = 1 *)
+  fguide : bool;
+      (** lazy cases only: every lazy arm takes its detection candidates
+          from the F-guide and keeps those its relevance query retrieves
+          by anchored matching (§6.2); detection then uses no shared
+          context, and at match-jobs 4 the candidate filter fans out *)
 }
 
 val case_of_seed : int -> case

@@ -160,7 +160,7 @@ type ctx = {
   (* document node id -> its memo slot *)
   memo : slot Itbl.t;
   (* pattern pid -> subtree contains result nodes or variables *)
-  interesting : (int, bool) Hashtbl.t;
+  interesting : bool Itbl.t;
 }
 
 let make_ctx ?(record_images = false) ?par ~relax_joins () =
@@ -171,8 +171,8 @@ let make_ctx ?(record_images = false) ?par ~relax_joins () =
     view = None;
     doc_uid = -1;
     synced = -1;
-    memo = Itbl.create 256;
-    interesting = Hashtbl.create 64;
+    memo = Itbl.create 16;
+    interesting = Itbl.create 8;
   }
 
 (* The document's view is patched in place by splices, so the same view
@@ -209,7 +209,7 @@ let slot ctx nid =
     s
 
 let rec is_interesting ctx (p : P.node) =
-  match Hashtbl.find_opt ctx.interesting p.P.pid with
+  match Itbl.find_opt ctx.interesting p.P.pid with
   | Some v -> v
   | None ->
     let v =
@@ -217,9 +217,12 @@ let rec is_interesting ctx (p : P.node) =
       || (match p.P.label with P.Var _ -> true | _ -> false)
       || List.exists (is_interesting ctx) p.P.children
     in
-    Hashtbl.replace ctx.interesting p.P.pid v;
+    Itbl.replace ctx.interesting p.P.pid v;
     v
 
+(* A node that binds nothing yields [empty_binding] itself, so joining
+   its children takes [join_lists]'s shortcut instead of rebuilding each
+   child binding. *)
 let self_binding ctx v (p : P.node) i =
   let results =
     if p.P.result || ctx.record_images then [ (p.P.pid, View.node v i) ] else []
@@ -229,25 +232,52 @@ let self_binding ctx v (p : P.node) i =
     | P.Var x -> ( match label_string (View.label v i) with Some l -> [ (x, l) ] | None -> [])
     | _ -> []
   in
-  { results; vars }
+  if results = [] && vars = [] then empty_binding else { results; vars }
 
-(* Matches pattern node [p] with image exactly position [i] of [v]. *)
-let rec match_at_ctx ctx v (p : P.node) i : binding list =
-  let s = slot ctx (View.node v i).Doc.id in
-  match assoc_pid p.P.pid s.at with
-  | Some r -> r
-  | None ->
-    let r =
-      match p.P.label with
-      | P.Or ->
-        (* The OR node itself has no image; its chosen alternative is
-           matched at this position. *)
-        dedup (List.concat_map (fun alt -> match_alternative ctx v alt i) p.P.children)
-      | _ -> match_concrete ctx v p i
+(* Whether pattern node [p] can map to a node labelled [lbl]: an OR
+   node can when one of its alternatives can. *)
+let rec label_matches_or (p : P.node) lbl =
+  match p.P.label with
+  | P.Or -> List.exists (fun alt -> label_matches_or alt lbl) p.P.children
+  | _ -> label_matches p.P.label lbl
+
+(* [f c] concatenated over the children [c] of [i] visible to queries —
+   all children of a data node, none of a function node (parameters are
+   not document content) — in document order, skipping from child to
+   child by subtree ends. *)
+let concat_children v i f =
+  if not (View.is_data v i) then []
+  else begin
+    let stop = View.subtree_end v i in
+    let rec go j acc =
+      if j >= stop then acc
+      else
+        go (View.subtree_end v j) (match f j with [] -> acc | r -> r :: acc)
     in
-    let r = if is_interesting ctx p then r else if r = [] then [] else [ empty_binding ] in
-    s.at <- (p.P.pid, r) :: s.at;
-    r
+    match go (i + 1) [] with [] -> [] | [ r ] -> r | rs -> List.concat (List.rev rs)
+  end
+
+(* Matches pattern node [p] with image exactly position [i] of [v]. A
+   label mismatch is [] whatever the memo holds, so it is decided before
+   the memo: only label-compatible pairs get a slot and an entry. *)
+let rec match_at_ctx ctx v (p : P.node) i : binding list =
+  if not (label_matches_or p (View.label v i)) then []
+  else
+    let s = slot ctx (View.node v i).Doc.id in
+    match assoc_pid p.P.pid s.at with
+    | Some r -> r
+    | None ->
+      let r =
+        match p.P.label with
+        | P.Or ->
+          (* The OR node itself has no image; its chosen alternative is
+             matched at this position. *)
+          dedup (List.concat_map (fun alt -> match_alternative ctx v alt i) p.P.children)
+        | _ -> match_conditions ctx v p i
+      in
+      let r = if is_interesting ctx p then r else if r = [] then [] else [ empty_binding ] in
+      s.at <- (p.P.pid, r) :: s.at;
+      r
 
 and match_alternative ctx v (alt : P.node) i =
   (* Alternatives are matched at the OR's position; their own axis is
@@ -257,45 +287,39 @@ and match_alternative ctx v (alt : P.node) i =
   | _ -> match_concrete ctx v alt i
 
 and match_concrete ctx v (p : P.node) i =
-  if not (label_matches p.P.label (View.label v i)) then []
-  else begin
-    let self = [ self_binding ctx v p i ] in
-    List.fold_left
-      (fun acc child ->
-        if acc = [] then []
-        else join_lists ~relax_joins:ctx.relax_joins acc (match_child ctx v child i))
-      self p.P.children
-  end
+  if label_matches p.P.label (View.label v i) then match_conditions ctx v p i else []
+
+(* [p]'s own binding at [i] joined with its children's matches; [p]'s
+   label is known to match. *)
+and match_conditions ctx v (p : P.node) i =
+  List.fold_left
+    (fun acc child ->
+      if acc = [] then []
+      else join_lists ~relax_joins:ctx.relax_joins acc (match_child ctx v child i))
+    [ self_binding ctx v p i ] p.P.children
 
 (* Matches pattern node [p] with image a child of [i] (Child axis) or any
    position strictly below [i] reachable through data nodes (Descendant). *)
 and match_child ctx v (p : P.node) i =
   match p.P.axis with
-  | P.Child ->
-    dedup (List.concat_map (fun c -> match_at_ctx ctx v p c) (positions_under v i))
+  | P.Child -> dedup (concat_children v i (match_at_ctx ctx v p))
   | P.Descendant -> match_below ctx v p i
+
+(* [p] matched at position [c] or strictly below it. *)
+and match_here_or_below ctx v p c =
+  let here = match_at_ctx ctx v p c in
+  let deeper = if View.is_data v c then match_below ctx v p c else [] in
+  here @ deeper
 
 and match_below ctx v (p : P.node) i =
   let s = slot ctx (View.node v i).Doc.id in
   match assoc_pid p.P.pid s.below with
   | Some r -> r
   | None ->
-    let r =
-      dedup
-        (List.concat_map
-           (fun c ->
-             let here = match_at_ctx ctx v p c in
-             let deeper = if View.is_data v c then match_below ctx v p c else [] in
-             here @ deeper)
-           (positions_under v i))
-    in
+    let r = dedup (concat_children v i (match_here_or_below ctx v p)) in
     let r = if is_interesting ctx p then r else if r = [] then [] else [ empty_binding ] in
     s.below <- (p.P.pid, r) :: s.below;
     r
-
-(* Children visible to queries: all children of a data node; none for a
-   function node (parameters are not document content). *)
-and positions_under v i = if View.is_data v i then View.children v i else []
 
 (* ------------------------------------------------------------------ *)
 (* Root fan-out: decompose the match at the view root over its top-level
@@ -309,24 +333,21 @@ let match_root ctx v (p : P.node) =
   let ri = View.root v in
   let fanned =
     match ctx.par with
-    | Some par when p.P.label <> P.Or && label_matches p.P.label (View.label v ri) ->
+    | Some par
+      when p.P.label <> P.Or && View.is_data v ri && label_matches p.P.label (View.label v ri) ->
       let work chunk =
         let cctx = make_ctx ~record_images:ctx.record_images ~relax_joins:ctx.relax_joins () in
         cctx.view <- Some v;
         List.map
           (fun (c : P.node) ->
             List.concat_map
-              (fun t ->
-                match c.P.axis with
-                | P.Child -> match_at_ctx cctx v c t
-                | P.Descendant ->
-                  let here = match_at_ctx cctx v c t in
-                  let deeper = if View.is_data v t then match_below cctx v c t else [] in
-                  here @ deeper)
+              (match c.P.axis with
+              | P.Child -> match_at_ctx cctx v c
+              | P.Descendant -> match_here_or_below cctx v c)
               chunk)
           p.P.children
       in
-      fan_out par ~weight:(fun t -> View.subtree_end v t - t) work (positions_under v ri)
+      fan_out par ~weight:(fun t -> View.subtree_end v t - t) work (View.children v ri)
     | _ -> None
   in
   match fanned with
@@ -399,11 +420,6 @@ let matches_of ?(relax_joins = false) ?par (q : P.t) (d : Doc.t) ~target =
 
 (* ------------------------------------------------------------------ *)
 (* Candidate-anchored matching (§6.2).                                  *)
-
-let rec label_matches_or (p : P.node) lbl =
-  match p.P.label with
-  | P.Or -> List.exists (fun alt -> label_matches_or alt lbl) p.P.children
-  | _ -> label_matches p.P.label lbl
 
 (* Conditions of a path node, excluding the continuation to the next
    path node. *)

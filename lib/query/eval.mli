@@ -15,6 +15,9 @@
     just bind the document's cached view first. It is memoized on
     (document node, pattern node) pairs, and collapses sub-patterns that
     contain neither result nodes nor variables to pure existence tests.
+    The label test comes before the memo: a pair whose labels cannot
+    match (for an OR node: none of its alternatives' labels) is decided
+    without it, so a memo entry exists only for a label-compatible pair.
 
     With a {!par} handle carrying [jobs > 1], the match at the view root
     fans out over top-level subtrees on domains ({!fan_out}).
@@ -51,7 +54,9 @@ val fan_out : par -> weight:('a -> int) -> ('a list -> 'b) -> 'a list -> 'b list
 
 type context
 (** A reusable evaluation context: memo tables keyed by document node
-    id, then pattern node. Pattern-node ids are globally unique, so one
+    id, then pattern node, holding entries for label-compatible pairs
+    only (a label mismatch is decided without the memo). The tables
+    start small and grow. Pattern-node ids are globally unique, so one
     context can be shared across {e different} queries over the same
     document state — the multi-query optimization the paper's §4.1 calls
     essential. An entry depends only on its document node's subtree and

@@ -28,6 +28,23 @@ let test_case_stream_deterministic () =
   in
   Alcotest.(check bool) "the stream varies" true (distinct > 150)
 
+(* The F-guide dimension: lazy cases only, and drawn often enough that
+   its candidate filter meets both match levels in a short run. *)
+let test_case_stream_fguide () =
+  let cases = List.init 200 Fuzz.case_of_seed in
+  List.iter
+    (fun (c : Fuzz.case) ->
+      if c.Fuzz.fguide && not c.Fuzz.lazy_strategy then
+        Alcotest.failf "naive case with the F-guide: %s" (Fuzz.case_to_string c))
+    cases;
+  List.iter
+    (fun mj ->
+      Alcotest.(check bool)
+        (Printf.sprintf "some F-guide case at match-jobs %d" mj)
+        true
+        (List.exists (fun (c : Fuzz.case) -> c.Fuzz.fguide && c.Fuzz.match_jobs = mj) cases))
+    [ 1; 4 ]
+
 let test_adversary_deterministic () =
   List.iter
     (fun (name, family) ->
@@ -111,6 +128,7 @@ let () =
       ( "determinism",
         [
           quick "case stream is a pure function of the seed" test_case_stream_deterministic;
+          quick "the F-guide is drawn for lazy cases only" test_case_stream_fguide;
           quick "adversary instances are seed-deterministic" test_adversary_deterministic;
           quick "seeds matter" test_adversary_seed_sensitivity;
         ] );

@@ -350,6 +350,15 @@ let test_bindings_to_xml () =
         (List.exists (fun c -> Axml_xml.Tree.name c = Some "name") (Axml_xml.Tree.children t)))
     tuples
 
+(* A binding set as comparable keys: result pids with node ids, and the
+   variable labels. *)
+let binding_keys bindings =
+  List.sort_uniq compare
+    (List.map
+       (fun (b : Eval.binding) ->
+         (List.map (fun (pid, (n : Doc.node)) -> (pid, n.Doc.id)) b.Eval.results, b.Eval.vars))
+       bindings)
+
 let test_shared_context_across_queries () =
   let d = sample_doc () in
   let ctx = Eval.context () in
@@ -360,6 +369,40 @@ let test_shared_context_across_queries () =
   (* the memo is keyed by globally-unique pids, so re-running either query
      in the same context gives the same answers *)
   Alcotest.(check int) "q1 again" 1 (List.length (Eval.eval_in ctx q1 d))
+
+let test_shared_context_or_queries () =
+  (* Two queries share the pattern node [rating[OR("5", getrating())]]:
+     the first tries it at the hotels' children only; the second, as an
+     OR alternative under a descendant wildcard, at the children of
+     every element, where most labels cannot match. A shared context,
+     in either order, must answer like fresh ones: the entries one query
+     leaves, and the mismatches it decides without the memo, never
+     change the other's answers. *)
+  let d = sample_doc () in
+  let alts = Parser.parse_relative {|"5"|} @ Parser.parse_relative "getrating()" in
+  let rating = P.make (P.Const "rating") [ P.make P.Or alts ] in
+  let q1 = P.query (P.make (P.Const "guide") [ P.make ~result:true (P.Const "hotel") [ rating ] ]) in
+  let q2 =
+    P.query
+      (P.make (P.Const "guide")
+         [
+           P.make ~axis:P.Descendant ~result:true P.Wildcard
+             [ P.make P.Or [ rating; P.make (P.Const "name") [] ] ];
+         ])
+  in
+  let fresh q = binding_keys (Eval.eval q d) in
+  Alcotest.(check int) "q1 fresh: both hotels" 2 (List.length (fresh q1));
+  Alcotest.(check int) "q2 fresh: hotels and restaurants" 4 (List.length (fresh q2));
+  List.iter
+    (fun (name, first, second) ->
+      let ctx = Eval.context () in
+      let a = binding_keys (Eval.eval_in ctx first d) in
+      let b = binding_keys (Eval.eval_in ctx second d) in
+      let a' = binding_keys (Eval.eval_in ctx first d) in
+      Alcotest.(check bool) (name ^ ": first ≡ fresh") true (a = fresh first);
+      Alcotest.(check bool) (name ^ ": second ≡ fresh") true (b = fresh second);
+      Alcotest.(check bool) (name ^ ": first again ≡ fresh") true (a' = fresh first))
+    [ ("q1 then q2", q1, q2); ("q2 then q1", q2, q1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Embeddings (full homomorphisms) *)
@@ -415,15 +458,55 @@ let gen_query_src =
       "/r/a/f()!";
     ]
 
-(* Reference evaluator: brute-force enumeration of homomorphisms. *)
-let rec all_maps (p : P.node) (n : Doc.node) : (int * int) list list =
-  let label_ok =
-    match p.P.label with
-    | P.Or -> false (* not generated *)
-    | l -> Eval.label_matches_exposed l n
+(* Sources with OR nodes: the NFQs of a generated query ([Nfq.of_query]
+   wraps every off-path node [u] as OR(u', *())), and the same NFQs with
+   every OR nested under another whose second alternative is an OR over
+   a result leaf, with the inner OR's own axis set to descendant (an
+   alternative's axis is ignored). *)
+type source_shape = Plain | Nfq of int | Nested_or of int
+
+let gen_source =
+  QCheck.Gen.(
+    pair gen_query_src
+      (frequency
+         [ (1, return Plain); (2, map (fun k -> Nfq k) nat); (1, map (fun k -> Nested_or k) nat) ]))
+
+let rec nest_ors (n : P.node) =
+  let children = List.map nest_ors n.P.children in
+  match n.P.label with
+  | P.Or ->
+    P.make ~axis:n.P.axis P.Or
+      [
+        P.make ~axis:P.Descendant P.Or children;
+        P.make P.Or [ P.make ~result:true (P.Const "c") [] ];
+      ]
+  | _ -> P.with_children n children
+
+let query_of_source (src, shape) =
+  let q = parse src in
+  let nfq k =
+    let nfqs = Axml_core.Nfq.of_query q in
+    (List.nth nfqs (k mod List.length nfqs)).Axml_core.Relevance.query
   in
-  if not label_ok then []
-  else
+  match shape with
+  | Plain -> q
+  | Nfq k -> nfq k
+  | Nested_or k -> P.query (nest_ors (nfq k).P.root)
+
+let source_to_string (src, shape) =
+  match shape with
+  | Plain -> src
+  | Nfq k -> Printf.sprintf "nfq %d of %s" k src
+  | Nested_or k -> Printf.sprintf "nested-or nfq %d of %s" k src
+
+(* Reference evaluator: brute-force enumeration of homomorphisms. An OR
+   node has no image: it maps where one of its alternatives maps, at the
+   OR's own position. *)
+let rec all_maps (p : P.node) (n : Doc.node) : (int * int) list list =
+  match p.P.label with
+  | P.Or -> List.concat_map (fun alt -> all_maps alt n) p.P.children
+  | l when not (Eval.label_matches_exposed l n) -> []
+  | _ ->
     let per_child (c : P.node) =
       let candidates =
         match c.P.axis with
@@ -446,42 +529,49 @@ let rec all_maps (p : P.node) (n : Doc.node) : (int * int) list list =
         [ [ (p.P.pid, n.Doc.id) ] ]
         children_choices
 
-let var_consistent (q : P.t) (emb : (int * int) list) (d : Doc.t) =
-  let by_id = Hashtbl.create 16 in
-  Doc.iter (fun n -> Hashtbl.replace by_id n.Doc.id n) d;
-  let assignments = Hashtbl.create 8 in
-  List.for_all
-    (fun (pid, nid) ->
-      match P.find q pid with
-      | Some pn -> (
-        match pn.P.label with
-        | P.Var x -> (
-          let n = Hashtbl.find by_id nid in
-          match Eval.doc_label n with
-          | None -> false
-          | Some l -> (
-            match Hashtbl.find_opt assignments x with
-            | None ->
-              Hashtbl.replace assignments x l;
-              true
-            | Some l' -> String.equal l l'))
-        | _ -> true)
-      | None -> true)
-    emb
+(* The binding an embedding induces: result-node images and variable
+   labels, or [None] when two occurrences of a variable disagree. *)
+let binding_of_embedding (q : P.t) by_id (emb : (int * int) list) =
+  let results, vars =
+    List.fold_left
+      (fun (results, vars) (pid, nid) ->
+        match P.find q pid with
+        | Some pn ->
+          let results = if pn.P.result then (pid, nid) :: results else results in
+          let vars =
+            match pn.P.label with
+            | P.Var x -> (x, Eval.doc_label (Hashtbl.find by_id nid)) :: vars
+            | _ -> vars
+          in
+          (results, vars)
+        | None -> (results, vars))
+      ([], []) emb
+  in
+  let vars = List.sort_uniq compare vars in
+  let rec consistent = function
+    | (x, l) :: ((y, _) :: _ as rest) -> x <> y && l <> None && consistent rest
+    | [ (_, l) ] -> l <> None
+    | [] -> true
+  in
+  if consistent vars then
+    Some (List.sort compare results, List.map (fun (x, l) -> (x, Option.get l)) vars)
+  else None
 
 let prop_eval_matches_bruteforce =
-  QCheck.Test.make ~name:"evaluator agrees with brute force" ~count:300
+  QCheck.Test.make ~name:"evaluator agrees with brute force" ~count:1000
     (QCheck.make
-       ~print:(fun (x, q) -> Axml_xml.Print.to_string x ^ " | " ^ q)
-       QCheck.Gen.(pair gen_doc_xml gen_query_src))
-    (fun (xml, qsrc) ->
+       ~print:(fun (x, src) -> Axml_xml.Print.to_string x ^ " | " ^ source_to_string src)
+       QCheck.Gen.(pair gen_doc_xml gen_source))
+    (fun (xml, src) ->
       let d = Doc.of_xml xml in
-      let q = parse qsrc in
-      let fast = Eval.eval q d <> [] in
+      let q = query_of_source src in
+      let by_id = Hashtbl.create 16 in
+      Doc.iter (fun n -> Hashtbl.replace by_id n.Doc.id n) d;
       let slow =
-        List.exists (fun emb -> var_consistent q emb d) (all_maps q.P.root (Doc.root d))
+        List.sort_uniq compare
+          (List.filter_map (binding_of_embedding q by_id) (all_maps q.P.root (Doc.root d)))
       in
-      fast = slow)
+      binding_keys (Eval.eval q d) = slow)
 
 let prop_pathstack_agrees =
   QCheck.Test.make ~name:"pathstack = tree walker on linear chains" ~count:300
@@ -574,6 +664,7 @@ let () =
         [
           quick "tuples" test_bindings_to_xml;
           quick "shared context" test_shared_context_across_queries;
+          quick "shared context, OR queries in both orders" test_shared_context_or_queries;
         ] );
       ( "properties",
         [
