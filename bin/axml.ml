@@ -45,16 +45,25 @@ let verbose_flag =
 
 let fail fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
 
-let load_doc path =
-  try Ok (Doc.of_xml (Axml_xml.Parse.tree_of_file path)) with
+(* A term whose [Error m] is a command-line error, reported before the
+   command runs. *)
+let checked t = Term.(ret (const (function Ok x -> `Ok x | Error m -> `Error (false, m)) $ t))
+
+let load_tree path =
+  try Ok (Axml_xml.Parse.tree_of_file path) with
   | Sys_error m -> Error m
   | e -> (
     match Axml_xml.Parse.error_to_string e with
     | Some m -> Error (path ^ ": " ^ m)
     | None -> raise e)
 
+let load_doc path = Result.map Doc.of_xml (load_tree path)
+
 let parse_query src =
   try Ok (Parser.parse src) with Parser.Error m -> Error ("query: " ^ m)
+
+let compile_flwr src =
+  try Ok (Axml_query.Xquery.compile src) with Axml_query.Xquery.Error m -> Error ("flwr: " ^ m)
 
 let print_bindings ?(xml = false) (answers : Eval.binding list) =
   if xml then
@@ -111,64 +120,73 @@ let project_flag =
 
 (* ---------------- fault injection knobs ---------------- *)
 
-let fault_rate_arg =
-  Arg.(
-    value
-    & opt float 0.0
-    & info [ "fault-rate" ] ~docv:"P"
-        ~doc:
-          "Make every service flaky: each invocation attempt fails transiently with \
-           probability $(docv) (deterministic, seeded). Failed attempts are retried with \
-           exponential backoff on the simulated clock.")
+type faults = {
+  fault_rate : float;
+  fault_seed : int option;
+  max_retries : int option;
+  timeout : float option;
+}
 
-let fault_seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "fault-seed" ] ~docv:"N"
-        ~doc:"Seed of the fault schedule (defaults to the workload seed).")
-
-let max_retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:"Retry budget per invocation (default 3). 0 disables retrying.")
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "timeout" ] ~docv:"SECONDS"
-        ~doc:"Per-attempt timeout budget on the simulated clock (default: none).")
+(* The fault/retry knobs of run, eval and serve, checked when the
+   command line is parsed. *)
+let faults_term =
+  let fault_rate =
+    Arg.(
+      value
+      & opt float 0.0
+      & info [ "fault-rate" ] ~docv:"P"
+          ~doc:
+            "Make every service flaky: each invocation attempt fails transiently with \
+             probability $(docv) (deterministic, seeded). Failed attempts are retried with \
+             exponential backoff on the simulated clock.")
+  in
+  let fault_seed =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "fault-seed" ] ~docv:"N"
+          ~doc:"Seed of the fault schedule (defaults to the workload seed).")
+  in
+  let max_retries =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-retries" ] ~docv:"N"
+          ~doc:"Retry budget per invocation (default 3). 0 disables retrying.")
+  in
+  let timeout =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "timeout" ] ~docv:"SECONDS"
+          ~doc:"Per-attempt timeout budget on the simulated clock (default: none).")
+  in
+  let check fault_rate fault_seed max_retries timeout =
+    if Option.value max_retries ~default:0 < 0 then Error "max-retries must be >= 0"
+    else if Option.value timeout ~default:1.0 <= 0.0 then Error "timeout must be positive"
+    else
+      match Axml_services.Faults.validate [ Axml_services.Faults.Flaky fault_rate ] with
+      | Error m -> Error ("fault-rate: " ^ m)
+      | Ok () -> Ok { fault_rate; fault_seed; max_retries; timeout }
+  in
+  checked Term.(const check $ fault_rate $ fault_seed $ max_retries $ timeout)
 
 (* Installs the CLI fault/retry knobs on every registered service.
    Knobs left at their default do not touch the registry, so policies a
-   service spec declares per service (retries=… timeout=…) survive.
-   Returns an error message on invalid values instead of raising. *)
-let apply_faults registry ~fault_rate ~fault_seed ~max_retries ~timeout =
-  let policy =
+   service spec declares per service (retries=… timeout=…) survive. *)
+let apply_faults registry f =
+  if f.max_retries <> None || f.timeout <> None then begin
     let d = Registry.default_policy in
-    {
-      d with
-      Registry.max_retries = Option.value max_retries ~default:d.Registry.max_retries;
-      attempt_timeout = Option.value timeout ~default:d.Registry.attempt_timeout;
-    }
-  in
-  if policy.Registry.max_retries < 0 then Error "max-retries must be >= 0"
-  else if policy.Registry.attempt_timeout <= 0.0 then Error "timeout must be positive"
-  else begin
-    if max_retries <> None || timeout <> None then
-      Registry.set_retry_policy registry policy;
-    match Axml_services.Faults.validate [ Axml_services.Faults.Flaky fault_rate ] with
-    | Error m -> Error ("fault-rate: " ^ m)
-    | Ok () ->
-      if fault_rate > 0.0 then
-        Registry.inject_faults registry ?seed:fault_seed
-          [ Axml_services.Faults.Flaky fault_rate ]
-      else Option.iter (Registry.set_fault_seed registry) fault_seed;
-      Ok ()
-  end
+    Registry.set_retry_policy registry
+      {
+        d with
+        Registry.max_retries = Option.value f.max_retries ~default:d.Registry.max_retries;
+        attempt_timeout = Option.value f.timeout ~default:d.Registry.attempt_timeout;
+      }
+  end;
+  if f.fault_rate > 0.0 then
+    Registry.inject_faults registry ?seed:f.fault_seed [ Axml_services.Faults.Flaky f.fault_rate ]
+  else Option.iter (Registry.set_fault_seed registry) f.fault_seed
 
 (* ---------------- worker pool ---------------- *)
 
@@ -196,17 +214,23 @@ let match_jobs_arg =
            every report counter are byte-identical at every level. 1 (the default) stays \
            sequential; 0 picks a machine-dependent default. Ignored by $(b,naive).")
 
-(* Resolve --jobs into an optional pool; [f] runs with it and the pool
-   is always shut down, even on error. *)
+(* A count option must not be negative (0 means "pick a
+   machine-dependent default" for --jobs and --match-jobs). *)
+let check_count name n = if n < 0 then Error (Printf.sprintf "%s must be >= 0" name) else Ok n
+
+(* --jobs, checked and with 0 resolved to the machine's default. *)
+let jobs_term =
+  let resolve j = if j = 0 then Exec.default_jobs () else j in
+  checked Term.(const (fun j -> Result.map resolve (check_count "jobs" j)) $ jobs_arg)
+
+(* An optional pool of [jobs] workers; [f] runs with it and the pool is
+   always shut down, even on error. *)
 let with_pool jobs f =
-  if jobs < 0 then fail "jobs must be >= 0"
-  else
-    let n = if jobs = 0 then Exec.default_jobs () else jobs in
-    if n <= 1 then f None
-    else begin
-      let pool = Exec.create ~jobs:n () in
-      Fun.protect ~finally:(fun () -> Exec.shutdown pool) (fun () -> f (Some pool))
-    end
+  if jobs <= 1 then f None
+  else begin
+    let pool = Exec.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Exec.shutdown pool) (fun () -> f (Some pool))
+  end
 
 (* ---------------- remote peers ---------------- *)
 
@@ -334,9 +358,7 @@ let balance_arg =
    [registry] (same generator config or spec file, same fault knobs), so
    every shard/replica draws the same seeded fault fates. *)
 let build_sched ~shards ~replicas ~balance ~registry ~regen =
-  if replicas < 1 then Error "--replicas must be >= 1"
-  else if shards <> [] && replicas > 1 then Error "--shard and --replicas cannot be combined"
-  else if shards = [] && replicas <= 1 then Ok None
+  if shards = [] && replicas <= 1 then Ok None
   else if replicas > 1 then
     let specs =
       List.init replicas (fun i ->
@@ -462,6 +484,9 @@ let emit_report_json dest json =
     Json.write_file ~indent:2 path json;
     Printf.eprintf "wrote report %s\n%!" path
 
+let schema_required_arg =
+  Arg.(required & opt (some file) None & info [ "s"; "schema" ] ~docv:"FILE" ~doc:"Schema file.")
+
 let load_schema = function
   | None -> Ok None
   | Some path -> (
@@ -477,9 +502,9 @@ let snapshot doc_path query_src xml flwr =
   | Error m -> fail "%s" m
   | Ok doc ->
     if flwr then
-      match Axml_query.Xquery.compile query_src with
-      | exception Axml_query.Xquery.Error m -> fail "flwr: %s" m
-      | q ->
+      match compile_flwr query_src with
+      | Error m -> fail "%s" m
+      | Ok q ->
         print_endline
           (Axml_xml.Print.forest_to_string ~indent:2 (Axml_query.Xquery.run q doc));
         `Ok ()
@@ -577,311 +602,315 @@ let guide_cmd =
   let doc = "Build and print the document's function-call guide (§6.2)." in
   Cmd.v (Cmd.info "guide" ~doc) Term.(ret (const guide $ doc_arg))
 
-(* ---------------- run (built-in workloads) ---------------- *)
+(* ---------------- built-in workloads ---------------- *)
 
 type workload = W_city | W_goingout | W_synthetic
 
 let workload_conv =
   Arg.enum [ ("city", W_city); ("goingout", W_goingout); ("synthetic", W_synthetic) ]
 
-let strategy_conv =
-  Arg.enum
-    [
-      ("nfqa", `Nfqa);
-      ("nfqa-typed", `Typed);
-      ("nfqa-lenient", `Lenient);
-      ("lpq", `Lpq);
-      ("naive", `Naive);
-    ]
-
-(* One evaluate-and-print path for every strategy: run/eval both call
-   [evaluate] (naive is the engine's degenerate strategy, the rest are
-   Lazy_eval configurations — all return the one engine report) and
-   [finish_run] (summary, obs sinks, --report-json). *)
-
-let evaluate ~strategy ~push ~fguide ~project ~match_jobs ?schema ~obs ?pool ?dispatch
-    ?max_calls ~registry query doc =
-  let projector = if project then Some (Project.compile ?schema query) else None in
-  match strategy with
-  | `Naive -> Engine.naive_run ?max_calls ?pool ~obs ?projector ?dispatch registry query doc
-  | (`Nfqa | `Typed | `Lenient | `Lpq) as s ->
-    let base =
-      match s with
-      | `Nfqa -> Lazy_eval.nfqa
-      | `Typed -> Lazy_eval.nfqa_typed
-      | `Lenient -> Lazy_eval.nfqa_lenient
-      | `Lpq -> Lazy_eval.lpq_only
+(* One generator per built-in workload: the document, its registry,
+   schema and query, and the schema source [generate] writes beside
+   the document (none for synthetic). *)
+let generate_workload workload ~scale ~seed =
+  match workload with
+  | W_city ->
+    let i = City.generate { City.default_config with City.hotels = scale; seed } in
+    (i.City.doc, i.City.registry, i.City.schema, i.City.query, Some City.schema_src)
+  | W_goingout ->
+    let i = Goingout.generate { Goingout.default_config with Goingout.theaters = scale; seed } in
+    ( i.Goingout.doc,
+      i.Goingout.registry,
+      i.Goingout.schema,
+      i.Goingout.query,
+      Some Goingout.schema_src )
+  | W_synthetic ->
+    let i =
+      Synthetic.generate { Synthetic.default_config with Synthetic.nodes = scale * 100; seed }
     in
-    let base = if push then Lazy_eval.with_push base else base in
-    let strategy = if fguide then Lazy_eval.with_fguide base else base in
-    let strategy = Lazy_eval.with_match_jobs match_jobs strategy in
-    let strategy =
-      (* summed shard budgets tighten the engine's global budget *)
-      match max_calls with
-      | None -> strategy
-      | Some b -> Lazy_eval.with_budget b strategy
-    in
-    Lazy_eval.run ?schema ~registry ~strategy ~obs ?pool ?projector ?dispatch query doc
+    (i.Synthetic.doc, i.Synthetic.registry, i.Synthetic.schema, i.Synthetic.query, None)
 
-let finish_run ~trace_out ~metrics_out ~report_json obs (r : Engine.report) =
-  print_string ("\n" ^ Engine.summary r);
-  write_obs ~trace:trace_out ~metrics:metrics_out obs;
-  emit_report_json report_json (Engine.report_to_json r);
-  `Ok ()
+(* -w/--scale/--seed of run and generate. *)
+let workload_term =
+  let workload =
+    Arg.(value & opt workload_conv W_city & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload.")
+  in
+  let scale =
+    Arg.(
+      value & opt int 20 & info [ "scale" ] ~docv:"N" ~doc:"Workload scale (hotels/theaters/…).")
+  in
+  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Generator seed.") in
+  let check workload scale seed =
+    Result.map (fun scale -> (workload, scale, seed)) (check_count "scale" scale)
+  in
+  checked Term.(const check $ workload $ scale $ seed)
 
-let run_workload verbose workload strategy scale seed push fguide project xml jobs match_jobs
-    shards replicas balance fault_rate fault_seed max_retries timeout trace_out metrics_out
-    report_json query_override =
-  setup_logs verbose;
-  let generate () =
-    match workload with
-    | W_city ->
-      let i = City.generate { City.default_config with City.hotels = scale; seed } in
-      (i.City.doc, i.City.registry, i.City.schema, i.City.query)
-    | W_goingout ->
-      let i = Goingout.generate { Goingout.default_config with Goingout.theaters = scale; seed } in
-      (i.Goingout.doc, i.Goingout.registry, i.Goingout.schema, i.Goingout.query)
-    | W_synthetic ->
-      let i =
-        Synthetic.generate { Synthetic.default_config with Synthetic.nodes = scale * 100; seed }
-      in
-      (i.Synthetic.doc, i.Synthetic.registry, i.Synthetic.schema, i.Synthetic.query)
+(* ---------------- the evaluation pipeline of run and eval ---------------- *)
+
+(* --strategy names Lazy_eval's configurations plus naive ([None], the
+   engine's degenerate strategy); --push, --fguide and --match-jobs
+   refine the lazy ones. *)
+let strategy_term =
+  let choices = List.map (fun (n, s) -> (n, Some s)) Lazy_eval.named @ [ ("naive", None) ] in
+  let strategy =
+    Arg.(
+      value
+      & opt (enum choices) (Some Lazy_eval.nfqa_typed)
+      & info [ "strategy" ] ~docv:"NAME"
+          ~doc:("Evaluation strategy: " ^ Arg.doc_alts_enum ~quoted:false choices ^ "."))
   in
-  let doc, registry, schema, default_query = generate () in
-  let query =
-    match query_override with
-    | None -> Ok default_query
-    | Some src -> parse_query src
+  let push = Arg.(value & flag & info [ "push" ] ~doc:"Push subqueries to providers (§7).") in
+  let fguide = Arg.(value & flag & info [ "fguide" ] ~doc:"Use a function-call guide (§6.2).") in
+  let refine strategy push fguide match_jobs =
+    Result.map
+      (fun match_jobs ->
+        Option.map
+          (fun s ->
+            let s = if push then Lazy_eval.with_push s else s in
+            let s = if fguide then Lazy_eval.with_fguide s else s in
+            Lazy_eval.with_match_jobs match_jobs s)
+          strategy)
+      (check_count "match-jobs" match_jobs)
   in
-  match query with
+  checked Term.(const refine $ strategy $ push $ fguide $ match_jobs_arg)
+
+(* Every option run and eval share. *)
+type eval_opts = {
+  verbose : bool;
+  strategy : Lazy_eval.strategy option;
+  project : bool;
+  xml : bool;
+  jobs : int;
+  shards : (string * int option * string list) list;
+  replicas : int;
+  balance : Sched.mode;
+  faults : faults;
+  trace_out : string option;
+  metrics_out : string option;
+  report_json : string option;
+}
+
+let eval_opts_term =
+  let opts verbose strategy project xml jobs shards replicas balance faults trace_out metrics_out
+      report_json =
+    if replicas < 1 then Error "--replicas must be >= 1"
+    else if shards <> [] && replicas > 1 then Error "--shard and --replicas cannot be combined"
+    else
+      Ok
+        { verbose; strategy; project; xml; jobs; shards; replicas; balance; faults; trace_out;
+          metrics_out; report_json }
+  in
+  checked
+    Term.(
+      const opts $ verbose_flag $ strategy_term $ project_flag $ xml_flag $ jobs_term $ shard_arg
+      $ replicas_arg $ balance_arg $ faults_term $ trace_arg $ metrics_arg $ report_json_arg)
+
+(* What run and eval each load before the shared pipeline takes over. *)
+type loaded = {
+  doc : Doc.t;
+  registry : Registry.t;
+  schema : Schema.t option;
+  query : P.t;
+  regen : unit -> Registry.t;
+      (** a fresh twin of [registry] (same generator config or spec
+          file), for --shard/--replicas; the pipeline installs the fault
+          knobs, so every twin draws the same seeded fault fates *)
+  peer_replicas : (unit -> (Sched.t, string) result) option;
+      (** replaces the --shard/--replicas scheduler: eval's --replicas
+          over --connect peers, dialed once the fault knobs are in *)
+  header : string;  (** printed just before evaluating *)
+  print_answers : Eval.binding list -> unit;
+}
+
+(* The rest of run and eval: fault knobs, scheduler, evaluation, then
+   answers, shard placement, summary, obs sinks and --report-json. *)
+let evaluate_loaded o load =
+  setup_logs o.verbose;
+  match load () with
   | Error m -> fail "%s" m
-  | Ok query -> (
-    match
-      apply_faults registry ~fault_rate ~fault_seed:(Some (Option.value fault_seed ~default:seed))
-        ~max_retries ~timeout
-    with
+  | Ok l -> (
+    apply_faults l.registry o.faults;
+    let regen () =
+      let r = l.regen () in
+      apply_faults r o.faults;
+      r
+    in
+    let sched =
+      match l.peer_replicas with
+      | Some connect -> Result.map Option.some (connect ())
+      | None ->
+        build_sched ~shards:o.shards ~replicas:o.replicas ~balance:o.balance
+          ~registry:l.registry ~regen
+    in
+    match sched with
     | Error m -> fail "%s" m
-    | Ok () -> (
-      (* a shard/replica registry is the same workload regenerated — same
-         generator seed, same fault knobs, so every replica draws the
-         identical seeded fault fates *)
-      let regen () =
-        let _, r, _, _ = generate () in
-        (match
-           apply_faults r ~fault_rate
-             ~fault_seed:(Some (Option.value fault_seed ~default:seed))
-             ~max_retries ~timeout
-         with
-        | Ok () -> ()
-        | Error m -> failwith m);
-        r
-      in
-      match build_sched ~shards ~replicas ~balance ~registry ~regen with
-      | Error m -> fail "%s" m
-      | Ok sched ->
-        let dispatch = Option.map Sched.dispatch sched in
-        let max_calls = Option.bind sched Sched.total_budget in
-        Printf.printf "document: %d nodes, %d calls\nquery:    %s\n\n" (Doc.size doc)
-          (Doc.count_calls doc)
-          (P.to_string query);
-        let obs = make_obs ~trace:trace_out ~metrics:metrics_out in
-        with_pool jobs (fun pool ->
-            let r =
-              evaluate ~strategy ~push ~fguide ~project ~match_jobs ~schema ~obs ?pool ?dispatch
-                ?max_calls ~registry query doc
-            in
-            print_bindings ~xml r.Engine.answers;
-            (match sched with
+    | Ok sched ->
+      let dispatch = Option.map Sched.dispatch sched in
+      (* summed shard budgets tighten the engine's global budget *)
+      let max_calls = Option.bind sched Sched.total_budget in
+      print_string l.header;
+      let obs = make_obs ~trace:o.trace_out ~metrics:o.metrics_out in
+      with_pool o.jobs (fun pool ->
+          let projector =
+            if o.project then Some (Project.compile ?schema:l.schema l.query) else None
+          in
+          let r =
+            match o.strategy with
+            | None ->
+              Engine.naive_run ?max_calls ?pool ~obs ?projector ?dispatch l.registry l.query
+                l.doc
             | Some s ->
+              let strategy =
+                Option.fold ~none:s ~some:(fun b -> Lazy_eval.with_budget b s) max_calls
+              in
+              Lazy_eval.run ?schema:l.schema ~registry:l.registry ~strategy ~obs ?pool ?projector
+                ?dispatch l.query l.doc
+          in
+          l.print_answers r.Engine.answers;
+          Option.iter
+            (fun s ->
               Printf.printf "shards: %s\n"
                 (String.concat ", "
-                   (List.map
-                      (fun (id, n) -> Printf.sprintf "%s=%d" id n)
-                      (Sched.dispatched s)))
-            | None -> ());
-            finish_run ~trace_out ~metrics_out ~report_json obs r)))
+                   (List.map (fun (id, n) -> Printf.sprintf "%s=%d" id n) (Sched.dispatched s))))
+            sched;
+          print_string ("\n" ^ Engine.summary r);
+          write_obs ~trace:o.trace_out ~metrics:o.metrics_out obs;
+          emit_report_json o.report_json (Engine.report_to_json r);
+          `Ok ()))
+
+(* ---------------- run (built-in workloads) ---------------- *)
+
+let run_workload o (workload, scale, seed) query_override =
+  (* the fault schedule defaults to the workload seed *)
+  let fault_seed = Some (Option.value o.faults.fault_seed ~default:seed) in
+  let o = { o with faults = { o.faults with fault_seed } } in
+  evaluate_loaded o (fun () ->
+      let doc, registry, schema, default_query, _ = generate_workload workload ~scale ~seed in
+      Result.map
+        (fun query ->
+          {
+            doc;
+            registry;
+            schema = Some schema;
+            query;
+            regen =
+              (fun () ->
+                let _, r, _, _, _ = generate_workload workload ~scale ~seed in
+                r);
+            peer_replicas = None;
+            header =
+              Printf.sprintf "document: %d nodes, %d calls\nquery:    %s\n\n" (Doc.size doc)
+                (Doc.count_calls doc) (P.to_string query);
+            print_answers = print_bindings ~xml:o.xml;
+          })
+        (Option.fold ~none:(Ok default_query) ~some:parse_query query_override))
 
 let run_cmd =
   let doc =
     "Run a query lazily (or naively) over a built-in simulated workload: $(b,city) (the paper's \
      running example, scaled), $(b,goingout) (the introduction's scenario) or $(b,synthetic)."
   in
-  let workload_arg =
-    Arg.(value & opt workload_conv W_city & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload.")
-  in
-  let strategy_arg =
-    Arg.(
-      value
-      & opt strategy_conv `Typed
-      & info [ "strategy" ] ~docv:"NAME"
-          ~doc:"Evaluation strategy: nfqa, nfqa-typed, nfqa-lenient, lpq or naive.")
-  in
-  let scale_arg =
-    Arg.(value & opt int 20 & info [ "scale" ] ~docv:"N" ~doc:"Workload scale (hotels/theaters/…).")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Generator seed.") in
-  let push_arg = Arg.(value & flag & info [ "push" ] ~doc:"Push subqueries to providers (§7).") in
-  let fguide_arg = Arg.(value & flag & info [ "fguide" ] ~doc:"Use a function-call guide (§6.2).") in
   let query_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"Override the workload query.")
+    Arg.(
+      value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"Override the workload query.")
   in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(
-      ret
-        (const run_workload $ verbose_flag $ workload_arg $ strategy_arg $ scale_arg $ seed_arg
-       $ push_arg $ fguide_arg $ project_flag $ xml_flag $ jobs_arg $ match_jobs_arg
-       $ shard_arg $ replicas_arg $ balance_arg $ fault_rate_arg $ fault_seed_arg
-       $ max_retries_arg $ timeout_arg $ trace_arg $ metrics_arg $ report_json_arg $ query_arg))
+    Term.(ret (const run_workload $ eval_opts_term $ workload_term $ query_arg))
 
 (* ---------------- generate ---------------- *)
 
-let generate workload scale seed output =
-  let doc, schema =
-    match workload with
-    | W_city ->
-      let i = City.generate { City.default_config with City.hotels = scale; seed } in
-      (i.City.doc, City.schema_src)
-    | W_goingout ->
-      let i = Goingout.generate { Goingout.default_config with Goingout.theaters = scale; seed } in
-      (i.Goingout.doc, Goingout.schema_src)
-    | W_synthetic ->
-      let i =
-        Synthetic.generate { Synthetic.default_config with Synthetic.nodes = scale * 100; seed }
-      in
-      (i.Synthetic.doc, "")
-  in
+let generate (workload, scale, seed) output =
+  let doc, _, _, _, schema_src = generate_workload workload ~scale ~seed in
   let xml = Doc.to_string ~indent:2 doc in
   (match output with
   | None -> print_endline xml
   | Some path ->
-    let oc = open_out path in
-    output_string oc xml;
-    close_out oc;
-    if schema <> "" then begin
-      let oc = open_out (path ^ ".schema") in
-      output_string oc schema;
+    let write path s =
+      let oc = open_out path in
+      output_string oc s;
       close_out oc
-    end;
+    in
+    write path xml;
+    Option.iter (write (path ^ ".schema")) schema_src;
     Printf.eprintf "wrote %s (%d nodes, %d calls)\n" path (Doc.size doc) (Doc.count_calls doc));
   `Ok ()
 
 let generate_cmd =
   let doc = "Generate a workload document as XML (plus its .schema when written to a file)." in
-  let workload_arg =
-    Arg.(value & opt workload_conv W_city & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload.")
-  in
-  let scale_arg =
-    Arg.(value & opt int 20 & info [ "scale" ] ~docv:"N" ~doc:"Workload scale.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Generator seed.") in
   let output_arg =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
   in
-  Cmd.v
-    (Cmd.info "generate" ~doc)
-    Term.(ret (const generate $ workload_arg $ scale_arg $ seed_arg $ output_arg))
+  Cmd.v (Cmd.info "generate" ~doc) Term.(ret (const generate $ workload_term $ output_arg))
 
 (* ---------------- eval (user files) ---------------- *)
 
-let eval_files verbose doc_path schema_path services_path connect wire strategy push fguide
-    project xml flwr jobs match_jobs shards replicas balance fault_rate fault_seed max_retries
-    timeout trace_out metrics_out report_json query_src =
-  setup_logs verbose;
-  let flwr_query =
-    if not flwr then Ok None
-    else
-      match Axml_query.Xquery.compile query_src with
-      | q -> Ok (Some q)
-      | exception Axml_query.Xquery.Error m -> Error ("flwr: " ^ m)
+let load_files o doc_path schema_path services_path connect wire flwr query_src () =
+  (* a FLWR query evaluates as its pattern, then renders its template *)
+  let query =
+    if flwr then
+      Result.map (fun q -> (Axml_query.Xquery.pattern q, Some q)) (compile_flwr query_src)
+    else Result.map (fun q -> (q, None)) (parse_query query_src)
   in
-  let parsed_query =
-    match flwr_query with
-    | Error m -> Error m
-    | Ok (Some q) -> Ok (Axml_query.Xquery.pattern q)
-    | Ok None -> parse_query query_src
-  in
-  match load_doc doc_path, parsed_query, load_schema schema_path with
-  | Error m, _, _ | _, Error m, _ | _, _, Error m -> fail "%s" m
-  | Ok doc, Ok query, Ok schema -> (
+  match load_doc doc_path, query, load_schema schema_path with
+  | Error m, _, _ | _, Error m, _ | _, _, Error m -> Error m
+  | Ok doc, Ok (query, flwr_query), Ok schema -> (
+    let load_services r = Option.map (Axml_services.Spec.load_file r) services_path in
     let registry = Registry.create () in
-    match Option.map (Axml_services.Spec.load_file registry) services_path with
-    | exception Axml_services.Spec.Error m -> fail "services: %s" m
+    match load_services registry with
+    | exception Axml_services.Spec.Error m -> Error ("services: " ^ m)
     | names -> (
       let local_names = Option.value names ~default:[] in
-      (match names with
-      | Some names -> Printf.eprintf "registered services: %s\n%!" (String.concat ", " names)
-      | None -> ());
-      let eff_jobs = if jobs = 0 then Exec.default_jobs () else jobs in
+      Option.iter
+        (fun names -> Printf.eprintf "registered services: %s\n%!" (String.concat ", " names))
+        names;
       (* with --replicas over --connect the peers become shard registries
          of their own instead of merging into the main registry *)
-      let replica_peers = replicas > 1 && connect <> [] in
-      let claimed = List.concat_map (fun (_, _, s) -> s) shards in
+      let replica_peers = o.replicas > 1 && connect <> [] in
+      let claimed = List.concat_map (fun (_, _, s) -> s) o.shards in
       let foreign = List.filter (fun s -> not (List.mem s local_names)) claimed in
-      if replica_peers && shards <> [] then fail "--shard and --replicas cannot be combined"
-      else if replica_peers && List.length connect <> replicas then
-        fail "--replicas %d but %d --connect peer(s): the counts must match" replicas
+      let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+      if replica_peers && List.length connect <> o.replicas then
+        err "--replicas %d but %d --connect peer(s): the counts must match" o.replicas
           (List.length connect)
-      else if replicas > 1 && connect = [] && services_path = None then
-        fail "--replicas needs --services (reloaded per replica) or --connect peers"
+      else if o.replicas > 1 && connect = [] && services_path = None then
+        err "--replicas needs --services (reloaded per replica) or --connect peers"
       else if foreign <> [] then
-        fail "--shard can only claim --services names, not remote ones: %s"
+        err "--shard can only claim --services names, not remote ones: %s"
           (String.concat ", " foreign)
       else
-        match
-          if replica_peers then Ok [] else connect_peers ~jobs:eff_jobs ~wire registry connect
-        with
-        | Error m -> fail "%s" m
-        | Ok remote_names -> (
-          if remote_names <> [] then
-            Printf.eprintf "remote services: %s\n%!" (String.concat ", " remote_names);
-          match apply_faults registry ~fault_rate ~fault_seed ~max_retries ~timeout with
-          | Error m -> fail "%s" m
-          | Ok () -> (
-            let sched =
-              if replica_peers then
-                Result.map Option.some
-                  (connect_replicas ~jobs:eff_jobs ~wire ~balance ~local_registry:registry
-                     ~local_names connect)
-              else
-                let regen () =
+        Result.map
+          (fun remote_names ->
+            if remote_names <> [] then
+              Printf.eprintf "remote services: %s\n%!" (String.concat ", " remote_names);
+            {
+              doc;
+              registry;
+              schema;
+              query;
+              regen =
+                (fun () ->
                   let r = Registry.create () in
-                  (match services_path with
-                  | Some p -> ignore (Axml_services.Spec.load_file r p)
-                  | None -> ());
-                  (match apply_faults r ~fault_rate ~fault_seed ~max_retries ~timeout with
-                  | Ok () -> ()
-                  | Error m -> failwith m);
-                  r
-                in
-                build_sched ~shards ~replicas ~balance ~registry ~regen
-            in
-            match sched with
-            | Error m -> fail "%s" m
-            | Ok sched ->
-              let dispatch = Option.map Sched.dispatch sched in
-              let max_calls = Option.bind sched Sched.total_budget in
-              let obs = make_obs ~trace:trace_out ~metrics:metrics_out in
-              with_pool jobs (fun pool ->
-                  let r =
-                    evaluate ~strategy ~push ~fguide ~project ~match_jobs ?schema ~obs ?pool
-                      ?dispatch ?max_calls ~registry query doc
-                  in
-                  (match flwr_query with
-                  | Ok (Some q) ->
+                  ignore (load_services r);
+                  r);
+              peer_replicas =
+                (if replica_peers then
+                   Some
+                     (fun () ->
+                       connect_replicas ~jobs:o.jobs ~wire ~balance:o.balance
+                         ~local_registry:registry ~local_names connect)
+                 else None);
+              header = "";
+              print_answers =
+                (match flwr_query with
+                | Some q ->
+                  fun answers ->
                     print_endline
                       (Axml_xml.Print.forest_to_string ~indent:2
-                         (Axml_query.Xquery.instantiate q r.Engine.answers))
-                  | _ -> print_bindings ~xml r.Engine.answers);
-                  (match sched with
-                  | Some s ->
-                    Printf.printf "shards: %s\n"
-                      (String.concat ", "
-                         (List.map
-                            (fun (id, n) -> Printf.sprintf "%s=%d" id n)
-                            (Sched.dispatched s)))
-                  | None -> ());
-                  finish_run ~trace_out ~metrics_out ~report_json obs r)))))
+                         (Axml_query.Xquery.instantiate q answers))
+                | None -> print_bindings ~xml:o.xml);
+            })
+          (if replica_peers then Ok [] else connect_peers ~jobs:o.jobs ~wire registry connect)))
 
 let eval_cmd =
   let doc =
@@ -894,36 +923,20 @@ let eval_cmd =
       & opt (some file) None
       & info [ "services" ] ~docv:"FILE" ~doc:"Table-driven service definitions.")
   in
-  let strategy_arg =
-    Arg.(
-      value
-      & opt strategy_conv `Typed
-      & info [ "strategy" ] ~docv:"NAME" ~doc:"nfqa, nfqa-typed, nfqa-lenient, lpq or naive.")
+  let eval_files o doc_path schema_path services_path connect wire flwr query_src =
+    evaluate_loaded o (load_files o doc_path schema_path services_path connect wire flwr query_src)
   in
-  let push_arg = Arg.(value & flag & info [ "push" ] ~doc:"Push subqueries (\xc2\xa77).") in
-  let fguide_arg = Arg.(value & flag & info [ "fguide" ] ~doc:"Use a function-call guide.") in
   Cmd.v
     (Cmd.info "eval" ~doc)
     Term.(
       ret
-        (const eval_files $ verbose_flag $ doc_arg $ schema_arg $ services_arg $ connect_arg
-       $ wire_arg $ strategy_arg $ push_arg $ fguide_arg $ project_flag $ xml_flag $ flwr_flag
-       $ jobs_arg $ match_jobs_arg $ shard_arg $ replicas_arg $ balance_arg $ fault_rate_arg
-       $ fault_seed_arg $ max_retries_arg $ timeout_arg $ trace_arg $ metrics_arg
-       $ report_json_arg $ query_arg))
+        (const eval_files $ eval_opts_term $ doc_arg $ schema_arg $ services_arg $ connect_arg
+       $ wire_arg $ flwr_flag $ query_arg))
 
 (* ---------------- project ---------------- *)
 
 let project_doc doc_path schema_path query_src =
-  let tree =
-    try Ok (Axml_xml.Parse.tree_of_file doc_path) with
-    | Sys_error m -> Error m
-    | e -> (
-      match Axml_xml.Parse.error_to_string e with
-      | Some m -> Error (doc_path ^ ": " ^ m)
-      | None -> raise e)
-  in
-  match tree, parse_query query_src, load_schema schema_path with
+  match load_tree doc_path, parse_query query_src, load_schema schema_path with
   | Error m, _, _ | _, Error m, _ | _, _, Error m -> fail "%s" m
   | Ok tree, Ok query, Ok schema ->
     let projector = Project.compile ?schema query in
@@ -999,13 +1012,7 @@ let validate doc_path schema_path =
 
 let validate_cmd =
   let doc = "Validate an AXML document against a schema (content models and call signatures)." in
-  let schema_required =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "s"; "schema" ] ~docv:"FILE" ~doc:"Schema file.")
-  in
-  Cmd.v (Cmd.info "validate" ~doc) Term.(ret (const validate $ doc_arg $ schema_required))
+  Cmd.v (Cmd.info "validate" ~doc) Term.(ret (const validate $ doc_arg $ schema_required_arg))
 
 (* ---------------- termination ---------------- *)
 
@@ -1038,24 +1045,18 @@ let termination_cmd =
     "Check the sufficient termination condition for rewritings: is the service call graph \
      (restricted to the document's calls, if one is given) acyclic?"
   in
-  let schema_required =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "s"; "schema" ] ~docv:"FILE" ~doc:"Schema file.")
-  in
   let doc_opt =
     Arg.(
       value
       & opt (some file) None
       & info [ "d"; "doc" ] ~docv:"FILE" ~doc:"Restrict to this document's calls.")
   in
-  Cmd.v (Cmd.info "termination" ~doc) Term.(ret (const termination $ schema_required $ doc_opt))
+  Cmd.v (Cmd.info "termination" ~doc) Term.(ret (const termination $ schema_required_arg $ doc_opt))
 
 (* ---------------- serve ---------------- *)
 
-let serve verbose services_path host port wire max_conns workers latency jitter jitter_seed
-    fault_rate fault_seed max_retries timeout trace_out metrics_out =
+let serve verbose services_path host port wire max_conns workers latency jitter jitter_seed faults
+    trace_out metrics_out =
   setup_logs verbose;
   if latency < 0.0 then fail "latency must be >= 0"
   else if jitter < 0.0 then fail "latency-jitter must be >= 0"
@@ -1067,31 +1068,29 @@ let serve verbose services_path host port wire max_conns workers latency jitter 
   | exception Axml_services.Spec.Error m -> fail "services: %s" m
   | exception Sys_error m -> fail "%s" m
   | names -> (
-    match apply_faults registry ~fault_rate ~fault_seed ~max_retries ~timeout with
-    | Error m -> fail "%s" m
-    | Ok () -> (
-      let obs = make_obs ~trace:trace_out ~metrics:metrics_out in
-      let caps =
-        let module W = Axml_net.Wire in
-        match wire with
-        | `Auto -> [ W.cap_project; W.cap_shard; W.cap_binary ]
-        | `Json -> [ W.cap_project; W.cap_shard ]
-      in
-      match
-        Server.create ~host ~port ~obs ~caps ~max_conns ~workers ~delay:latency ~jitter
-          ~jitter_seed ~registry ()
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        fail "cannot listen on %s:%d: %s" host port (Unix.error_message e)
-      | server ->
-        Printf.printf "serving %d service(s) on %s:%d: %s\n%!" (List.length names) host
-          (Server.port server) (String.concat ", " names);
-        let shutdown _ = Server.stop server in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle shutdown);
-        Server.run server;
-        write_obs ~trace:trace_out ~metrics:metrics_out obs;
-        `Ok ()))
+    apply_faults registry faults;
+    let obs = make_obs ~trace:trace_out ~metrics:metrics_out in
+    let caps =
+      let module W = Axml_net.Wire in
+      match wire with
+      | `Auto -> [ W.cap_project; W.cap_shard; W.cap_binary ]
+      | `Json -> [ W.cap_project; W.cap_shard ]
+    in
+    match
+      Server.create ~host ~port ~obs ~caps ~max_conns ~workers ~delay:latency ~jitter
+        ~jitter_seed ~registry ()
+    with
+    | exception Unix.Unix_error (e, _, _) ->
+      fail "cannot listen on %s:%d: %s" host port (Unix.error_message e)
+    | server ->
+      Printf.printf "serving %d service(s) on %s:%d: %s\n%!" (List.length names) host
+        (Server.port server) (String.concat ", " names);
+      let shutdown _ = Server.stop server in
+      Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle shutdown);
+      Server.run server;
+      write_obs ~trace:trace_out ~metrics:metrics_out obs;
+      `Ok ())
 
 let serve_cmd =
   let doc =
@@ -1171,8 +1170,7 @@ let serve_cmd =
       ret
         (const serve $ verbose_flag $ services_required $ host_arg $ port_arg $ serve_wire_arg
        $ max_conns_arg $ workers_arg $ latency_arg
-       $ jitter_arg $ jitter_seed_arg $ fault_rate_arg $ fault_seed_arg $ max_retries_arg
-       $ timeout_arg $ trace_arg $ metrics_arg))
+       $ jitter_arg $ jitter_seed_arg $ faults_term $ trace_arg $ metrics_arg))
 
 (* ---------------- fuzz ---------------- *)
 
@@ -1181,57 +1179,44 @@ let fuzz verbose seed iters watchdog family artifacts =
   if iters <= 0 then fail "--iters must be positive"
   else if watchdog <= 0.0 then fail "--watchdog must be positive"
   else
-    let family_of_name = function
-      | None -> Ok None
-      | Some name -> (
-        match List.assoc_opt name Adversary.families with
-        | Some f -> Ok (Some f)
-        | None ->
-          Error
-            (Printf.sprintf "unknown family %S (one of: %s)" name
-               (String.concat ", " (List.map fst Adversary.families))))
+    let log =
+      if verbose then fun m -> Printf.eprintf "%s\n%!" m else fun (_ : string) -> ()
     in
-    match family_of_name family with
-    | Error m -> fail "%s" m
-    | Ok family -> (
-      let log =
-        if verbose then fun m -> Printf.eprintf "%s\n%!" m else fun (_ : string) -> ()
+    let report = Fuzz.run ~watchdog ~log ?family ~seed ~iters () in
+    match report.Fuzz.failure with
+    | None ->
+      Printf.printf "fuzz: %d iteration(s), 0 oracle violations (seed %d)\n"
+        report.Fuzz.iterations seed;
+      `Ok ()
+    | Some f ->
+      let failure_text =
+        String.concat "\n"
+          [
+            Printf.sprintf "oracle: %s — %s" f.Fuzz.first_failure.Fuzz.oracle
+              f.Fuzz.first_failure.Fuzz.detail;
+            Printf.sprintf "case:   %s" (Fuzz.case_to_string f.Fuzz.failed_case);
+            Printf.sprintf "shrunk: %s" (Fuzz.case_to_string f.Fuzz.shrunk_case);
+            Printf.sprintf "        %s — %s" f.Fuzz.shrunk_failure.Fuzz.oracle
+              f.Fuzz.shrunk_failure.Fuzz.detail;
+            Printf.sprintf "replay: %s" (Fuzz.replay_hint f.Fuzz.failed_case);
+          ]
       in
-      let report = Fuzz.run ~watchdog ~log ?family ~seed ~iters () in
-      match report.Fuzz.failure with
-      | None ->
-        Printf.printf "fuzz: %d iteration(s), 0 oracle violations (seed %d)\n"
-          report.Fuzz.iterations seed;
-        `Ok ()
-      | Some f ->
-        let failure_text =
-          String.concat "\n"
-            [
-              Printf.sprintf "oracle: %s — %s" f.Fuzz.first_failure.Fuzz.oracle
-                f.Fuzz.first_failure.Fuzz.detail;
-              Printf.sprintf "case:   %s" (Fuzz.case_to_string f.Fuzz.failed_case);
-              Printf.sprintf "shrunk: %s" (Fuzz.case_to_string f.Fuzz.shrunk_case);
-              Printf.sprintf "        %s — %s" f.Fuzz.shrunk_failure.Fuzz.oracle
-                f.Fuzz.shrunk_failure.Fuzz.detail;
-              Printf.sprintf "replay: %s" (Fuzz.replay_hint f.Fuzz.failed_case);
-            ]
+      Printf.printf "fuzz: FAILED after %d iteration(s)\n%s\n" report.Fuzz.iterations
+        failure_text;
+      (match artifacts with
+      | None -> ()
+      | Some dir ->
+        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        let write name s =
+          let oc = open_out (Filename.concat dir name) in
+          output_string oc s;
+          output_char oc '\n';
+          close_out oc
         in
-        Printf.printf "fuzz: FAILED after %d iteration(s)\n%s\n" report.Fuzz.iterations
-          failure_text;
-        (match artifacts with
-        | None -> ()
-        | Some dir ->
-          (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          let write name s =
-            let oc = open_out (Filename.concat dir name) in
-            output_string oc s;
-            output_char oc '\n';
-            close_out oc
-          in
-          write "failure.txt" failure_text;
-          write "shrunk.xml" f.Fuzz.shrunk_xml;
-          Printf.printf "artifacts: %s\n" dir);
-        fail "oracle violation (replay: %s)" (Fuzz.replay_hint f.Fuzz.failed_case))
+        write "failure.txt" failure_text;
+        write "shrunk.xml" f.Fuzz.shrunk_xml;
+        Printf.printf "artifacts: %s\n" dir);
+      fail "oracle violation (replay: %s)" (Fuzz.replay_hint f.Fuzz.failed_case)
 
 let fuzz_cmd =
   let doc =
@@ -1261,11 +1246,12 @@ let fuzz_cmd =
   let family_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum Adversary.families)) None
       & info [ "family" ] ~docv:"NAME"
           ~doc:
-            "Restrict to one adversarial family (bounded-recursion, unbounded-recursion, \
-             skewed-fanout, push-keep-all, push-drop-all, deep-nesting).")
+            ("Restrict to one adversarial family: "
+            ^ doc_alts_enum ~quoted:false Adversary.families
+            ^ "."))
   in
   let artifacts_arg =
     Arg.(

@@ -71,10 +71,15 @@ type strategy = {
           1 = sequential);
           answers are byte-identical at every level *)
   max_calls : int;
-  max_passes : int;
 }
 
-let default =
+(* A termination guard beside [max_calls]: a bound on detection passes
+   that no strategy needs to tune. *)
+let max_passes = 1_000_000
+
+(** The naive strategy is {!Engine.naive_run}; these are the named
+    configurations the benchmarks compare. *)
+let nfqa =
   {
     relevance = Nfq_relevance;
     typing = No_types;
@@ -90,16 +95,15 @@ let default =
     materialize_results = false;
     match_jobs = 1;
     max_calls = 100_000;
-    max_passes = 1_000_000;
   }
 
-(** The naive strategy is {!Engine.naive_run}; these are the named
-    configurations the benchmarks compare. *)
-let nfqa = default
+let nfqa_typed = { nfqa with typing = Exact_types }
+let nfqa_lenient = { nfqa with typing = Lenient_types; relax_joins = true }
+let lpq_only = { nfqa with relevance = Lpq_relevance }
 
-let nfqa_typed = { default with typing = Exact_types }
-let nfqa_lenient = { default with typing = Lenient_types; relax_joins = true }
-let lpq_only = { default with relevance = Lpq_relevance }
+let named =
+  [ ("nfqa", nfqa); ("nfqa-typed", nfqa_typed); ("nfqa-lenient", nfqa_lenient); ("lpq", lpq_only) ]
+
 let with_fguide s = { s with use_fguide = true }
 let with_push s = { s with push = true }
 let with_budget b s = { s with max_calls = min b s.max_calls }
@@ -367,7 +371,7 @@ let push_pattern st push_pairs (calls : Doc.node list) =
     Some (Nfq.optimistic_union sources)
 
 let within_budget st =
-  Engine.invoked st.eng < st.strategy.max_calls && st.passes < st.strategy.max_passes
+  Engine.invoked st.eng < st.strategy.max_calls && st.passes < max_passes
 
 (* Visible calls inside a subtree (reached through data nodes only). *)
 let pending_calls_below (n : Doc.node) =
@@ -458,7 +462,7 @@ let process_layer st ~push_pairs (layer : (Relevance.t * bool) list) =
 let relevance_name = function Nfq_relevance -> "nfq" | Lpq_relevance -> "lpq"
 let typing_name = function No_types -> "none" | Lenient_types -> "lenient" | Exact_types -> "exact"
 
-let run ?(strategy = default) ?schema ?(obs = Obs.null) ?pool ?projector ?dispatch ~registry
+let run ?(strategy = nfqa) ?schema ?(obs = Obs.null) ?pool ?projector ?dispatch ~registry
     (q : P.t) (d : Doc.t) : Engine.report =
   let rqs = relevance_queries strategy q in
   let typing =

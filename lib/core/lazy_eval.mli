@@ -48,20 +48,26 @@ type strategy = {
           machine, 1 = sequential); the reassembly preserves document
           order before deduplication and joins, so answers and every
           report counter are byte-identical at every level *)
-  max_calls : int;  (** invocation budget (rewritings may not terminate, §2) *)
-  max_passes : int;
+  max_calls : int;
+      (** invocation budget (rewritings may not terminate, §2); a fixed
+          bound of 1M detection passes guards termination too *)
 }
-
-val default : strategy
-(** NFQ relevance, no types, layering and ★-parallelism on, no guide, no
-    push; budgets of 100k calls / 1M passes. *)
 
 (** Named configurations compared by the benchmarks. *)
 
 val nfqa : strategy
+(** NFQ relevance, no types, layering and ★-parallelism on, no guide, no
+    push, shared contexts, sequential matching; a budget of 100k calls.
+    The default of {!run}. *)
+
 val nfqa_typed : strategy
 val nfqa_lenient : strategy
 val lpq_only : strategy
+
+val named : (string * strategy) list
+(** Every named configuration once, under the name the CLI's
+    [--strategy] takes: [nfqa], [nfqa-typed], [nfqa-lenient], [lpq]. *)
+
 val with_fguide : strategy -> strategy
 val with_push : strategy -> strategy
 

@@ -614,7 +614,7 @@ let test_remote_eval () =
           let local_inst = City.generate push_cfg in
           let lazy_local =
             Lazy_eval.run ~registry:local_inst.City.registry
-              ~strategy:Lazy_eval.default local_inst.City.query local_inst.City.doc
+              ~strategy:Lazy_eval.nfqa local_inst.City.query local_inst.City.doc
           in
           let lazy_remote = Client.eval client ~strategy:"lazy" query_node doc_tree in
           List.iter
