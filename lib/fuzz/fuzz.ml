@@ -36,6 +36,7 @@ type case = {
   match_jobs : int;
   share_contexts : bool;
   fguide : bool;
+  lazy_base : string;
 }
 
 type failure = { oracle : string; detail : string }
@@ -88,6 +89,10 @@ let case_of_seed seed =
      for the same reason; naive never detects *)
   let fguide_draw = Random.State.bool rng in
   let fguide = lazy_strategy && fguide_draw in
+  (* the named configuration the lazy arms start from, drawn after the
+     F-guide for the same reason; naive cases keep nfqa, unread *)
+  let base_draw = Random.State.int rng (List.length Lazy_eval.named) in
+  let lazy_base = if lazy_strategy then fst (List.nth Lazy_eval.named base_draw) else "nfqa" in
   {
     case_seed = seed;
     family;
@@ -108,6 +113,7 @@ let case_of_seed seed =
     match_jobs;
     share_contexts;
     fguide;
+    lazy_base;
   }
 
 let case_to_string c =
@@ -116,7 +122,7 @@ let case_to_string c =
      permanent=%b retries=%d budget=%d project=%b shards=%d replicate=%b wire=%s \
      match_jobs=%d share_contexts=%b fguide=%b"
     c.case_seed (Adversary.family_name c.family) c.scale
-    (if c.lazy_strategy then "lazy" else "naive")
+    (if c.lazy_strategy then c.lazy_base else "naive")
     c.jobs c.remote c.push c.memoize c.fault_rate c.fault_permanent c.max_retries c.budget
     c.project c.shards c.replicate
     (if c.wire_binary then "binary" else "json")
@@ -256,14 +262,14 @@ let run_arm ~watchdog (c : case) ~jobs ?(match_jobs = 1) ?(share_contexts = c.sh
         let dispatch = if c.remote then None else dispatch_for registry in
         with_pool jobs (fun pool ->
             if c.lazy_strategy then begin
-              let strategy =
-                { Lazy_eval.nfqa with Lazy_eval.max_calls = c.budget; share_contexts }
-              in
+              let base = List.assoc c.lazy_base Lazy_eval.named in
+              let strategy = { base with Lazy_eval.max_calls = c.budget; share_contexts } in
               let strategy = Lazy_eval.with_match_jobs match_jobs strategy in
               let strategy = if c.fguide then Lazy_eval.with_fguide strategy else strategy in
               let strategy = if push then Lazy_eval.with_push strategy else strategy in
-              Lazy_eval.run ~strategy ?obs ?pool ?projector ?dispatch ~registry
-                inst.Adversary.query inst.Adversary.doc
+              (* the typed strategies need the schema, or they run untyped *)
+              Lazy_eval.run ~schema:inst.Adversary.schema ~strategy ?obs ?pool ?projector
+                ?dispatch ~registry inst.Adversary.query inst.Adversary.doc
             end
             else
               Engine.naive_run ~max_calls:c.budget ?pool ?obs ?projector ?dispatch registry
@@ -391,11 +397,13 @@ let check ?(watchdog = 30.0) (c : case) : failure option =
     end;
     (* shared ≡ isolated contexts: a match memo kept across splices
        (dropped along each splice path only) must answer and sweep
-       exactly like a fresh context per detection; sequential matching,
-       so the shared memo serves every detection *)
+       exactly like a fresh context per detection; sequential matching
+       and no F-guide (whose anchored checks never read the shared
+       context), so the shared memo serves every detection *)
     if c.lazy_strategy then begin
       let arm share_contexts =
-        run_arm ~watchdog c ~jobs:1 ~share_contexts ~push:c.push ~project:c.project ()
+        run_arm ~watchdog { c with fguide = false } ~jobs:1 ~share_contexts ~push:c.push
+          ~project:c.project ()
       in
       compare_reports ~oracle:"shared-context-determinism"
         ~between:"shared and isolated contexts" ~local:(not c.remote) (arm true) (arm false)
@@ -497,10 +505,11 @@ let shrink_candidates (c : case) =
   List.filter
     (fun c' -> c' <> c)
     [
-      (* isolated contexts, sequential matching and no F-guide first: a
-         failure that survives without the kept match memo, the domain
-         fan-out or the anchored candidate filter rules those layers out
-         of the report *)
+      (* plain nfqa, isolated contexts, sequential matching and no
+         F-guide first: a failure that survives without typing, LPQs,
+         the kept match memo, the domain fan-out or the anchored
+         candidate filter rules those layers out of the report *)
+      { c with lazy_base = "nfqa" };
       { c with share_contexts = false };
       { c with match_jobs = 1 };
       { c with fguide = false };

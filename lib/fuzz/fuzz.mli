@@ -1,9 +1,10 @@
 (** Model-based differential fuzzing over {!Axml_workload.Adversary}.
 
     Each iteration derives a {!case} from a single integer seed —
-    hostile document family, strategy (naive or lazy), jobs level, local
-    or loopback-remote registry, push, memoization, fault schedule and
-    invocation budget — and checks a fixed oracle battery against it:
+    hostile document family, strategy (naive or a named lazy one), jobs
+    level, local or loopback-remote registry, push, memoization, fault
+    schedule and invocation budget — and checks a fixed oracle battery
+    against it:
 
     - {b subset}: answers ⊆ the fault-free naive reference (Def. 4's
       leniency — missing data loses bindings, never fabricates them);
@@ -23,7 +24,8 @@
     - {b reconcile}: report ≡ [eval.*] metrics ≡ trace span rollups;
     - {b shared-context-determinism} (lazy only): a detection context
       shared across sweeps and kept across splices agrees with
-      isolated per-detection contexts as jobs-determinism does;
+      isolated per-detection contexts as jobs-determinism does (both
+      arms without the F-guide, which never reads the shared context);
     - {b push-equivalence} (lazy only): push-on and push-off agree on
       answers, completeness and failure counts, and pushing never
       inflates local transfer bytes;
@@ -42,8 +44,8 @@
     routing-invisibility check: the scheduler may move calls between
     shards but must never change answers, counters or fates.
 
-    Failures are shrunk by a greedy deterministic pass (drop the shared
-    match memo and the match fan-out first, then the scheduler,
+    Failures are shrunk by a greedy deterministic pass (step to plain
+    nfqa, drop the shared match memo and the match fan-out first, then the scheduler,
     remoteness, parallelism, push, memoization, faults; halve scale and
     budget) and reported with a one-line replay: because case
     derivation, generation and shrinking are all pure functions of the
@@ -99,6 +101,11 @@ type case = {
           from the F-guide and keeps those its relevance query retrieves
           by anchored matching (§6.2); detection then uses no shared
           context, and at match-jobs 4 the candidate filter fans out *)
+  lazy_base : string;
+      (** lazy cases only: the {!Axml_core.Lazy_eval.named} configuration
+          every lazy arm starts from (nfqa, nfqa-typed, nfqa-lenient or
+          lpq), run with the instance's schema; naive cases keep
+          ["nfqa"], unread *)
 }
 
 val case_of_seed : int -> case

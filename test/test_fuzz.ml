@@ -45,6 +45,40 @@ let test_case_stream_fguide () =
         (List.exists (fun (c : Fuzz.case) -> c.Fuzz.fguide && c.Fuzz.match_jobs = mj) cases))
     [ 1; 4 ]
 
+(* The named-strategy dimension is drawn after every other one, so
+   every earlier dimension derives per seed exactly as before it was
+   added: with the strategy name folded back to "lazy", the first 1000
+   cases digest to the stream's earlier value. Lazy cases draw every
+   named configuration; naive cases keep nfqa. *)
+let test_case_stream_named_strategy () =
+  let cases = List.init 1000 Fuzz.case_of_seed in
+  let fold_name s =
+    String.split_on_char ' ' s
+    |> List.map (fun tok ->
+           if String.starts_with ~prefix:"strategy=" tok && tok <> "strategy=naive" then
+             "strategy=lazy"
+           else tok)
+    |> String.concat " "
+  in
+  let stream = String.concat "\n" (List.map (fun c -> fold_name (Fuzz.case_to_string c)) cases) in
+  Alcotest.(check string)
+    "earlier dimensions unchanged" "d29b48e87e0172dee8ac8009250de599"
+    (Digest.to_hex (Digest.string stream));
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "some lazy case starts from %s" name)
+        true
+        (List.exists
+           (fun (c : Fuzz.case) -> c.Fuzz.lazy_strategy && c.Fuzz.lazy_base = name)
+           cases))
+    Lazy_eval.named;
+  List.iter
+    (fun (c : Fuzz.case) ->
+      if (not c.Fuzz.lazy_strategy) && c.Fuzz.lazy_base <> "nfqa" then
+        Alcotest.failf "naive case with a lazy base: %s" (Fuzz.case_to_string c))
+    cases
+
 let test_adversary_deterministic () =
   List.iter
     (fun (name, family) ->
@@ -129,6 +163,7 @@ let () =
         [
           quick "case stream is a pure function of the seed" test_case_stream_deterministic;
           quick "the F-guide is drawn for lazy cases only" test_case_stream_fguide;
+          quick "the named strategy is drawn last" test_case_stream_named_strategy;
           quick "adversary instances are seed-deterministic" test_adversary_deterministic;
           quick "seeds matter" test_adversary_seed_sensitivity;
         ] );
