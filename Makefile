@@ -33,7 +33,7 @@ test-exec:
 
 # unified-engine tests: pre-refactor fixture differential (both
 # strategies, jobs 1 and 4), report/metrics/trace reconciliation,
-# single-flight memoization, remote evaluation
+# single-flight memoization
 test-engine:
 	dune exec test/test_engine.exe
 
@@ -46,8 +46,7 @@ test-gen:
 
 # type-based projection tests: keep/drop units, the projected ≡ full
 # snapshot-answer property on schema-conforming instances, adversary
-# and city differentials under faults, and the wire capability
-# negotiation round-trip against an old (no-caps) peer
+# and city differentials under faults
 test-project:
 	dune exec test/test_project.exe
 

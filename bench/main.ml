@@ -1000,9 +1000,9 @@ let e10 () =
    asserts byte-identical tuples — so the columns to read are nodes
    (full → kept, over the initial document plus every spliced result
    forest), saved(B) (serialized bytes the projector discarded) and
-   wire(B) (the initial document as [Wire.Eval] would ship it, full vs
-   projected: the saving a peer that negotiated the "project"
-   capability sees on the wire). live(kw) is a coarse residency proxy —
+   wire(B) (the initial document's size in the wire tree encoding, full
+   vs projected; no peer ships documents, so it is a size measure only).
+   live(kw) is a coarse residency proxy —
    live heap kwords after a forced major collection at the end of the
    run. *)
 
@@ -1296,9 +1296,7 @@ let e13_cfg hotels =
   { City.default_config with City.hotels = hotels; seed = 7; extensional_fraction = 0.0 }
 
 let e13_arm ~port ~binary ~conns ~threads ~rounds =
-  let caps =
-    if binary then [ Wire.cap_project; Wire.cap_binary ] else [ Wire.cap_project ]
-  in
+  let caps = if binary then [ Wire.cap_binary ] else [] in
   let invoke id =
     Wire.Invoke
       { id; service = "gethotels"; params = [ Axml_xml.Tree.text "NY" ]; push = None }

@@ -649,30 +649,45 @@ let workload_term =
 
 (* --strategy names Lazy_eval's configurations plus naive ([None], the
    engine's degenerate strategy); --push, --fguide and --match-jobs
-   refine the lazy ones. *)
-let strategy_term =
-  let choices = List.map (fun (n, s) -> (n, Some s)) Lazy_eval.named @ [ ("naive", None) ] in
+   refine the lazy ones. Typing needs a schema: the default is
+   nfqa-typed when [schema_loaded] and nfqa otherwise, and a typed
+   --strategy without one is a command-line error. *)
+let strategy_term ~schema_loaded =
+  let choices =
+    List.map (fun (n, s) -> (n, (n, Some s))) Lazy_eval.named @ [ ("naive", ("naive", None)) ]
+  in
   let strategy =
     Arg.(
       value
-      & opt (enum choices) (Some Lazy_eval.nfqa_typed)
+      & opt (some (enum choices)) None
       & info [ "strategy" ] ~docv:"NAME"
-          ~doc:("Evaluation strategy: " ^ Arg.doc_alts_enum ~quoted:false choices ^ "."))
+          ~doc:
+            ("Evaluation strategy: " ^ Arg.doc_alts_enum ~quoted:false choices
+           ^ ". Default: nfqa-typed when a schema is loaded, nfqa otherwise; the typed \
+              strategies need one."))
   in
   let push = Arg.(value & flag & info [ "push" ] ~doc:"Push subqueries to providers (§7).") in
   let fguide = Arg.(value & flag & info [ "fguide" ] ~doc:"Use a function-call guide (§6.2).") in
-  let refine strategy push fguide match_jobs =
-    Result.map
-      (fun match_jobs ->
-        Option.map
-          (fun s ->
-            let s = if push then Lazy_eval.with_push s else s in
-            let s = if fguide then Lazy_eval.with_fguide s else s in
-            Lazy_eval.with_match_jobs match_jobs s)
-          strategy)
-      (check_count "match-jobs" match_jobs)
+  let resolve schema_loaded = function
+    | None -> Ok (Some (if schema_loaded then Lazy_eval.nfqa_typed else Lazy_eval.nfqa))
+    | Some (name, Some { Lazy_eval.typing = Lazy_eval.Lenient_types | Exact_types; _ })
+      when not schema_loaded ->
+      Error (Printf.sprintf "--strategy %s needs a schema (-s)" name)
+    | Some (_, s) -> Ok s
   in
-  checked Term.(const refine $ strategy $ push $ fguide $ match_jobs_arg)
+  let refine schema_loaded strategy push fguide match_jobs =
+    Result.bind (resolve schema_loaded strategy) (fun strategy ->
+        Result.map
+          (fun match_jobs ->
+            Option.map
+              (fun s ->
+                let s = if push then Lazy_eval.with_push s else s in
+                let s = if fguide then Lazy_eval.with_fguide s else s in
+                Lazy_eval.with_match_jobs match_jobs s)
+              strategy)
+          (check_count "match-jobs" match_jobs))
+  in
+  checked Term.(const refine $ schema_loaded $ strategy $ push $ fguide $ match_jobs_arg)
 
 (* Every option run and eval share. *)
 type eval_opts = {
@@ -690,7 +705,8 @@ type eval_opts = {
   report_json : string option;
 }
 
-let eval_opts_term =
+(* [schema_loaded]: whether the command will evaluate with a schema. *)
+let eval_opts_term ~schema_loaded =
   let opts verbose strategy project xml jobs shards replicas balance faults trace_out metrics_out
       report_json =
     if replicas < 1 then Error "--replicas must be >= 1"
@@ -702,8 +718,8 @@ let eval_opts_term =
   in
   checked
     Term.(
-      const opts $ verbose_flag $ strategy_term $ project_flag $ xml_flag $ jobs_term $ shard_arg
-      $ replicas_arg $ balance_arg $ faults_term $ trace_arg $ metrics_arg $ report_json_arg)
+      const opts $ verbose_flag $ strategy_term ~schema_loaded $ project_flag $ xml_flag
+      $ jobs_term $ shard_arg $ replicas_arg $ balance_arg $ faults_term $ trace_arg $ metrics_arg $ report_json_arg)
 
 (* What run and eval each load before the shared pipeline takes over. *)
 type loaded = {
@@ -816,7 +832,10 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(ret (const run_workload $ eval_opts_term $ workload_term $ query_arg))
+    Term.(
+      ret
+        (const run_workload $ eval_opts_term ~schema_loaded:(Term.const true) $ workload_term
+       $ query_arg))
 
 (* ---------------- generate ---------------- *)
 
@@ -930,7 +949,9 @@ let eval_cmd =
     (Cmd.info "eval" ~doc)
     Term.(
       ret
-        (const eval_files $ eval_opts_term $ doc_arg $ schema_arg $ services_arg $ connect_arg
+        (const eval_files
+        $ eval_opts_term ~schema_loaded:Term.(const Option.is_some $ schema_arg)
+        $ doc_arg $ schema_arg $ services_arg $ connect_arg
        $ wire_arg $ flwr_flag $ query_arg))
 
 (* ---------------- project ---------------- *)
@@ -1073,8 +1094,8 @@ let serve verbose services_path host port wire max_conns workers latency jitter 
     let caps =
       let module W = Axml_net.Wire in
       match wire with
-      | `Auto -> [ W.cap_project; W.cap_shard; W.cap_binary ]
-      | `Json -> [ W.cap_project; W.cap_shard ]
+      | `Auto -> [ W.cap_shard; W.cap_binary ]
+      | `Json -> [ W.cap_shard ]
     in
     match
       Server.create ~host ~port ~obs ~caps ~max_conns ~workers ~delay:latency ~jitter

@@ -2,7 +2,6 @@ module Registry = Axml_services.Registry
 module Obs = Axml_obs.Obs
 module Trace = Axml_obs.Trace
 module Metrics = Axml_obs.Metrics
-module Project = Axml_project.Project
 
 type conn = {
   fd : Unix.file_descr;
@@ -70,8 +69,8 @@ let dial t ~obs =
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     let my_caps =
       match t.wire with
-      | `Json -> [ Wire.cap_project ]
-      | `Auto -> [ Wire.cap_project; Wire.cap_binary ]
+      | `Json -> []
+      | `Auto -> [ Wire.cap_binary ]
     in
     ignore (Wire.send fd (Wire.Hello { version = Wire.version; caps = my_caps }));
     match Wire.recv fd with
@@ -257,96 +256,6 @@ let call t ~obs ~timeout ~service ~params ~push =
       discard conn;
       fail ~sent ~received ~outcome:"protocol" ~transient:false ~timeout:false
         "mismatched response id"
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      discard conn;
-      fail ~outcome:"timeout" ~transient:true ~timeout:true
-        (Printf.sprintf "no response within %gs" timeout)
-    | exception Unix.Unix_error (e, _, _) ->
-      discard conn;
-      fail ~outcome:"io" ~transient:true ~timeout:false (Unix.error_message e)
-    | exception Wire.Closed ->
-      discard conn;
-      fail ~outcome:"closed" ~transient:true ~timeout:false "connection closed by peer"
-    | exception Wire.Protocol_error reason ->
-      discard conn;
-      fail ~outcome:"protocol" ~transient:false ~timeout:false reason)
-
-let eval t ?(obs = Obs.null) ?(timeout = infinity) ?projector ~strategy query doc =
-  let m = obs.Obs.metrics in
-  let tr = obs.Obs.trace in
-  let span =
-    if Trace.enabled tr then
-      Trace.open_span tr ~cat:"net"
-        ~attrs:
-          [
-            ("strategy", Trace.Str strategy);
-            ("endpoint", Trace.Str (Printf.sprintf "%s:%d" t.host t.port));
-          ]
-        "net.eval"
-    else Trace.none
-  in
-  let close_span ~outcome =
-    if Trace.enabled tr then
-      Trace.close_span tr ~attrs:[ ("outcome", Trace.Str outcome) ] span
-  in
-  let fail ~outcome ~transient ~timeout:timed_out reason =
-    Metrics.incr m (if timed_out then "net.timeouts" else "net.errors");
-    close_span ~outcome;
-    raise
-      (Registry.Transport_error
-         {
-           wire = { Registry.sent = 0; received = 0; served_push = false; elapsed = 0.0 };
-           transient;
-           timeout = timed_out;
-           reason;
-         })
-  in
-  match borrow t ~obs with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    fail ~outcome:"timeout" ~transient:true ~timeout:true "handshake timed out"
-  | exception Unix.Unix_error (e, _, _) ->
-    fail ~outcome:"connect" ~transient:true ~timeout:false (Unix.error_message e)
-  | exception (Wire.Protocol_error reason | Failure reason) ->
-    fail ~outcome:"protocol" ~transient:false ~timeout:false reason
-  | exception Wire.Closed ->
-    fail ~outcome:"closed" ~transient:true ~timeout:false
-      "connection closed during handshake"
-  | conn -> (
-    let id = conn.next_id in
-    conn.next_id <- id + 1;
-    Metrics.incr m ~labels:[ ("strategy", strategy) ] "net.evals";
-    (* Project only when the peer negotiated the capability — a
-       pre-capability peer must receive the document whole. Borrowing
-       dialed (or reused a dialed) connection, so peer_caps is settled. *)
-    let doc, projected =
-      match projector with
-      | Some p when List.mem Wire.cap_project (capabilities t) ->
-        let doc', st = Project.tree p doc in
-        Metrics.incr m ~by:st.Project.bytes_saved "net.projected_bytes_saved";
-        (doc', true)
-      | _ -> (doc, false)
-    in
-    match
-      set_deadline conn.fd timeout;
-      let sent =
-        Wire.send ~codec:conn.codec ~scratch:conn.scratch conn.fd
-          (Wire.Eval { id; strategy; query; doc; projected })
-      in
-      let reply, received = Wire.recv ~scratch:conn.scratch conn.fd in
-      (sent, reply, received)
-    with
-    | sent, Wire.Report { id = rid; report }, received when rid = id ->
-      giveback t conn;
-      Metrics.incr m ~by:sent "net.request_bytes";
-      Metrics.incr m ~by:received "net.response_bytes";
-      close_span ~outcome:"ok";
-      report
-    | _, Wire.Error { id = rid; transient; message }, _ when rid = id ->
-      giveback t conn;
-      fail ~outcome:"error" ~transient ~timeout:false message
-    | _, _, _ ->
-      discard conn;
-      fail ~outcome:"protocol" ~transient:false ~timeout:false "mismatched response id"
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       discard conn;
       fail ~outcome:"timeout" ~transient:true ~timeout:true

@@ -1,5 +1,6 @@
-(** TCP client for AXML peers: a bounded connection pool plus the
-    request primitive the {!Remote} transport is built on.
+(** TCP client for AXML peers: a bounded connection pool plus the one
+    request primitive, a service call ({!Wire.Invoke}), that the
+    {!Remote} transport is built on.
 
     Connections are created lazily, handshaken on connect
     ({!Wire.Hello}/{!Wire.Welcome}) and returned to a bounded idle pool
@@ -64,29 +65,6 @@ val call :
     raise {!Axml_services.Registry.Transport_error} with [transient]
     set for connection/timeout faults and cleared for protocol errors,
     {!Wire.Degraded} and non-transient {!Wire.Error} replies. *)
-
-val eval :
-  t ->
-  ?obs:Axml_obs.Obs.t ->
-  ?timeout:float ->
-  ?projector:Axml_project.Project.t ->
-  strategy:string ->
-  Axml_query.Pattern.node ->
-  Axml_xml.Tree.t ->
-  Axml_obs.Json.t
-(** [eval t ~strategy q doc] ships the query and the document to the
-    peer ({!Wire.Eval}) and returns the {!Wire.Report} it answers: the
-    peer evaluates [q] on [doc] against {e its} registry with the named
-    strategy (["naive"] or ["lazy"]) and replies with the unified
-    {!Axml_engine.Engine.report} serialized by the engine's
-    [report_to_json] — answers included. The mirror image of query
-    pushing: the query travels to the data. [projector] (default none)
-    projects [doc] before it crosses the wire — applied only when the
-    peer advertised {!Wire.cap_project}, so older peers always receive
-    the full document; savings are counted in the
-    [net.projected_bytes_saved] metric. [timeout] (default none) is
-    the socket deadline for the whole exchange; failures and server-side
-    errors raise {!Axml_services.Registry.Transport_error}. *)
 
 val close : t -> unit
 (** Closes every idle pooled connection. The client remains usable — a

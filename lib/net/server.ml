@@ -2,10 +2,6 @@ module Registry = Axml_services.Registry
 module Obs = Axml_obs.Obs
 module Trace = Axml_obs.Trace
 module Metrics = Axml_obs.Metrics
-module P = Axml_query.Pattern
-module Engine = Axml_engine.Engine
-module Lazy_eval = Axml_core.Lazy_eval
-module Project = Axml_project.Project
 module Exec = Axml_exec.Exec
 
 let log_src = Logs.Src.create "axml.net.server" ~doc:"axmld server"
@@ -21,7 +17,6 @@ type conn = {
   scratch : Wire.scratch;  (* reply encoding; reused for the conn's life *)
   mutable codec : Wire.codec;  (* for replies; negotiated at handshake *)
   mutable handshaken : bool;
-  mutable client_caps : string list;
   mutable rbuf : Bytes.t;  (* incoming bytes: [roff, rlen) is unconsumed *)
   mutable roff : int;
   mutable rlen : int;
@@ -38,8 +33,6 @@ type conn = {
 type t = {
   registry : Registry.t;
   obs : Obs.t;
-  schema : Axml_schema.Schema.t option;
-      (* enables provider-side projection of non-push-capable results *)
   caps : string list;  (* capabilities advertised in Welcome *)
   delay : float;  (* injected per-request latency, really slept *)
   jitter : float;  (* extra uniform [0, jitter) latency per request *)
@@ -69,8 +62,8 @@ let resolve host =
     try (Unix.gethostbyname host).Unix.h_addr_list.(0)
     with Not_found -> invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
-let create ?(host = "127.0.0.1") ?(port = 0) ?(obs = Obs.null) ?schema
-    ?(caps = [ Wire.cap_project; Wire.cap_shard; Wire.cap_binary ]) ?(delay = 0.0)
+let create ?(host = "127.0.0.1") ?(port = 0) ?(obs = Obs.null)
+    ?(caps = [ Wire.cap_shard; Wire.cap_binary ]) ?(delay = 0.0)
     ?(jitter = 0.0) ?(jitter_seed = 0) ?(workers = 32) ?(max_conns = 8192)
     ?(force_select = false) ~registry () =
   (* A peer hanging up mid-write must surface as EPIPE, not kill the
@@ -93,7 +86,6 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(obs = Obs.null) ?schema
   {
     registry;
     obs;
-    schema;
     caps;
     delay = Float.max 0.0 delay;
     jitter = Float.max 0.0 jitter;
@@ -154,28 +146,7 @@ let welcome t =
    no lock is held here. Each request records its span into a trace
    fragment of its own and folds it back in when done, so overlapping
    requests cannot interleave their open/close events. *)
-(* Provider-side projection of a result the service itself could not
-   prune: when the client pushed a pattern and negotiated the project
-   capability, and this server holds a schema, project the forest
-   against the pushed pattern before it crosses the wire. The pushed
-   [sub_q_v] over-approximates what the caller's query can use from
-   this result (the §7 contract {!Axml_services.Witness.prune} relies
-   on), and its matches may root at any returned node, hence
-   [`Anywhere]. Results the registry already witness-pruned are left
-   alone. *)
-let project_result t ~client_caps ~push ~pushed forest =
-  match (t.schema, push) with
-  | Some schema, Some p
-    when (not pushed)
-         && List.mem Wire.cap_project t.caps
-         && List.mem Wire.cap_project client_caps ->
-    let projector = Project.compile ~schema ~anchor:`Anywhere (P.query p) in
-    let forest', st = Project.forest projector forest in
-    Metrics.incr t.obs.Obs.metrics ~by:st.Project.bytes_saved "net.projected_bytes_saved";
-    (forest', true)
-  | _ -> (forest, pushed)
-
-let handle_invoke t ~client_caps ~id ~service ~params ~push =
+let handle_invoke t ~id ~service ~params ~push =
   inject_latency t;
   let obs = Obs.fork t.obs in
   let tr = obs.Obs.trace in
@@ -190,11 +161,7 @@ let handle_invoke t ~client_caps ~id ~service ~params ~push =
   Metrics.incr obs.Obs.metrics ~labels:[ ("service", service) ] "net.served";
   let reply =
     match Registry.invoke t.registry ~name:service ~params ?push ~obs () with
-    | forest, inv ->
-      let forest, pushed =
-        project_result t ~client_caps ~push ~pushed:inv.Registry.pushed forest
-      in
-      Wire.Result { id; pushed; forest }
+    | forest, inv -> Wire.Result { id; pushed = inv.Registry.pushed; forest }
     | exception Registry.Unknown_service n ->
       Wire.Error { id; transient = false; message = "unknown service " ^ n }
     | exception Registry.Service_failure inv ->
@@ -216,51 +183,6 @@ let handle_invoke t ~client_caps ~id ~service ~params ~push =
     | Wire.Degraded _ -> "degraded"
     | _ -> "error"
   in
-  if Trace.enabled tr then
-    Trace.close_span tr ~attrs:[ ("outcome", Trace.Str outcome) ] span;
-  Obs.join t.obs obs;
-  reply
-
-(* Remote evaluation: the query travels to the data. The whole
-   evaluation — relevance analysis for the lazy strategy, the
-   invocation rounds against the served registry (with its fault
-   schedules and retry policies), answer extraction — runs here, and
-   the client receives the unified engine report. The document arrives
-   by value and is private to this request, so concurrent evaluations
-   need no locking beyond the registry's own. *)
-let handle_eval t ~id ~strategy ~query ~doc =
-  inject_latency t;
-  let obs = Obs.fork t.obs in
-  let tr = obs.Obs.trace in
-  let span =
-    if Trace.enabled tr then
-      Trace.open_span tr ~cat:"net"
-        ~attrs:[ ("strategy", Trace.Str strategy) ]
-        "net.eval"
-    else Trace.none
-  in
-  Metrics.incr obs.Obs.metrics ~labels:[ ("strategy", strategy) ] "net.evals";
-  let reply =
-    match
-      let q = P.query query in
-      let d = Axml_doc.of_xml doc in
-      match strategy with
-      | "naive" -> Some (Engine.naive_run ~obs t.registry q d)
-      | "lazy" -> Some (Lazy_eval.run ~registry:t.registry ~obs q d)
-      | _ -> None
-    with
-    | Some r -> Wire.Report { id; report = Engine.report_to_json r }
-    | None ->
-      Wire.Error
-        {
-          id;
-          transient = false;
-          message = Printf.sprintf "unknown evaluation strategy %S" strategy;
-        }
-    | exception e ->
-      Wire.Error { id; transient = false; message = Printexc.to_string e }
-  in
-  let outcome = match reply with Wire.Report _ -> "ok" | _ -> "error" in
   if Trace.enabled tr then
     Trace.close_span tr ~attrs:[ ("outcome", Trace.Str outcome) ] span;
   Obs.join t.obs obs;
@@ -402,7 +324,6 @@ let event_loop t =
     if not c.handshaken then begin
       match msg with
       | Wire.Hello { version; caps } when version = Wire.version ->
-        c.client_caps <- caps;
         c.handshaken <- true;
         (* the handshake itself is always JSON; only frames after a
            mutual cap_binary may switch *)
@@ -421,20 +342,11 @@ let event_loop t =
         c.busy <- true;
         c.want_read <- false;
         set_interest c;
-        let client_caps = c.client_caps in
         Exec.async t.pool (fun () ->
-            let reply = handle_invoke t ~client_caps ~id ~service ~params ~push in
+            let reply = handle_invoke t ~id ~service ~params ~push in
             Mutex.protect t.comp_mu (fun () -> Queue.push (c, reply) t.completions);
             wake t)
-      | Wire.Eval { id; strategy; query; doc; projected = _ } ->
-        c.busy <- true;
-        c.want_read <- false;
-        set_interest c;
-        Exec.async t.pool (fun () ->
-            let reply = handle_eval t ~id ~strategy ~query ~doc in
-            Mutex.protect t.comp_mu (fun () -> Queue.push (c, reply) t.completions);
-            wake t)
-      | _ -> protocol_error c "expected an invoke or eval request"
+      | _ -> protocol_error c "expected an invoke request"
     end
   in
   (* Decode and dispatch every complete frame sitting in [rbuf]. Stops
@@ -530,7 +442,6 @@ let event_loop t =
             scratch = Wire.scratch ();
             codec = Wire.Json;
             handshaken = false;
-            client_caps = [];
             rbuf = Bytes.create 4096;
             roff = 0;
             rlen = 0;

@@ -22,14 +22,11 @@
     the served registry's own fault schedules, retry policies and
     memoization all apply (a flaky spec makes the {e server} retry its
     simulated backends; when its budget runs out the client receives
-    {!Wire.Degraded}).
-
-    Connections may also carry {!Wire.Eval} requests: the peer ships a
-    whole query + document, the server evaluates it against the served
-    registry with the named strategy (naive or lazy, both running on
-    the unified {!Axml_engine.Engine} runtime) and replies
-    {!Wire.Report} with the engine report — answers, invocation and
-    fault accounting included.
+    {!Wire.Degraded}). Service calls are all a peer serves: a request
+    other than {!Wire.Invoke} after the handshake closes the connection
+    with a protocol error, so the untrusted input a server decodes is
+    the invoke parameters and pushed patterns (each frame capped at
+    {!Wire.max_frame}).
 
     Requests from different connections run {e concurrently} on the
     worker pool: the registry and the observability sinks are
@@ -44,7 +41,6 @@ val create :
   ?host:string ->
   ?port:int ->
   ?obs:Axml_obs.Obs.t ->
-  ?schema:Axml_schema.Schema.t ->
   ?caps:string list ->
   ?delay:float ->
   ?jitter:float ->
@@ -61,14 +57,11 @@ val create :
     registry's [service.*] spans and metrics nested inside; each request
     records into a private trace fragment ({!Axml_obs.Obs.fork}) folded
     back on completion, so concurrent requests keep the span tree
-    well-formed. [schema] (default none) enables provider-side
-    projection: results of services that cannot witness-prune are
-    projected against the pushed pattern before crossing the wire, when
-    both sides negotiated {!Wire.cap_project}. [caps] (default
-    [[Wire.cap_project; Wire.cap_shard]]) is what {!Wire.Welcome}
-    advertises — pass [[]] to emulate a pre-capability peer in tests.
-    [delay] (default [0.0]) injects that many seconds of {e real}
-    latency ([Unix.sleepf]) before serving each invoke/eval request —
+    well-formed. [caps] (default [[Wire.cap_shard; Wire.cap_binary]]) is
+    what {!Wire.Welcome} advertises — pass [[]] to emulate a
+    pre-capability peer in tests. [delay] (default [0.0]) injects that
+    many seconds of {e real} latency ([Unix.sleepf]) before serving each
+    invoke request —
     the knob behind [axml serve --latency] and the E9 speedup benchmark.
     [jitter] (default [0.0]) adds a further uniform draw from
     [\[0, jitter)] seconds per request, from a [Random.State] seeded
@@ -84,8 +77,7 @@ val create :
     close. [force_select] (default false) pins the event loop to the
     portable select backend even where epoll is available — a test
     knob; select caps fd {e values} at 1024, so high [max_conns] needs
-    epoll. [caps] now also defaults to advertising {!Wire.cap_binary}.
-    Raises [Unix.Unix_error] when the address cannot be bound. *)
+    epoll. Raises [Unix.Unix_error] when the address cannot be bound. *)
 
 val port : t -> int
 (** The actual bound port (useful after [~port:0]). *)

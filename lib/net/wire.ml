@@ -67,11 +67,6 @@ let rec put_uv w n =
     put_uv w (n lsr 7)
   end
 
-let put_u64 w x =
-  for i = 0 to 7 do
-    put_byte w (Int64.to_int (Int64.shift_right_logical x (8 * i)) land 0xff)
-  done
-
 (* ----- reader ----- *)
 
 type rdr = { src : string; mutable pos : int; limit : int }
@@ -99,13 +94,6 @@ let rd_len r =
   if n < 0 || n > r.limit - r.pos then
     fail "binary length %d exceeds the %d bytes remaining" n (r.limit - r.pos);
   n
-
-let rd_u64 r =
-  let x = ref 0L in
-  for i = 0 to 7 do
-    x := Int64.logor !x (Int64.shift_left (Int64.of_int (rd_byte r)) (8 * i))
-  done;
-  !x
 
 (* In-order list decoding: [n] has already passed {!rd_len}. *)
 let rd_list r n f =
@@ -163,17 +151,6 @@ let uint =
     of_json = (function Json.Int n -> n | _ -> expected "an integer");
     put = put_uv;
     get = rd_uv;
-  }
-
-(* Zigzag before the varint, so small negative ints stay short. *)
-let zint =
-  {
-    uint with
-    put = (fun w n -> put_uv w ((n lsl 1) lxor (n asr 62)));
-    get =
-      (fun r ->
-        let u = rd_uv r in
-        (u lsr 1) lxor (-(u land 1)));
   }
 
 let bool =
@@ -422,10 +399,9 @@ type service_info = { name : string; push : bool }
 
 (* Capabilities ride the handshake as a list of opaque strings; peers
    that predate them decode no "caps" field as the empty list and ignore
-   the extra JSON member when encoding — negotiation degrades to "none". *)
-let cap_project = "project"
+   the extra JSON member when encoding — negotiation degrades to "none".
 
-(* A shard-aware peer: its Welcome service list is complete enough to be
+   A shard-aware peer: its Welcome service list is complete enough to be
    used for replica discovery and shard assignment. Purely an
    advertisement — no wire-format change rides on it. *)
 let cap_shard = "shard"
@@ -442,60 +418,12 @@ type message =
   | Result of { id : int; pushed : bool; forest : Tree.forest }
   | Error of { id : int; transient : bool; message : string }
   | Degraded of { id : int; message : string; retries : int; timeouts : int }
-  | Eval of { id : int; strategy : string; query : P.node; doc : Tree.t; projected : bool }
-  | Report of { id : int; report : Json.t }
 
 let service_info =
   conv
     (fun s -> (s.name, s.push))
     (fun (name, push) -> { name; push })
     (field "name" string & field "push" bool)
-
-(* JSON values: the Report envelope carries one verbatim, so its JSON
-   side is the identity and only the binary side needs a walk. *)
-let rec json_to_bin w = function
-  | Json.Null -> put_byte w 0
-  | Json.Bool b ->
-    put_byte w 1;
-    bool.put w b
-  | Json.Int i ->
-    put_byte w 2;
-    zint.put w i
-  | Json.Float f ->
-    put_byte w 3;
-    put_u64 w (Int64.bits_of_float f)
-  | Json.String s ->
-    put_byte w 4;
-    string.put w s
-  | Json.List xs ->
-    put_byte w 5;
-    put_uv w (List.length xs);
-    List.iter (json_to_bin w) xs
-  | Json.Obj kvs ->
-    put_byte w 6;
-    put_uv w (List.length kvs);
-    List.iter
-      (fun (k, v) ->
-        string.put w k;
-        json_to_bin w v)
-      kvs
-
-let rec json_of_bin r =
-  match rd_byte r with
-  | 0 -> Json.Null
-  | 1 -> Json.Bool (bool.get r)
-  | 2 -> Json.Int (zint.get r)
-  | 3 -> Json.Float (Int64.float_of_bits (rd_u64 r))
-  | 4 -> Json.String (string.get r)
-  | 5 -> Json.List (rd_list r (rd_len r) json_of_bin)
-  | 6 ->
-    Json.Obj
-      (rd_list r (rd_len r) (fun r ->
-           let k = string.get r in
-           (k, json_of_bin r)))
-  | t -> fail "unknown binary JSON tag %d" t
-
-let json_value = { to_json = Fun.id; of_json = Fun.id; put = json_to_bin; get = json_of_bin }
 
 (* Absent on pre-capability peers: decode to []. *)
 let caps = field ~default:[] "caps" (list string)
@@ -535,18 +463,6 @@ let message =
             Some (id, (message, (retries, timeouts)))
           | _ -> None)
         (fun (id, (message, (retries, timeouts))) -> Degraded { id; message; retries; timeouts });
-      case 6 (typed "eval")
-        (id & field "strategy" string & field "query" pattern & field "doc" tree
-        & field ~default:false ~omit:true "projected" bool)
-        (function
-          | Eval { id; strategy; query; doc; projected } ->
-            Some (id, (strategy, (query, (doc, projected))))
-          | _ -> None)
-        (fun (id, (strategy, (query, (doc, projected)))) ->
-          Eval { id; strategy; query; doc; projected });
-      case 7 (typed "report") (id & field "report" json_value)
-        (function Report { id; report } -> Some (id, report) | _ -> None)
-        (fun (id, report) -> Report { id; report });
     ]
 
 let to_json c = c.to_json

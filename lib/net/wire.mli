@@ -14,16 +14,15 @@
 
     A connection opens with a version handshake ({!Hello} from the
     client, {!Welcome} from the server, which also advertises the served
-    registry), then carries any number of {!Invoke} or {!Eval}
-    requests. An {!Invoke} names a service, ships its parameter forest
-    and optionally a pushed [sub_q_v] tree pattern (§7 of the paper);
-    the server answers {!Result} (with the — possibly provider-side
-    pruned — forest), {!Error} (carrying a transient flag so clients
-    know whether to retry) or {!Degraded} (the server's own retry
-    budget against its backends was exhausted: the client should
-    degrade gracefully, not retry). An {!Eval} ships a whole query +
-    document for evaluation against the peer's registry; the server
-    answers {!Report} (the unified engine report) or {!Error}.
+    registry), then carries any number of {!Invoke} requests: service
+    calls, the only thing peers exchange. An {!Invoke} names a service,
+    ships its parameter forest and optionally a pushed [sub_q_v] tree
+    pattern (§7 of the paper); the server answers {!Result} (with the
+    forest, pruned by the provider when it ran the pushed pattern),
+    {!Error} (carrying a transient flag so clients know whether to
+    retry) or {!Degraded} (the server's own retry budget against its
+    backends was exhausted: the client should degrade gracefully, not
+    retry).
 
     Trees and patterns are encoded structurally (not as embedded XML
     text), so forests round-trip {e exactly} — including whitespace-only
@@ -37,12 +36,6 @@ val version : int
     advertised it. Pre-capability peers encode no ["caps"] field and
     decode to the empty list — negotiation degrades to "none" and the
     wire format they see is unchanged. *)
-
-val cap_project : string
-(** Capability: this peer understands type-based document projection —
-    a client may ship a projected document in {!Eval} (flagged
-    [projected]), and a server holding a schema may project
-    non-push-capable service results against a pushed pattern. *)
 
 val cap_shard : string
 (** Capability: this peer is shard-aware — its {!Welcome} service list
@@ -124,25 +117,6 @@ type message =
   | Result of { id : int; pushed : bool; forest : Axml_xml.Tree.forest }
   | Error of { id : int; transient : bool; message : string }
   | Degraded of { id : int; message : string; retries : int; timeouts : int }
-  | Eval of {
-      id : int;
-      strategy : string;  (** ["naive"] or ["lazy"] *)
-      query : Axml_query.Pattern.node;
-      doc : Axml_xml.Tree.t;
-      projected : bool;
-          (** the document was already projected against [query]
-              (informational; only sent to peers advertising
-              {!cap_project}, and omitted from the JSON when false) *)
-    }
-      (** Ship a whole query + document to the peer for evaluation
-          against its served registry (remote evaluation, the mirror
-          image of query pushing: instead of pulling the peer's data
-          here, the query travels to the data). *)
-  | Report of { id : int; report : Axml_obs.Json.t }
-      (** Answer to {!Eval}: the unified
-          {!Axml_engine.Engine.report}, serialized with the engine's
-          [report_to_json] — the same shape [axml run --report-json]
-          emits, whichever strategy ran. *)
 
 val message_to_json : message -> Axml_obs.Json.t
 val message_of_json : Axml_obs.Json.t -> message

@@ -77,18 +77,15 @@ let output_roots schema fname =
 (* ------------------------------------------------------------------ *)
 (* Compilation *)
 
-let path_regex ~anchor q v =
-  let steps = P.linear_part q v @ [ (v.P.axis, v.P.label) ] in
-  let r = P.linear_regex steps in
-  match anchor with `Root -> r | `Anywhere -> Regex.Seq (Regex.Star Regex.Any, r)
+let path_regex q v = P.linear_regex (P.linear_part q v @ [ (v.P.axis, v.P.label) ])
 
-let compile ?schema ?(anchor = `Root) (q : P.t) =
+let compile ?schema (q : P.t) =
   let pnodes = List.filter (fun n -> n.P.label <> P.Or) (P.nodes q) in
-  let hit_paths = List.map (path_regex ~anchor q) pnodes in
+  let hit_paths = List.map (path_regex q) pnodes in
   let hit_paths = if hit_paths = [] then [ Regex.Star Regex.Any ] else hit_paths in
   let sub_paths =
     List.filter_map
-      (fun v -> if v.P.label = P.Or then None else Some (path_regex ~anchor q v))
+      (fun v -> if v.P.label = P.Or then None else Some (path_regex q v))
       (P.result_nodes q)
   in
   let extra =
@@ -323,12 +320,6 @@ let tree t tr =
   in
   (tr', { !st with bytes_saved = full_bytes - Print.byte_size tr' })
 
-let forest t f =
-  let full_bytes = Print.forest_byte_size f in
-  let st = ref zero_stats in
-  let kept = List.filter_map (fun tr -> keep_tree t (start_ctx t) tr st) f in
-  (kept, { !st with bytes_saved = full_bytes - Print.forest_byte_size kept })
-
 (* ------------------------------------------------------------------ *)
 (* Live documents (parse and engine layers): in-place detachment. *)
 
@@ -401,12 +392,13 @@ let parent_context t (parent : Doc.node) =
   in
   go (start_ctx t) chain
 
-(* Pre-splice variant: project the service-result forest {e before}
-   {!Doc.replace_call} imports it, against the state context of the
-   call's parent. Same decisions and stats as {!spliced} (the kept/
-   dropped sets and serialized sizes coincide tree-for-tree), but the
-   document is never mutated after the splice — so an incremental
-   snapshot-view patch installed by [replace_call] stays valid. *)
+(* Project the service-result forest {e before} {!Doc.replace_call}
+   imports it, against the state context of the call's parent: the
+   same decisions and stats as projecting the spliced trees in place
+   (the kept/dropped sets and serialized sizes coincide tree-for-tree),
+   but the document is never mutated after the splice — so an
+   incremental snapshot-view patch installed by [replace_call] stays
+   valid. *)
 let spliced_forest t ~parent (f : Tree.forest) =
   match parent_context t parent with
   | `Keep_all ->

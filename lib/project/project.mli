@@ -47,27 +47,16 @@ type stats = {
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
-val compile :
-  ?schema:Axml_schema.Schema.t ->
-  ?anchor:[ `Root | `Anywhere ] ->
-  Axml_query.Pattern.t ->
-  t
-(** [compile ?schema q] builds the projector for [q]. [`Root] (default)
-    anchors the pattern root at the document root, matching
-    {!Axml_query.Eval.eval}; [`Anywhere] prefixes every path with [_*],
-    for projecting service-result forests against a pushed pattern whose
-    matches may start at any returned root. Without a schema, liveness
-    degrades to NFA reachability and every call is kept: projection is
-    weaker but still sound. *)
+val compile : ?schema:Axml_schema.Schema.t -> Axml_query.Pattern.t -> t
+(** [compile ?schema q] builds the projector for [q], its pattern root
+    anchored at the document root, matching {!Axml_query.Eval.eval}.
+    Without a schema, liveness degrades to NFA reachability and every
+    call is kept: projection is weaker but still sound. *)
 
 val tree : t -> Axml_xml.Tree.t -> Axml_xml.Tree.t * stats
 (** Pure projection of a serialized tree ([<axml:call>] elements are
     treated as function nodes). The root is never dropped: a dead root
     keeps its empty shell. *)
-
-val forest : t -> Axml_xml.Tree.forest -> Axml_xml.Tree.forest * stats
-(** Projection of a service-result forest; dead roots are removed
-    entirely (compile with [~anchor:`Anywhere] for this use). *)
 
 val doc : t -> Axml_doc.t -> stats
 (** In-place projection of a live document: dropped subtrees are

@@ -473,34 +473,6 @@ let invoke t ~name ~params ?push ?(obs = Obs.null) () =
          claim must not outlive this call, or waiters deadlock. *)
       Fun.protect ~finally:(fun () -> abandon_pending t cache key) miss)
 
-(* ------------------------------------------------------------------ *)
-(* Multi-registry routing view *)
-
-(* A read-only union of registries for routing layers: which registries
-   can serve a name, and what the union of names is. The view holds no
-   state of its own — ownership is re-checked per lookup, so services
-   registered after [view] are seen. *)
-type view = t list
-
-let view regs = regs
-let view_owners v name = List.filter (fun r -> is_registered r name) v
-let view_is_registered v name = List.exists (fun r -> is_registered r name) v
-
-let view_push_capable v name =
-  match view_owners v name with
-  | [] -> raise (Unknown_service name)
-  | owners -> List.for_all (fun r -> push_capable r name) owners
-
-let view_names v =
-  let seen = Hashtbl.create 16 in
-  List.concat_map names v
-  |> List.filter (fun n ->
-         if Hashtbl.mem seen n then false
-         else begin
-           Hashtbl.replace seen n ();
-           true
-         end)
-
 let history t = locked t (fun () -> List.rev t.history)
 let invocation_count t = locked t (fun () -> List.length t.history)
 

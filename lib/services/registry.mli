@@ -247,35 +247,6 @@ val invoke :
     simulated clock as it goes; per-service [service.*] counters and the
     [service.cost] latency histogram land in [obs]'s metrics registry. *)
 
-(** {2 Multi-registry routing view}
-
-    A routing layer (the {!Axml_sched} shard router) spans several
-    registries — one per shard or replica peer. The view is a read-only
-    union: it answers "who can serve this name" without merging any
-    state, so each underlying registry keeps its own history, caches,
-    fault schedules and seeds. Lookups re-check ownership, so services
-    registered after the view was built are visible through it. *)
-
-type view
-
-val view : t list -> view
-(** Order matters: it is the shard declaration order, and routing layers
-    treat the first owner as the default placement. *)
-
-val view_owners : view -> string -> t list
-(** The registries that can serve [name], in view order — the replica
-    set a balancer chooses from. Empty when nobody serves it. *)
-
-val view_is_registered : view -> string -> bool
-
-val view_push_capable : view -> string -> bool
-(** Whether {e every} owner accepts pushed subqueries — pushing must be
-    decided before placement, so one incapable replica disables the push
-    for the name. Raises {!Unknown_service} when nobody serves it. *)
-
-val view_names : view -> string list
-(** The union of service names, first-seen order, deduplicated. *)
-
 (** {2 Accounting} *)
 
 val history : t -> invocation list

@@ -9,9 +9,8 @@
    and the per-invocation fault fates — at jobs = 1 and jobs = 4, for
    both strategies. The suite also covers the report ≡ metrics ≡ trace
    reconciliation invariant (now emitted from exactly one place), the
-   budget guard at every pool width, the registry's single-flight
-   memoization, and remote evaluation returning the same report over
-   the wire. *)
+   budget guard at every pool width and the registry's single-flight
+   memoization. *)
 
 module Doc = Axml_doc
 module P = Axml_query.Pattern
@@ -28,8 +27,6 @@ module Trace = Axml_obs.Trace
 module Metrics = Axml_obs.Metrics
 module Json = Axml_obs.Json
 module Exec = Axml_exec.Exec
-module Server = Axml_net.Server
-module Client = Axml_net.Client
 
 let with_pool jobs f =
   if jobs <= 1 then f None
@@ -579,58 +576,6 @@ let test_memo_stress_filler_failures () =
     ok
 
 (* ------------------------------------------------------------------ *)
-(* Remote evaluation: the peer answers with the same unified report *)
-
-let test_remote_eval () =
-  let server_inst = City.generate push_cfg in
-  let server = Server.create ~registry:server_inst.City.registry () in
-  Server.start server;
-  Fun.protect
-    ~finally:(fun () -> Server.stop server)
-    (fun () ->
-      let client = Client.create ~host:"127.0.0.1" ~port:(Server.port server) () in
-      Fun.protect
-        ~finally:(fun () -> Client.close client)
-        (fun () ->
-          (* the query and the document travel by value: serialize a
-             fresh (identical) instance before anything mutates it *)
-          let wire_inst = City.generate push_cfg in
-          let query_node = wire_inst.City.query.P.root in
-          let doc_tree = Doc.to_xml wire_inst.City.doc in
-          (* naive: every report field is deterministic (no faults, no
-             analysis time), so the remote JSON must equal the local
-             engine serialization byte for byte *)
-          let local_inst = City.generate push_cfg in
-          let local =
-            Engine.naive_run local_inst.City.registry local_inst.City.query
-              local_inst.City.doc
-          in
-          let remote = Client.eval client ~strategy:"naive" query_node doc_tree in
-          Alcotest.(check string) "naive report identical over the wire"
-            (Json.to_string (Engine.report_to_json local))
-            (Json.to_string remote);
-          (* lazy: analysis_seconds is wall-clock CPU time, so compare
-             the deterministic members *)
-          let local_inst = City.generate push_cfg in
-          let lazy_local =
-            Lazy_eval.run ~registry:local_inst.City.registry
-              ~strategy:Lazy_eval.nfqa local_inst.City.query local_inst.City.doc
-          in
-          let lazy_remote = Client.eval client ~strategy:"lazy" query_node doc_tree in
-          List.iter
-            (fun field ->
-              Alcotest.(check string)
-                ("lazy report field " ^ field)
-                (Json.to_string (Json.member field (Engine.report_to_json lazy_local)))
-                (Json.to_string (Json.member field lazy_remote)))
-            [ "answers"; "invoked"; "rounds"; "bytes_transferred"; "complete" ];
-          (* an unknown strategy is a non-transient protocol-level error *)
-          match Client.eval client ~strategy:"psychic" query_node doc_tree with
-          | _ -> Alcotest.fail "expected Transport_error for unknown strategy"
-          | exception Registry.Transport_error { transient; _ } ->
-            Alcotest.(check bool) "unknown strategy is not transient" false transient))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -656,5 +601,4 @@ let () =
           quick "raw-thread stress: one fill per key" test_memo_stress;
           quick "raw-thread stress: filler failures hand over" test_memo_stress_filler_failures;
         ] );
-      ("remote", [ quick "eval over the wire returns the one report" test_remote_eval ]);
     ]

@@ -75,9 +75,9 @@ let test_small_batches_inline () =
       | _ -> Alcotest.fail (kind ^ ": singleton batch lost its result"))
 
 let test_concurrent_domain_fan_outs () =
-  (* concurrent server [Eval] requests each fan their match out on the
-     one domain pool: every caller drains its own batch and gets its own
-     results back *)
+  (* concurrent evaluations in one process each fan their match out on
+     the one domain pool: every caller drains its own batch and gets its
+     own results back *)
   let results = Array.make 4 [] in
   let caller k =
     for _ = 1 to 25 do

@@ -90,13 +90,13 @@ let test_message_roundtrip () =
   let push = (Parser.parse "/r//s[v=$X!]").P.root in
   let msgs =
     [
-      Wire.Hello { version = Wire.version; caps = [ Wire.cap_project ] };
+      Wire.Hello { version = Wire.version; caps = [ "project" ] };
       Wire.Hello { version = Wire.version; caps = [] };
       Wire.Welcome
         {
           version = Wire.version;
           services = [ { Wire.name = "a"; push = true }; { Wire.name = "b"; push = false } ];
-          caps = [ Wire.cap_project ];
+          caps = [ "project" ];
         };
       Wire.Invoke { id = 7; service = "getrating"; params = [ t "Hôtel" ]; push = Some push };
       Wire.Invoke { id = 8; service = "getrating"; params = []; push = None };
@@ -138,6 +138,18 @@ let test_envelope_rejection () =
           ("doc", Json.String "");
           ("projected", Json.Int 5);
         ];
+      (* the retired remote-evaluation envelopes, well-formed as they
+         once were: a peer exchanges service calls only *)
+      Json.Obj
+        [
+          ("type", Json.String "eval");
+          ("id", Json.Int 1);
+          ("strategy", Json.String "lazy");
+          ("query", Json.Obj [ ("axis", Json.String "child"); ("label", Json.String "*") ]);
+          ("doc", Json.String "");
+        ];
+      Json.Obj
+        [ ("type", Json.String "report"); ("id", Json.Int 1); ("report", Json.Obj []) ];
     ]
 
 (* Golden frames: the exact bytes (hex, header included) of one frame
@@ -165,7 +177,7 @@ let golden_tree =
 
 let golden_messages =
   [
-    ("hello", Wire.Hello { version = Wire.version; caps = [ Wire.cap_project; Wire.cap_binary ] });
+    ("hello", Wire.Hello { version = Wire.version; caps = [ "project"; Wire.cap_binary ] });
     ("hello-nocaps", Wire.Hello { version = Wire.version; caps = [] });
     ( "welcome",
       Wire.Welcome
@@ -181,26 +193,6 @@ let golden_messages =
     ("result", Wire.Result { id = 3; pushed = true; forest = [ golden_tree ] });
     ("error", Wire.Error { id = 4; transient = false; message = "no" });
     ("degraded", Wire.Degraded { id = 5; message = "down"; retries = 3; timeouts = 1 });
-    ( "eval",
-      Wire.Eval
-        { id = 6; strategy = "lazy"; query = P.make (P.Var "X") []; doc = golden_tree; projected = true }
-    );
-    ( "eval-unprojected",
-      Wire.Eval
-        { id = 7; strategy = "naive"; query = P.make P.Wildcard []; doc = t ""; projected = false }
-    );
-    ( "report",
-      Wire.Report
-        {
-          id = 8;
-          report =
-            Json.Obj
-              [
-                ("l", Json.List [ Json.Null; Json.Bool true; Json.Int (-5) ]);
-                ("f", Json.Float 0.5);
-                ("s", Json.String "é");
-              ];
-        } );
   ]
 
 let golden_frames =
@@ -237,6 +229,12 @@ let golden_frames =
       "000000447b2274797065223a226465677261646564222c226964223a352c226d657373616765223a22646f776e222c2272657472696573223a332c2274696d656f757473223a317d" );
     ( "degraded/binary",
       "80000009050504646f776e0301" );
+  ]
+
+(* Frames of the retired remote-evaluation envelopes (tags 6 and 7),
+   pinned as they were last encoded: both codecs must now reject them. *)
+let retired_frames =
+  [
     ( "eval/json",
       "000000c87b2274797065223a226576616c222c226964223a362c227374726174656779223a226c617a79222c227175657279223a7b2261786973223a226368696c64222c226c6162656c223a7b22766172223a2258227d2c22726573756c74223a66616c73652c226368696c6472656e223a5b5d7d2c22646f63223a7b226e223a2268222c2261223a5b5b226b222c2276225d2c5b2271222c225c22225d5d2c2263223a5b22205c6e222c7b226e223a2265227d2c2278225d7d2c2270726f6a6563746564223a747275657d" );
     ( "eval/binary",
@@ -310,6 +308,10 @@ let test_frame_rejection () =
   on_pair (header (Wire.max_frame + 1)) expect_protocol_error;
   (* advertised length with a non-JSON payload *)
   on_pair (Bytes.cat (header 5) (Bytes.of_string "hello")) expect_protocol_error;
+  (* the retired eval/report envelopes, in either codec *)
+  List.iter
+    (fun (_, h) -> on_pair (Bytes.of_string (unhex h)) expect_protocol_error)
+    retired_frames;
   (* EOF before a frame *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.close a;
@@ -413,25 +415,13 @@ let prop_binary_envelope_differential =
             {
               version = Wire.version;
               services = [ { Wire.name = "a"; push = true }; { Wire.name = "b"; push = false } ];
-              caps = [ Wire.cap_project; Wire.cap_binary ];
+              caps = [ "project"; Wire.cap_binary ];
             };
           Wire.Invoke { id = n; service = "getrating"; params = [ tr; t "Hôtel" ]; push = Some push };
           Wire.Invoke { id = n + 1; service = "s"; params = []; push = None };
           Wire.Result { id = n; pushed = true; forest = [ tr ] };
           Wire.Error { id = n; transient = n mod 2 = 0; message = "try \"again\"\n" };
           Wire.Degraded { id = n; message = "backend down"; retries = 3; timeouts = 1 };
-          Wire.Eval { id = n; strategy = "lazy"; query = push; doc = tr; projected = true };
-          Wire.Report
-            {
-              id = n;
-              report =
-                Json.Obj
-                  [
-                    ("answers", Json.List [ Json.Int n; Json.Null; Json.Bool false ]);
-                    ("wall", Json.Float 0.125);
-                    ("note", Json.String "π ≈ 3.14159");
-                  ];
-            };
         ]
       in
       List.for_all
@@ -507,13 +497,13 @@ let test_binary_negotiation_e2e () =
             Alcotest.(check bool) "server cap_binary advertisement" expect_cap_binary
               (List.mem Wire.cap_binary (Client.capabilities client))))
   in
-  let full = [ Wire.cap_project; Wire.cap_shard; Wire.cap_binary ] in
+  let full = [ Wire.cap_shard; Wire.cap_binary ] in
   (* binary both ends *)
   check_one ~caps:full ~wire:`Auto ~expect_cap_binary:true;
   (* client pins JSON against a binary-capable server *)
   check_one ~caps:full ~wire:`Json ~expect_cap_binary:true;
   (* pre-binary server, modern client *)
-  check_one ~caps:[ Wire.cap_project ] ~wire:`Auto ~expect_cap_binary:false
+  check_one ~caps:[ "project" ] ~wire:`Auto ~expect_cap_binary:false
 
 (* ------------------------------------------------------------------ *)
 (* Handshake *)

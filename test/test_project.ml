@@ -1,8 +1,7 @@
 (* Tests for type-based document projection (lib/project): unit cases
    for the call-keeping rules, the projected≡full differential on
    schema-aware generated instances and on seeded faulty workloads
-   (report ≡ metrics reconciliation included), and the wire capability
-   negotiation against old and new peers. *)
+   (report ≡ metrics reconciliation included). *)
 
 module Tree = Axml_xml.Tree
 module Print = Axml_xml.Print
@@ -20,11 +19,6 @@ module Faults = Axml_services.Faults
 module City = Axml_workload.City
 module Adversary = Axml_workload.Adversary
 module Obs = Axml_obs.Obs
-module Metrics = Axml_obs.Metrics
-module Json = Axml_obs.Json
-module Server = Axml_net.Server
-module Client = Axml_net.Client
-module Wire = Axml_net.Wire
 
 let e = Tree.element
 let txt = Tree.text
@@ -257,56 +251,6 @@ let test_city_differential () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The wire: a projecting client against a capability-less (old) peer
-   must ship the document whole and still get identical answers; against
-   a new peer it projects and the answers stay identical. *)
-
-let wire_cfg = { City.default_config with City.hotels = 10; seed = 5 }
-
-let with_server ~caps f =
-  let inst = City.generate wire_cfg in
-  let server = Server.create ~caps ~registry:inst.City.registry () in
-  Server.start server;
-  Fun.protect
-    ~finally:(fun () -> Server.stop server)
-    (fun () ->
-      let client = Client.create ~host:"127.0.0.1" ~port:(Server.port server) () in
-      Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client))
-
-let local_naive_answers () =
-  let inst = City.generate wire_cfg in
-  Json.to_string
-    (Json.member "answers"
-       (Engine.report_to_json
-          (Engine.naive_run inst.City.registry inst.City.query inst.City.doc)))
-
-let test_wire_projection () =
-  let wire_inst = City.generate wire_cfg in
-  let query_node = wire_inst.City.query.P.root in
-  let doc_tree = Doc.to_xml wire_inst.City.doc in
-  let projector = Project.compile ~schema:wire_inst.City.schema wire_inst.City.query in
-  let expected = local_naive_answers () in
-  (* old peer: no capability advertised, the client must not project *)
-  with_server ~caps:[] (fun client ->
-      let obs = Obs.create () in
-      let report = Client.eval client ~obs ~projector ~strategy:"naive" query_node doc_tree in
-      Alcotest.(check (list string)) "old peer advertises nothing" [] (Client.capabilities client);
-      Alcotest.(check int) "nothing was projected on the wire" 0
-        (Metrics.count obs.Obs.metrics "net.projected_bytes_saved");
-      Alcotest.(check string) "old-peer answers identical" expected
-        (Json.to_string (Json.member "answers" report)));
-  (* new peer: capability negotiated, the client projects, answers equal *)
-  with_server ~caps:[ Wire.cap_project ] (fun client ->
-      let obs = Obs.create () in
-      let report = Client.eval client ~obs ~projector ~strategy:"naive" query_node doc_tree in
-      Alcotest.(check bool) "new peer advertises the capability" true
-        (List.mem Wire.cap_project (Client.capabilities client));
-      Alcotest.(check bool) "projection saved wire bytes" true
-        (Metrics.count obs.Obs.metrics "net.projected_bytes_saved" > 0);
-      Alcotest.(check string) "new-peer answers identical" expected
-        (Json.to_string (Json.member "answers" report)))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -326,5 +270,4 @@ let () =
           quick "adversary: projected ≡ full under faults" test_adversary_differential;
           quick "city: projected ≡ full under faults" test_city_differential;
         ] );
-      ("wire", [ quick "capability negotiation old/new peer" test_wire_projection ]);
     ]

@@ -429,28 +429,6 @@ let test_replica_death_reroutes () =
         "defeats were accounted (retries on the dead peer)" true (r.Engine.retries > 0))
 
 (* ------------------------------------------------------------------ *)
-(* The registry routing view *)
-
-let test_registry_view () =
-  let a = Registry.create () and b = Registry.create () in
-  Registry.register a ~name:"x" (fun _ -> []);
-  Registry.register a ~name:"shared" (fun _ -> []);
-  Registry.register b ~name:"shared" ~push_capable:false (fun _ -> []);
-  Registry.register b ~name:"y" (fun _ -> []);
-  let v = Registry.view [ a; b ] in
-  Alcotest.(check (list string)) "names union, first-seen order" [ "x"; "shared"; "y" ]
-    (Registry.view_names v);
-  Alcotest.(check bool) "registered anywhere" true (Registry.view_is_registered v "y");
-  Alcotest.(check bool) "not registered" false (Registry.view_is_registered v "z");
-  Alcotest.(check int) "owners of shared" 2 (List.length (Registry.view_owners v "shared"));
-  Alcotest.(check bool)
-    "push-capable only when every owner is" false
-    (Registry.view_push_capable v "shared");
-  Alcotest.(check bool) "push-capable single owner" true (Registry.view_push_capable v "x");
-  Alcotest.check_raises "unknown name raises" (Registry.Unknown_service "z") (fun () ->
-      ignore (Registry.view_push_capable v "z"))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sched"
@@ -490,5 +468,4 @@ let () =
       ( "failover",
         [ Alcotest.test_case "mid-run replica death re-routes" `Quick test_replica_death_reroutes ]
       );
-      ("view", [ Alcotest.test_case "multi-registry routing view" `Quick test_registry_view ]);
     ]
