@@ -34,6 +34,41 @@ let gen_tree =
 let gen_rooted_tree = QCheck.Gen.map (fun c -> Tree.element "root" [ c ]) gen_tree
 let arb_tree = QCheck.make ~print:(Fmt.to_to_string Tree.pp) gen_rooted_tree
 
+(* Trees for the byte-accounting properties: text and attribute values
+   drawn from the characters the printer escapes, whitespace and
+   letters (empty strings included); some elements are
+   <axml:call name=…> function nodes. *)
+let gen_escapable_tree =
+  let open QCheck.Gen in
+  let value =
+    string_size
+      ~gen:(oneofl [ '&'; '<'; '>'; '"'; '\''; ' '; '\n'; '\t'; 'a'; 'z' ])
+      (int_bound 6)
+  in
+  let attrs = list_size (int_bound 2) (pair (oneofl [ "k"; "id"; "x-y" ]) value) in
+  let shell =
+    oneof
+      [
+        pair (oneofl [ "a"; "b"; "hotel" ]) attrs;
+        map2 (fun fname attrs -> (Doc.call_elem_name, ("name", fname) :: attrs)) value attrs;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then map Tree.text value
+         else
+           frequency
+             [
+               (1, map Tree.text value);
+               ( 3,
+                 map2
+                   (fun (name, attrs) children -> Tree.element ~attrs name children)
+                   shell
+                   (list_size (int_bound 3) (self (n / 2))) );
+             ])
+
+let arb_escapable_tree = QCheck.make ~print:(Fmt.to_to_string Tree.pp) gen_escapable_tree
+
 (* The parser drops whitespace-only text between elements and merges
    nothing else; generated text leaves are never whitespace-only, but two
    adjacent text leaves would merge. Normalize both sides by merging

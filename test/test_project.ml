@@ -251,6 +251,166 @@ let test_city_differential () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Golden projection statistics at fixed seeds: [Project.doc] on the
+   fresh document, [Project.tree] on its serialization,
+   [spliced_forest] of every call's result against its parent, and the
+   report of a projected naive run (document plus every spliced
+   result). Any change to the projector's decisions or to the
+   byte accounting shows here as a changed number. *)
+
+module Goingout = Axml_workload.Goingout
+module Synthetic = Axml_workload.Synthetic
+
+type golden_instance = {
+  g_doc : Doc.t;
+  g_registry : Registry.t;
+  g_schema : Schema.t;
+  g_query : P.t;
+}
+
+let golden_instances =
+  let city () =
+    let i = City.generate City.default_config in
+    {
+      g_doc = i.City.doc;
+      g_registry = i.City.registry;
+      g_schema = i.City.schema;
+      g_query = i.City.query;
+    }
+  in
+  let goingout () =
+    let i = Goingout.generate Goingout.default_config in
+    {
+      g_doc = i.Goingout.doc;
+      g_registry = i.Goingout.registry;
+      g_schema = i.Goingout.schema;
+      g_query = i.Goingout.query;
+    }
+  in
+  let synthetic () =
+    let i = Synthetic.generate { Synthetic.default_config with Synthetic.nodes = 2000 } in
+    {
+      g_doc = i.Synthetic.doc;
+      g_registry = i.Synthetic.registry;
+      g_schema = i.Synthetic.schema;
+      g_query = i.Synthetic.query;
+    }
+  in
+  let adversary family () =
+    let i =
+      Adversary.generate { Adversary.default_config with Adversary.family; seed = 5; scale = 24 }
+    in
+    {
+      g_doc = i.Adversary.doc;
+      g_registry = i.Adversary.registry;
+      g_schema = i.Adversary.schema;
+      g_query = i.Adversary.query;
+    }
+  in
+  [ ("city", city); ("goingout", goingout); ("synthetic", synthetic) ]
+  @ List.map (fun (name, f) -> ("adversary/" ^ name, adversary f)) Adversary.families
+
+let show_stats (st : Project.stats) =
+  Printf.sprintf "full=%d kept=%d saved=%d" st.Project.full_nodes st.Project.kept_nodes
+    st.Project.bytes_saved
+
+let golden_stats make =
+  let projector g = Project.compile ~schema:g.g_schema g.g_query in
+  let doc_stats =
+    let g = make () in
+    Project.doc (projector g) g.g_doc
+  in
+  let tree_stats =
+    let g = make () in
+    snd (Project.tree (projector g) (Doc.to_xml g.g_doc))
+  in
+  let spliced_stats =
+    let g = make () in
+    let p = projector g in
+    List.fold_left
+      (fun acc (call : Doc.node) ->
+        match (call.Doc.parent, Doc.call_name call) with
+        | Some parent, Some name ->
+          let params = List.map Doc.node_to_xml call.Doc.children in
+          let result, _ = Registry.invoke g.g_registry ~name ~params () in
+          Project.add_stats acc (snd (Project.spliced_forest p ~parent result))
+        | _ -> acc)
+      Project.zero_stats (Doc.function_nodes g.g_doc)
+  in
+  let run_stats =
+    let g = make () in
+    let r =
+      Engine.naive_run ~max_calls:200 ~projector:(projector g) g.g_registry g.g_query g.g_doc
+    in
+    {
+      Project.full_nodes = r.Engine.full_nodes;
+      kept_nodes = r.Engine.projected_nodes;
+      bytes_saved = r.Engine.projected_bytes_saved;
+    }
+  in
+  (show_stats doc_stats, show_stats tree_stats, show_stats spliced_stats, show_stats run_stats)
+
+let golden_expected =
+  [
+    ( "city",
+      ( "full=375 kept=239 saved=6847",
+        "full=375 kept=239 saved=6847",
+        "full=722 kept=486 saved=17479",
+        "full=1219 kept=867 saved=28790" ) );
+    ( "goingout",
+      ( "full=307 kept=246 saved=1257",
+        "full=307 kept=246 saved=1257",
+        "full=185 kept=115 saved=1200",
+        "full=429 kept=368 saved=1257" ) );
+    ( "synthetic",
+      ( "full=2012 kept=678 saved=12690",
+        "full=2012 kept=678 saved=12690",
+        "full=102 kept=80 saved=242",
+        "full=2092 kept=758 saved=12690" ) );
+    ( "adversary/bounded-recursion",
+      ( "full=22 kept=22 saved=0",
+        "full=22 kept=22 saved=0",
+        "full=9 kept=9 saved=0",
+        "full=64 kept=64 saved=0" ) );
+    ( "adversary/unbounded-recursion",
+      ( "full=5 kept=5 saved=0",
+        "full=5 kept=5 saved=0",
+        "full=8 kept=8 saved=0",
+        "full=1605 kept=1605 saved=0" ) );
+    ( "adversary/skewed-fanout",
+      ( "full=131 kept=125 saved=73",
+        "full=131 kept=125 saved=73",
+        "full=44 kept=42 saved=33",
+        "full=173 kept=167 saved=73" ) );
+    ( "adversary/push-keep-all",
+      ( "full=19 kept=19 saved=0",
+        "full=19 kept=19 saved=0",
+        "full=30 kept=30 saved=0",
+        "full=49 kept=49 saved=0" ) );
+    ( "adversary/push-drop-all",
+      ( "full=13 kept=13 saved=0",
+        "full=13 kept=13 saved=0",
+        "full=34 kept=30 saved=1058",
+        "full=47 kept=43 saved=1058" ) );
+    ( "adversary/deep-nesting",
+      ( "full=296 kept=296 saved=0",
+        "full=296 kept=296 saved=0",
+        "full=2 kept=2 saved=0",
+        "full=298 kept=298 saved=0" ) );
+  ]
+
+let test_golden_stats () =
+  List.iter
+    (fun (name, make) ->
+      let doc, tree, spliced, run = golden_stats make in
+      let edoc, etree, espliced, erun = List.assoc name golden_expected in
+      Alcotest.(check string) (name ^ ": Project.doc") edoc doc;
+      Alcotest.(check string) (name ^ ": Project.tree") etree tree;
+      Alcotest.(check string) (name ^ ": spliced_forest") espliced spliced;
+      Alcotest.(check string) (name ^ ": projected naive run") erun run)
+    golden_instances
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -270,4 +430,5 @@ let () =
           quick "adversary: projected ≡ full under faults" test_adversary_differential;
           quick "city: projected ≡ full under faults" test_city_differential;
         ] );
+      ("golden", [ quick "projection stats at fixed seeds" test_golden_stats ]);
     ]

@@ -107,6 +107,66 @@ let test_error_position () =
   | exception Parse.Error { line; _ } -> Alcotest.(check int) "line" 2 line
   | _ -> Alcotest.fail "expected an error"
 
+(* Golden parser cases: references at the edges of a text run,
+   whitespace-only runs, CDATA beside text, closing-tag forms. *)
+let test_parse_golden () =
+  let cases =
+    [
+      ("<a>&amp;x</a>", e "a" [ t "&x" ]);
+      ("<a>x&lt;</a>", e "a" [ t "x<" ]);
+      ("<a>x&#x41;y</a>", e "a" [ t "xAy" ]);
+      ("<a>&#x41;</a>", e "a" [ t "A" ]);
+      (* a reference makes the run non-blank, so it is kept whole *)
+      ("<a> &#32; </a>", e "a" [ t "   " ]);
+      ("<a> \n\t <b/> \r\n </a>", e "a" [ e "b" [] ]);
+      ("<a>   </a>", e "a" []);
+      ("<a>x<![CDATA[<y>]]>z</a>", e "a" [ t "x"; t "<y>"; t "z" ]);
+      ("<a> <![CDATA[ ]]> </a>", e "a" [ t " " ]);
+      ("<a></a >", e "a" []);
+      ("<a x='1&amp;2' y=\"\">v</a>", e ~attrs:[ ("x", "1&2"); ("y", "") ] "a" [ t "v" ]);
+    ]
+  in
+  List.iter (fun (src, want) -> Alcotest.check tree src want (Parse.tree src)) cases;
+  let forest_cases = [ ("  <a/>  ", [ e "a" [] ]); ("x&amp;<a/>y", [ t "x&"; e "a" []; t "y" ]) ] in
+  List.iter
+    (fun (src, want) -> Alcotest.(check (list tree)) src want (Parse.forest src))
+    forest_cases
+
+(* Golden error messages with their line and column. *)
+let test_parse_error_golden () =
+  let render = function
+    | Ok _ -> "parsed"
+    | Error e -> Option.value (Parse.error_to_string e) ~default:(Printexc.to_string e)
+  in
+  let parse f src = match f src with v -> Ok v | exception e -> Error e in
+  let cases =
+    [
+      ( "<a>\n<b>t</bb>\n</a>",
+        "XML parse error at line 2, column 9: mismatched closing tag </bb> for <b>" );
+      ("<a><b></a>", "XML parse error at line 1, column 10: mismatched closing tag </a> for <b>");
+      ("<a>\nabc", "XML parse error at line 2, column 4: unclosed element <a>");
+      ("<a x=\"1\n23", "XML parse error at line 2, column 3: unterminated attribute value");
+      ("<a>x &bogus; y</a>", "XML parse error at line 1, column 13: unknown entity &bogus;");
+      ("<a>\n  &#xZZ;</a>", "XML parse error at line 2, column 6: empty character reference");
+      ( "<a>&#1114112;</a>",
+        "XML parse error at line 1, column 14: character reference out of range" );
+      ("<a>&amp</a>", "XML parse error at line 1, column 8: expected ';', found '<'");
+      ("<a><![CDATA[x", "XML parse error at line 1, column 14: unterminated CDATA section");
+      ("<a><!-- x", "XML parse error at line 1, column 10: unterminated comment");
+      ("<a></a", "XML parse error at line 1, column 7: expected '>', found '\\000'");
+      ("<a></ a>", "XML parse error at line 1, column 6: expected a name");
+      ("<a x=\"<\"/>", "XML parse error at line 1, column 7: '<' in attribute value");
+      ( "<a>t</a><!-- c --> x",
+        "XML parse error at line 1, column 20: content after the root element" );
+    ]
+  in
+  List.iter
+    (fun (src, want) -> Alcotest.(check string) src want (render (parse Parse.tree src)))
+    cases;
+  Alcotest.(check string)
+    "forest" "XML parse error at line 1, column 5: unexpected closing tag at top level"
+    (render (parse Parse.forest "<a/></b>"))
+
 (* ------------------------------------------------------------------ *)
 (* Printer *)
 
@@ -146,6 +206,18 @@ let prop_roundtrip_indented =
       let printed = Print.to_string ~indent:2 tr in
       Tree.equal (merge_text tr) (Parse.tree printed))
 
+(* The computed byte size is the length of the compact serialization. *)
+let prop_byte_size =
+  QCheck.Test.make ~name:"byte_size t = length (to_string t)" ~count:500 Gen.arb_escapable_tree
+    (fun tr -> Print.byte_size tr = String.length (Print.to_string tr))
+
+let prop_forest_byte_size =
+  QCheck.Test.make ~name:"forest_byte_size f = length (forest_to_string f)" ~count:300
+    (QCheck.make
+       ~print:(Fmt.to_to_string (Fmt.Dump.list Tree.pp))
+       QCheck.Gen.(list_size (int_bound 4) Gen.gen_escapable_tree))
+    (fun f -> Print.forest_byte_size f = String.length (Print.forest_to_string f))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "xml"
@@ -171,6 +243,8 @@ let () =
           quick "forest" test_parse_forest;
           quick "errors" test_parse_errors;
           quick "error position" test_error_position;
+          quick "golden cases" test_parse_golden;
+          quick "golden errors" test_parse_error_golden;
         ] );
       ( "print",
         [
@@ -183,5 +257,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_roundtrip_indented;
+          QCheck_alcotest.to_alcotest prop_byte_size;
+          QCheck_alcotest.to_alcotest prop_forest_byte_size;
         ] );
     ]
