@@ -1,4 +1,4 @@
-.PHONY: all build test test-faults test-obs test-net test-exec test-engine test-gen test-project test-sched test-view test-query test-wire-bin fuzz-smoke bench bench-e9-smoke bench-e11-smoke bench-e12-smoke bench-e13-smoke bench-e14-smoke examples doc clean trace-demo serve-demo
+.PHONY: all build test test-xml test-faults test-obs test-net test-exec test-engine test-gen test-project test-sched test-view test-query test-wire-bin fuzz-smoke bench bench-e9-smoke bench-e11-smoke bench-e12-smoke bench-e13-smoke bench-e14-smoke examples doc clean trace-demo serve-demo
 
 all: build
 
@@ -7,6 +7,13 @@ build:
 
 test:
 	dune runtest --force
+
+# XML parser/printer tests: parser units and golden cases (references
+# at the edges of text runs, whitespace-only runs, CDATA beside text,
+# error messages with their line and column), printer escapes, and the
+# properties parse (print t) = t and computed byte_size = printed length
+test-xml:
+	dune exec test/test_xml.exe
 
 # registry tests: the one retry loop over local and scripted remote
 # providers (fault fates, timeouts, backoff, memoization), then the

@@ -165,6 +165,19 @@ let rec node_to_xml n =
       }
 
 let to_xml d = node_to_xml d.root
+
+let rec byte_size n =
+  let module P = Axml_xml.Print in
+  let empty = n.children = [] in
+  let own =
+    match n.label with
+    | Data s -> P.text_size s
+    | Elem name -> P.shell_size name ~attrs:(P.attrs_size n.attrs) ~empty
+    | Call { fname; _ } ->
+      P.shell_size call_elem_name ~attrs:(P.attr_size "name" fname + P.attrs_size n.attrs) ~empty
+  in
+  List.fold_left (fun acc c -> acc + byte_size c) own n.children
+
 let to_string ?indent d = Axml_xml.Print.to_string ?indent (to_xml d)
 
 (* ------------------------------------------------------------------ *)

@@ -67,6 +67,11 @@ val of_xml : Axml_xml.Tree.t -> t
 
 val to_xml : t -> Axml_xml.Tree.t
 val node_to_xml : node -> Axml_xml.Tree.t
+
+val byte_size : node -> int
+(** [byte_size n] = [Axml_xml.Print.byte_size (node_to_xml n)], counted
+    over the nodes without building the tree. *)
+
 val forest_of_xml : t -> Axml_xml.Tree.forest -> node list
 (** [forest_of_xml d f] imports trees as parentless nodes of [d] (for
     splicing service results). *)

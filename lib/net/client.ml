@@ -136,6 +136,16 @@ let giveback t conn =
 
 let discard conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
+(* What a failed [borrow] means, as (outcome, transient, timeout,
+   reason); [None] for exceptions that are not transport failures. *)
+let borrow_failure = function
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    Some ("timeout", true, true, "handshake timed out")
+  | Unix.Unix_error (e, _, _) -> Some ("connect", true, false, Unix.error_message e)
+  | Wire.Protocol_error reason | Failure reason -> Some ("protocol", false, false, reason)
+  | Wire.Closed -> Some ("closed", true, false, "connection closed during handshake")
+  | _ -> None
+
 let services t ?(obs = Obs.null) () =
   match Mutex.protect t.mu (fun () -> t.advertised) with
   | Some s -> s
@@ -144,33 +154,18 @@ let services t ?(obs = Obs.null) () =
     | conn ->
       giveback t conn;
       Mutex.protect t.mu (fun () -> Option.value t.advertised ~default:[])
-    | exception Unix.Unix_error (e, _, _) ->
-      raise
-        (Registry.Transport_error
-           {
-             wire = { Registry.sent = 0; received = 0; served_push = false; elapsed = 0.0 };
-             transient = true;
-             timeout = false;
-             reason = Unix.error_message e;
-           })
-    | exception (Wire.Protocol_error m | Failure m) ->
-      raise
-        (Registry.Transport_error
-           {
-             wire = { Registry.sent = 0; received = 0; served_push = false; elapsed = 0.0 };
-             transient = false;
-             timeout = false;
-             reason = m;
-           })
-    | exception Wire.Closed ->
-      raise
-        (Registry.Transport_error
-           {
-             wire = { Registry.sent = 0; received = 0; served_push = false; elapsed = 0.0 };
-             transient = true;
-             timeout = false;
-             reason = "connection closed during handshake";
-           }))
+    | exception e -> (
+      match borrow_failure e with
+      | None -> raise e
+      | Some (_, transient, timeout, reason) ->
+        raise
+          (Registry.Transport_error
+             {
+               wire = { Registry.sent = 0; received = 0; served_push = false; elapsed = 0.0 };
+               transient;
+               timeout;
+               reason;
+             })))
 
 let call t ~obs ~timeout ~service ~params ~push =
   let t0 = Unix.gettimeofday () in
@@ -215,15 +210,10 @@ let call t ~obs ~timeout ~service ~params ~push =
          { wire = wire ~sent ~received ~pushed:false; transient; timeout = timed_out; reason })
   in
   match borrow t ~obs with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    fail ~outcome:"timeout" ~transient:true ~timeout:true "handshake timed out"
-  | exception Unix.Unix_error (e, _, _) ->
-    fail ~outcome:"connect" ~transient:true ~timeout:false (Unix.error_message e)
-  | exception (Wire.Protocol_error reason | Failure reason) ->
-    fail ~outcome:"protocol" ~transient:false ~timeout:false reason
-  | exception Wire.Closed ->
-    fail ~outcome:"closed" ~transient:true ~timeout:false
-      "connection closed during handshake"
+  | exception e -> (
+    match borrow_failure e with
+    | None -> raise e
+    | Some (outcome, transient, timeout, reason) -> fail ~outcome ~transient ~timeout reason)
   | conn -> (
     let id = conn.next_id in
     conn.next_id <- id + 1;

@@ -1,14 +1,15 @@
 (* Type-based document projection (see project.mli for the contract).
 
-   The projector is one NFA walk: document labels are consumed root-down
-   against the alternation of the pattern's root-to-node path regexes,
-   and a node survives iff its state set is accepting (hit), accepting
-   in the result-node automaton (keep the whole subtree), or live — some
-   schema-admissible extension below its label can still reach
-   acceptance. Liveness is precomputed once per compile as a least
+   The projector is one automaton walk: document labels are consumed
+   root-down against the alternation of the pattern's root-to-node path
+   regexes, and a node survives iff its state set is accepting (hit),
+   accepting in the result-node automaton (keep the whole subtree), or
+   live — some schema-admissible extension below its label can still
+   reach acceptance. Liveness is precomputed once per compile as a least
    fixpoint over NFA states × alphabet symbols, threading through
    function symbols via the transitive closure of their declared output
-   root symbols. *)
+   root symbols. Both NFAs are then determinized, so the walk steps
+   table lookups instead of state-set lists. *)
 
 module Regex = Axml_automata.Regex
 module Nfa = Axml_automata.Nfa
@@ -29,25 +30,61 @@ let add_stats a b =
     bytes_saved = a.bytes_saved + b.bytes_saved;
   }
 
+(* A deterministic automaton over the alphabet's symbol indices, started
+   in state 0: state [d]'s successor on symbol [k] is
+   [delta.(d * nsyms + k)]. *)
+type dfa = { delta : int array; accepting : bool array }
+
 type t = {
-  hit : Nfa.t;  (** alternation of all pattern-node path regexes *)
-  sub : Nfa.t option;  (** result nodes only; [None] when the pattern has none *)
   idx : (string, int) Hashtbl.t;
   other_ix : int;
   data_ix : int;
-  schema : Schema.t option;
-  fun_nodes : bool;  (** pattern queries function nodes: never drop a call *)
-  live : bool array array;  (** [live.(state).(sym)] over the hit automaton *)
-  can_reach : bool array;  (** accepting reachable in ≥ 1 steps (any labels) *)
-  out_roots : (string, string list option) Hashtbl.t;
-      (** per function: closure of output root symbols; [None] = unbounded *)
+  nsyms : int;
+  hit : dfa;  (** determinized alternation of all pattern-node path regexes *)
+  hit_dead : int;  (** the empty state set; [-1] when unreachable *)
+  hit_live : bool array;
+      (** [hit_live.(d * nsyms + k)]: below a node labeled [k] reached in
+          [d], a schema-admissible descendant chain can still accept *)
+  sub : dfa;  (** result nodes only; never accepting when the pattern has none *)
+  calls : (string, bool array) Hashtbl.t;
+      (** per function with a bounded output closure: is a call useful in
+          hit state [d]? Other calls are kept in every non-dead state. *)
 }
 
-let sym_ix t s = match Hashtbl.find_opt t.idx s with Some i -> i | None -> t.other_ix
+let sym_ix t s = match Hashtbl.find t.idx s with i -> i | exception Not_found -> t.other_ix
 
 (* State sets are small sorted int lists. *)
 let step a set ix = List.sort_uniq compare (List.concat_map (fun s -> Nfa.successors a s ix) set)
-let accepting a set = List.exists (Nfa.is_accepting a) set
+
+(* Subset construction from the state set [init], which becomes state
+   0: the interned sets (id order) and the transition table. Sets are
+   dequeued in id order, so the rows come out in id order too. *)
+let determinize a ~nsyms init =
+  let ids = Hashtbl.create 16 and sets = ref [] and pending = Queue.create () in
+  let intern set =
+    match Hashtbl.find_opt ids set with
+    | Some d -> d
+    | None ->
+      let d = Hashtbl.length ids in
+      Hashtbl.replace ids set d;
+      sets := set :: !sets;
+      Queue.add set pending;
+      d
+  in
+  ignore (intern init);
+  let rows = ref [] in
+  while not (Queue.is_empty pending) do
+    let set = Queue.pop pending in
+    rows := Array.init nsyms (fun k -> intern (step a set k)) :: !rows
+  done;
+  let sets = Array.of_list (List.rev !sets) in
+  ( sets,
+    {
+      delta = Array.concat (List.rev !rows);
+      accepting = Array.map (List.exists (Nfa.is_accepting a)) sets;
+    } )
+
+let next (a : dfa) ~nsyms d ix = a.delta.((d * nsyms) + ix)
 
 (* ------------------------------------------------------------------ *)
 (* Output-type closure: the element/data symbols a call to [fname] can
@@ -105,6 +142,7 @@ let compile ?schema (q : P.t) =
   Array.iteri (fun i s -> Hashtbl.replace idx s i) alpha;
   let other_ix = Hashtbl.find idx Nfa.other_symbol in
   let data_ix = Hashtbl.find idx Schema.data_keyword in
+  let ix_of s = match Hashtbl.find_opt idx s with Some i -> i | None -> other_ix in
   let nstates = Nfa.size hit and nsyms = Array.length alpha in
   (* reach0.(s): accepting reachable in ≥ 0 steps. *)
   let reach0 = Array.init nstates (Nfa.is_accepting hit) in
@@ -166,17 +204,11 @@ let compile ?schema (q : P.t) =
                         Some
                           (List.fold_left
                              (fun acc r ->
-                               let i =
-                                 match Hashtbl.find_opt idx r with
-                                 | Some i -> i
-                                 | None -> other_ix
-                               in
+                               let i = ix_of r in
                                if List.mem i acc then acc else i :: acc)
                              acc rs)
                     else
-                      let i =
-                        match Hashtbl.find_opt idx c with Some i -> i | None -> other_ix
-                      in
+                      let i = ix_of c in
                       Some (if List.mem i acc then acc else i :: acc)))
                 (Some []) (Regex.occurring_symbols content)))
       alpha
@@ -209,188 +241,192 @@ let compile ?schema (q : P.t) =
       done
     done
   done;
+  (* Determinize both automata over the same symbol indices, with
+     liveness lifted to state sets. *)
+  let hit_sets, hit_dfa = determinize hit ~nsyms [ Nfa.start hit ] in
+  let hit_live =
+    Array.init
+      (Array.length hit_sets * nsyms)
+      (fun i -> List.exists (fun s -> live.(s).(i mod nsyms)) hit_sets.(i / nsyms))
+  in
+  let hit_dead = Option.value (Array.find_index (( = ) []) hit_sets) ~default:(-1) in
+  let sub_dfa =
+    match sub with
+    | Some a -> snd (determinize a ~nsyms [ Nfa.start a ])
+    | None -> { delta = Array.make nsyms 0; accepting = [| false |] }
+  in
+  (* A call to [fname] whose results would step from hit state [d] is
+     useful iff one of its output roots lands accepting or live. Calls
+     are always useful when the pattern queries function nodes, without
+     a schema, and for functions whose output closure is unbounded
+     (undeclared ones included). *)
+  let calls = Hashtbl.create 8 in
+  (match schema with
+  | Some sc when not (P.has_function_nodes q) ->
+    List.iter
+      (fun fname ->
+        match roots fname with
+        | None -> ()
+        | Some rs ->
+          let rs = List.map ix_of rs in
+          Hashtbl.replace calls fname
+            (Array.init (Array.length hit_sets) (fun d ->
+                 List.exists
+                   (fun ix ->
+                     let d' = next hit_dfa ~nsyms d ix in
+                     hit_dfa.accepting.(d') || hit_live.((d' * nsyms) + ix))
+                   rs)))
+      (Schema.function_names sc)
+  | _ -> ());
   {
-    hit;
-    sub;
     idx;
     other_ix;
     data_ix;
-    schema;
-    fun_nodes = P.has_function_nodes q;
-    live;
-    can_reach;
-    out_roots;
+    nsyms;
+    hit = hit_dfa;
+    hit_dead;
+    hit_live;
+    sub = sub_dfa;
+    calls;
   }
+
+let states t = (Array.length t.hit.accepting, Array.length t.sub.accepting)
 
 (* ------------------------------------------------------------------ *)
 (* The walk *)
 
-type ctx = { sh : int list; ss : int list }
+type ctx = { sh : int; ss : int }
 
-let start_ctx t =
-  { sh = [ Nfa.start t.hit ]; ss = (match t.sub with None -> [] | Some a -> [ Nfa.start a ]) }
-
-let live_set t set ix = List.exists (fun s -> t.live.(s).(ix)) set
+let start_ctx = { sh = 0; ss = 0 }
 
 (* Is a call to [fname] worth keeping when its (future) results would
-   step from the hit-state set [sh]? *)
+   step from hit state [sh]? *)
 let call_useful t sh fname =
-  if sh = [] then false
-  else if t.fun_nodes then true
-  else
-    match t.schema with
-    | None -> true
-    | Some sc -> (
-      match
-        (match Hashtbl.find_opt t.out_roots fname with
-        | Some r -> r
-        | None ->
-          let r = output_roots sc fname in
-          Hashtbl.replace t.out_roots fname r;
-          r)
-      with
-      | None -> true
-      | Some rs ->
-        List.exists
-          (fun r ->
-            let ix = sym_ix t r in
-            let s' = step t.hit sh ix in
-            accepting t.hit s' || live_set t s' ix)
-          rs)
+  sh <> t.hit_dead
+  && match Hashtbl.find t.calls fname with useful -> useful.(sh) | exception Not_found -> true
 
 type decision = Drop | Keep_all | Recurse of ctx
 
-let decide t ctx (label : [ `Elem of string | `Data | `Call of string ]) =
-  match label with
-  | `Call fname -> if call_useful t ctx.sh fname then Keep_all else Drop
-  | `Data | `Elem _ ->
-    let ix = match label with `Data -> t.data_ix | `Elem name -> sym_ix t name | _ -> t.other_ix in
-    let sh' = step t.hit ctx.sh ix in
-    let ss' = match t.sub with None -> [] | Some a -> step a ctx.ss ix in
-    if (match t.sub with Some a -> accepting a ss' | None -> false) then Keep_all
-    else if accepting t.hit sh' then Recurse { sh = sh'; ss = ss' }
-    else if sh' <> [] && live_set t sh' ix then Recurse { sh = sh'; ss = ss' }
-    else Drop
+(* A data or element node with symbol index [ix]. *)
+let decide t ctx ix =
+  let ss = next t.sub ~nsyms:t.nsyms ctx.ss ix in
+  if t.sub.accepting.(ss) then Keep_all
+  else
+    let sh = next t.hit ~nsyms:t.nsyms ctx.sh ix in
+    if t.hit.accepting.(sh) || t.hit_live.((sh * t.nsyms) + ix) then Recurse { sh; ss } else Drop
+
+let decide_call t ctx fname = if call_useful t ctx.sh fname then Keep_all else Drop
+
+(* Node counts of one walk; bytes saved are measured at the public entry
+   points as the exact serialization difference, because dropping all
+   of an element's children also shrinks its own shell (<e>…</e>
+   becomes <e/>). *)
+type tally = { mutable full : int; mutable kept : int }
+
+let count tl ~full ~kept =
+  tl.full <- tl.full + full;
+  tl.kept <- tl.kept + kept
+
+let stats tl ~bytes_saved = { full_nodes = tl.full; kept_nodes = tl.kept; bytes_saved }
 
 (* ------------------------------------------------------------------ *)
 (* Pure trees (wire layer): <axml:call> elements are function nodes. *)
 
-let tree_label (tr : Tree.t) =
+let decide_tree t ctx (tr : Tree.t) =
   match tr with
-  | Tree.Text _ -> `Data
-  | Tree.Element { name; attrs; _ } when String.equal name Doc.call_elem_name -> (
-    match List.assoc_opt "name" attrs with Some f -> `Call f | None -> `Call "")
-  | Tree.Element { name; _ } -> `Elem name
+  | Tree.Text _ -> decide t ctx t.data_ix
+  | Tree.Element { name; attrs; _ } when String.equal name Doc.call_elem_name ->
+    decide_call t ctx (Option.value (List.assoc_opt "name" attrs) ~default:"")
+  | Tree.Element { name; _ } -> decide t ctx (sym_ix t name)
 
-(* [keep_tree] and [prune_node] account nodes only; bytes saved are
-   measured at the public entry points as the exact serialization
-   difference, because dropping all of an element's children also
-   shrinks its own shell (<e>…</e> becomes <e/>). *)
-let rec keep_tree t ctx (tr : Tree.t) st =
-  match decide t ctx (tree_label tr) with
+let rec keep_tree t ctx (tr : Tree.t) tl =
+  match decide_tree t ctx tr with
   | Drop ->
-    st := add_stats !st { full_nodes = Tree.size tr; kept_nodes = 0; bytes_saved = 0 };
+    count tl ~full:(Tree.size tr) ~kept:0;
     None
   | Keep_all ->
     let n = Tree.size tr in
-    st := add_stats !st { full_nodes = n; kept_nodes = n; bytes_saved = 0 };
+    count tl ~full:n ~kept:n;
     Some tr
   | Recurse ctx' -> (
-    st := add_stats !st { full_nodes = 1; kept_nodes = 1; bytes_saved = 0 };
+    count tl ~full:1 ~kept:1;
     match tr with
     | Tree.Text _ -> Some tr
     | Tree.Element e ->
-      Some (Tree.Element { e with children = List.filter_map (fun c -> keep_tree t ctx' c st) e.children }))
+      Some
+        (Tree.Element
+           { e with children = List.filter_map (fun c -> keep_tree t ctx' c tl) e.children }))
 
 let tree t tr =
   let full_bytes = Print.byte_size tr in
-  let st = ref zero_stats in
+  let tl = { full = 0; kept = 0 } in
   let tr' =
-    match keep_tree t (start_ctx t) tr st with
+    match keep_tree t start_ctx tr tl with
     | Some tr' -> tr'
     | None -> (
       (* the document root is never dropped: keep its bare shell *)
-      match tr with
-      | Tree.Text _ as leaf ->
-        st := { !st with kept_nodes = 1 };
-        leaf
-      | Tree.Element e ->
-        st := { !st with kept_nodes = 1 };
-        Tree.Element { e with children = [] })
+      tl.kept <- 1;
+      match tr with Tree.Text _ -> tr | Tree.Element e -> Tree.Element { e with children = [] })
   in
-  (tr', { !st with bytes_saved = full_bytes - Print.byte_size tr' })
+  (tr', stats tl ~bytes_saved:(full_bytes - Print.byte_size tr'))
 
 (* ------------------------------------------------------------------ *)
 (* Live documents (parse and engine layers): in-place detachment. *)
 
 let rec dnode_size (n : Doc.node) = 1 + List.fold_left (fun a c -> a + dnode_size c) 0 n.Doc.children
 
-let doc_label (n : Doc.node) =
+let decide_node t ctx (n : Doc.node) =
   match n.Doc.label with
-  | Doc.Elem name -> `Elem name
-  | Doc.Data _ -> `Data
-  | Doc.Call { Doc.fname; _ } -> `Call fname
+  | Doc.Elem name -> decide t ctx (sym_ix t name)
+  | Doc.Data _ -> decide t ctx t.data_ix
+  | Doc.Call { Doc.fname; _ } -> decide_call t ctx fname
 
-let rec prune_node t ctx d (n : Doc.node) st =
-  match decide t ctx (doc_label n) with
-  | Drop ->
-    st := add_stats !st { full_nodes = dnode_size n; kept_nodes = 0; bytes_saved = 0 };
-    Doc.remove_node d n;
-    false
-  | Keep_all ->
-    let k = dnode_size n in
-    st := add_stats !st { full_nodes = k; kept_nodes = k; bytes_saved = 0 };
-    true
-  | Recurse ctx' ->
-    st := add_stats !st { full_nodes = 1; kept_nodes = 1; bytes_saved = 0 };
-    (* [remove_node] rewrites the child list: snapshot before iterating *)
-    let snapshot = n.Doc.children in
-    List.iter (fun c -> ignore (prune_node t ctx' d c st)) snapshot;
-    true
-
-(* [remove_node] rewrites the parent's child list, so snapshot before
-   iterating *)
-let prune_children t ctx d (n : Doc.node) st =
-  let snapshot = n.Doc.children in
-  List.iter (fun c -> ignore (prune_node t ctx d c st)) snapshot
+(* [remove_node] rewrites the parent's child list, so iterate over the
+   list as it was before *)
+let rec prune_children t ctx d (n : Doc.node) tl =
+  List.iter
+    (fun c ->
+      match decide_node t ctx c with
+      | Drop ->
+        count tl ~full:(dnode_size c) ~kept:0;
+        Doc.remove_node d c
+      | Keep_all ->
+        let k = dnode_size c in
+        count tl ~full:k ~kept:k
+      | Recurse ctx' ->
+        count tl ~full:1 ~kept:1;
+        prune_children t ctx' d c tl)
+    n.Doc.children
 
 let doc t d =
-  let st = ref zero_stats in
+  let tl = { full = 0; kept = 0 } in
   let root = Doc.root d in
-  let full_bytes = Print.byte_size (Doc.node_to_xml root) in
-  (match decide t (start_ctx t) (doc_label root) with
+  let full_bytes = Doc.byte_size root in
+  (match decide_node t start_ctx root with
   | Drop ->
     (* never drop the root; drop its children instead *)
-    let full = dnode_size root in
-    st := { full_nodes = full; kept_nodes = 1; bytes_saved = 0 };
-    let snapshot = root.Doc.children in
-    List.iter (fun c -> Doc.remove_node d c) snapshot
+    count tl ~full:(dnode_size root) ~kept:1;
+    List.iter (fun c -> Doc.remove_node d c) root.Doc.children
   | Keep_all ->
     let k = dnode_size root in
-    st := add_stats !st { full_nodes = k; kept_nodes = k; bytes_saved = 0 }
+    count tl ~full:k ~kept:k
   | Recurse ctx' ->
-    st := add_stats !st { full_nodes = 1; kept_nodes = 1; bytes_saved = 0 };
-    prune_children t ctx' d root st);
-  { !st with bytes_saved = full_bytes - Print.byte_size (Doc.node_to_xml root) }
+    count tl ~full:1 ~kept:1;
+    prune_children t ctx' d root tl);
+  stats tl ~bytes_saved:(full_bytes - Doc.byte_size root)
 
-(* Context along root → parent, stepping both automata; [`Keep_all] when
+(* Context along root → [n], stepping both automata; [`Keep_all] when
    an ancestor already lies under a result image (or is a call/data
    node, which splicing should never produce — be conservative). *)
-let parent_context t (parent : Doc.node) =
-  let chain = List.rev (parent :: Doc.ancestors parent) in
-  let rec go ctx = function
-    | [] -> `Ctx ctx
-    | n :: rest -> (
-      match n.Doc.label with
-      | Doc.Data _ | Doc.Call _ -> `Keep_all
-      | Doc.Elem name ->
-        let ix = sym_ix t name in
-        let sh = step t.hit ctx.sh ix in
-        let ss = match t.sub with None -> [] | Some a -> step a ctx.ss ix in
-        if match t.sub with Some a -> accepting a ss | None -> false then `Keep_all
-        else go { sh; ss } rest)
-  in
-  go (start_ctx t) chain
+let rec parent_context t (n : Doc.node) =
+  let above = match n.Doc.parent with None -> `Ctx start_ctx | Some p -> parent_context t p in
+  match (above, n.Doc.label) with
+  | `Keep_all, _ | _, (Doc.Data _ | Doc.Call _) -> `Keep_all
+  | `Ctx ctx, Doc.Elem name ->
+    let ix = sym_ix t name in
+    let ss = next t.sub ~nsyms:t.nsyms ctx.ss ix in
+    if t.sub.accepting.(ss) then `Keep_all
+    else `Ctx { sh = next t.hit ~nsyms:t.nsyms ctx.sh ix; ss }
 
 (* Project the service-result forest {e before} {!Doc.replace_call}
    imports it, against the state context of the call's parent: the
@@ -406,9 +442,9 @@ let spliced_forest t ~parent (f : Tree.forest) =
     (f, { full_nodes = k; kept_nodes = k; bytes_saved = 0 })
   | `Ctx ctx ->
     let full_bytes = Print.forest_byte_size f in
-    let st = ref zero_stats in
-    let kept = List.filter_map (fun tr -> keep_tree t ctx tr st) f in
-    (kept, { !st with bytes_saved = full_bytes - Print.forest_byte_size kept })
+    let tl = { full = 0; kept = 0 } in
+    let kept = List.filter_map (fun tr -> keep_tree t ctx tr tl) f in
+    (kept, stats tl ~bytes_saved:(full_bytes - Print.forest_byte_size kept))
 
 let keeps_call t _d ~fname ~parent =
   match parent_context t parent with

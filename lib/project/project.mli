@@ -27,6 +27,15 @@
     declared signature are kept whenever their position is not dead;
     kept calls keep their parameter forest verbatim.
 
+    {!compile} determinizes both automata once (subset construction) and
+    tabulates acceptance, liveness per symbol and call usefulness per
+    state set, so walking a node is a few array lookups and a value of
+    type {!t} is immutable. The tables stay small on realistic queries
+    (the City query: 20 hit and 13 result-image states), but the
+    construction is exponential in the worst case: each [*] step after
+    a [//] step doubles the hit automaton ([/a//b/*/*/*/*/c!] has 51
+    states). See {!states}.
+
     Soundness contract: on documents that conform to the schema, the
     query's answers (variable bindings and serialized result subtrees)
     on the projected document equal those on the full document — at
@@ -41,7 +50,8 @@ type stats = {
   bytes_saved : int;
       (** exact serialized-XML shrinkage: [byte_size before] minus
           [byte_size after] (dropped subtrees plus the shells of
-          elements emptied by the drop) *)
+          elements emptied by the drop), computed without printing
+          ({!Axml_xml.Print.byte_size}, {!Axml_doc.byte_size}) *)
 }
 
 val zero_stats : stats
@@ -52,6 +62,11 @@ val compile : ?schema:Axml_schema.Schema.t -> Axml_query.Pattern.t -> t
     anchored at the document root, matching {!Axml_query.Eval.eval}.
     Without a schema, liveness degrades to NFA reachability and every
     call is kept: projection is weaker but still sound. *)
+
+val states : t -> int * int
+(** The state counts of the two determinized automata: the hit automaton
+    and the result-node automaton (1 when the pattern has no result
+    node). *)
 
 val tree : t -> Axml_xml.Tree.t -> Axml_xml.Tree.t * stats
 (** Pure projection of a serialized tree ([<axml:call>] elements are

@@ -31,9 +31,13 @@ let expect st c =
   if peek st <> c then fail st (Printf.sprintf "expected %C, found %C" c (peek st));
   advance st
 
+(* [src] at [pos] continues with [s] from [i] to [n]: compared in place,
+   with no substring or closure allocated. *)
+let rec same_at src pos s i n = i = n || (src.[pos + i] = s.[i] && same_at src pos s (i + 1) n)
+
 let looking_at st prefix =
   let n = String.length prefix in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = prefix
+  st.pos + n <= String.length st.src && same_at st.src st.pos prefix 0 n
 
 let skip st n =
   for _ = 1 to n do
@@ -41,6 +45,8 @@ let skip st n =
   done
 
 let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+let rec blank src i stop = i = stop || (is_space src.[i] && blank src (i + 1) stop)
 
 let skip_space st =
   while (not (eof st)) && is_space (peek st) do
@@ -54,13 +60,32 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
-let parse_name st =
+(* Skips over a name; returns its start offset. *)
+let scan_name st =
   if not (is_name_start (peek st)) then fail st "expected a name";
   let start = st.pos in
   while (not (eof st)) && is_name_char (peek st) do
     advance st
   done;
+  start
+
+let parse_name st =
+  let start = scan_name st in
   String.sub st.src start (st.pos - start)
+
+(* Advances to the end of input or the first ['<'], ['&'] or [quote];
+   returns the start offset. *)
+let scan_run st quote =
+  let start = st.pos in
+  while
+    (not (eof st))
+    &&
+    let c = peek st in
+    c <> '<' && c <> '&' && c <> quote
+  do
+    advance st
+  done;
+  start
 
 (* Entity and character references. *)
 let parse_reference st =
@@ -101,27 +126,32 @@ let parse_reference st =
     | "apos" -> "'"
     | other -> fail st (Printf.sprintf "unknown entity &%s;" other)
 
+(* The run from [start] to where [scan_run st quote] stopped, continued
+   across references and resolved: one substring when it has none. *)
+let resolve_run st quote start =
+  if eof st || peek st <> '&' then String.sub st.src start (st.pos - start)
+  else begin
+    let buf = Buffer.create 16 in
+    let rec loop start =
+      Buffer.add_substring buf st.src start (st.pos - start);
+      if (not (eof st)) && peek st = '&' then begin
+        Buffer.add_string buf (parse_reference st);
+        loop (scan_run st quote)
+      end
+    in
+    loop start;
+    Buffer.contents buf
+  end
+
 let parse_attr_value st =
   let quote = peek st in
   if quote <> '"' && quote <> '\'' then fail st "expected a quoted attribute value";
   advance st;
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    if eof st then fail st "unterminated attribute value"
-    else if peek st = quote then advance st
-    else if peek st = '&' then begin
-      Buffer.add_string buf (parse_reference st);
-      loop ()
-    end
-    else if peek st = '<' then fail st "'<' in attribute value"
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      loop ()
-    end
-  in
-  loop ();
-  Buffer.contents buf
+  let value = resolve_run st quote (scan_run st quote) in
+  if eof st then fail st "unterminated attribute value";
+  if peek st = '<' then fail st "'<' in attribute value";
+  advance st;
+  value
 
 let parse_attrs st =
   let rec loop acc =
@@ -209,26 +239,11 @@ let rec parse_content st acc =
   else if peek st = '<' then parse_content st (parse_element st :: acc)
   else begin
     (* Character data, with references resolved. Whitespace-only runs
-       between elements are dropped. *)
-    let buf = Buffer.create 16 in
-    let all_space = ref true in
-    let rec loop () =
-      if eof st || peek st = '<' then ()
-      else if peek st = '&' then begin
-        all_space := false;
-        Buffer.add_string buf (parse_reference st);
-        loop ()
-      end
-      else begin
-        if not (is_space (peek st)) then all_space := false;
-        Buffer.add_char buf (peek st);
-        advance st;
-        loop ()
-      end
-    in
-    loop ();
-    if !all_space then parse_content st acc
-    else parse_content st (Tree.Text (Buffer.contents buf) :: acc)
+       between elements are dropped (a reference makes a run
+       non-blank). *)
+    let start = scan_run st '<' in
+    if (eof st || peek st = '<') && blank st.src start st.pos then parse_content st acc
+    else parse_content st (Tree.Text (resolve_run st '<' start) :: acc)
   end
 
 and parse_element st =
@@ -245,9 +260,13 @@ and parse_element st =
     let children = parse_content st [] in
     if not (looking_at st "</") then fail st (Printf.sprintf "unclosed element <%s>" name);
     skip st 2;
-    let closing = parse_name st in
-    if closing <> name then
-      fail st (Printf.sprintf "mismatched closing tag </%s> for <%s>" closing name);
+    let start = scan_name st in
+    let n = String.length name in
+    if st.pos - start <> n || not (same_at st.src start name 0 n) then
+      fail st
+        (Printf.sprintf "mismatched closing tag </%s> for <%s>"
+           (String.sub st.src start (st.pos - start))
+           name);
     skip_space st;
     expect st '>';
     Tree.Element { name; attrs; children }

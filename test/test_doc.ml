@@ -188,6 +188,17 @@ let test_iteration_order () =
   in
   Alcotest.(check (list string)) "preorder" [ "a"; "b"; "c"; "d" ] labels
 
+(* ------------------------------------------------------------------ *)
+(* The node counter agrees with the printed tree at every node, calls
+   included. *)
+
+let prop_byte_size =
+  QCheck.Test.make ~name:"byte_size n = Print.byte_size (node_to_xml n)" ~count:300
+    Gen.arb_escapable_tree (fun tr ->
+      Doc.fold
+        (fun ok n -> ok && Doc.byte_size n = Axml_xml.Print.byte_size (Doc.node_to_xml n))
+        true (Doc.of_xml tr))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "doc"
@@ -216,4 +227,5 @@ let () =
           quick "text values" test_text_value_and_children;
           quick "iteration order" test_iteration_order;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_byte_size ]);
     ]

@@ -543,6 +543,33 @@ let test_handshake_advertises_push () =
           Alcotest.(check bool) "advertised capabilities" true
             (infos = [ ("plain", false); ("pushy", true) ])))
 
+(* A peer that accepts TCP connections but never answers the hello:
+   [services] and [call] classify the handshake deadline alike, as a
+   transient timeout. *)
+let test_handshake_timeout () =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close listener)
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen listener 4;
+      let port = match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+      let client = Client.create ~connect_timeout:0.1 ~host:"127.0.0.1" ~port () in
+      let classify f =
+        match f () with
+        | _ -> Alcotest.fail "a mute peer answered"
+        | exception Registry.Transport_error { transient; timeout; reason; _ } ->
+          (transient, timeout, reason)
+      in
+      let expected = (true, true, "handshake timed out") in
+      let check = Alcotest.(check (triple bool bool string)) in
+      check "services" expected (classify (fun () -> ignore (Client.services client ())));
+      check "call" expected
+        (classify (fun () ->
+             ignore
+               (Client.call client ~obs:Obs.null ~timeout:1.0 ~service:"echo" ~params:[]
+                  ~push:None))))
+
 (* ------------------------------------------------------------------ *)
 (* Remote invocation basics *)
 
@@ -805,6 +832,7 @@ let () =
           Alcotest.test_case "version mismatch" `Quick test_version_mismatch;
           Alcotest.test_case "push capability advertised" `Quick
             test_handshake_advertises_push;
+          Alcotest.test_case "handshake timeout" `Quick test_handshake_timeout;
         ] );
       ( "remote",
         [

@@ -121,6 +121,22 @@ let test_result_subtree_verbatim () =
   let projected, _ = Project.tree p doc in
   Alcotest.(check string) "result subtree untouched" (render doc) (render projected)
 
+(* The determinized automata: (hit, result) state counts. A [*] step
+   after a [//] step doubles the hit automaton — the exponential worst
+   case documented in project.mli. *)
+let test_determinized_sizes () =
+  let states ?schema src = Project.states (Project.compile ?schema (Parser.parse src)) in
+  let city = City.generate City.default_config in
+  Alcotest.(check (pair int int)) "city" (20, 13)
+    (Project.states (Project.compile ~schema:city.City.schema city.City.query));
+  let adv = Adversary.generate Adversary.default_config in
+  Alcotest.(check (pair int int)) "adversary" (9, 6)
+    (Project.states (Project.compile ~schema:adv.Adversary.schema adv.Adversary.query));
+  List.iter
+    (fun (src, n) -> Alcotest.(check (pair int int)) src (n, n) (states src))
+    [ ("/a//b/*/c!", 9); ("/a//b/*/*/c!", 15); ("/a//b/*/*/*/c!", 27); ("/a//b/*/*/*/*/c!", 51) ];
+  Alcotest.(check (pair int int)) "no result node" (5, 1) (states "/r//payload")
+
 (* ------------------------------------------------------------------ *)
 (* Projected ≡ full on schema-aware generated instances: the generator
    (test/gen.ml) only produces trees conforming to their schema, which
@@ -423,6 +439,7 @@ let () =
           quick "keeps_call rules" test_keeps_call_rules;
           quick "schemaless projection keeps calls" test_no_schema_keeps_calls;
           quick "result subtrees kept verbatim" test_result_subtree_verbatim;
+          quick "determinized state counts" test_determinized_sizes;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_projected_answers_equal ]);
       ( "differential",
