@@ -51,7 +51,9 @@ type t = {
           hit state [d]? Other calls are kept in every non-dead state. *)
 }
 
-let sym_ix t s = match Hashtbl.find t.idx s with i -> i | exception Not_found -> t.other_ix
+(* The symbol index of a label; unmentioned labels are the witness. *)
+let lookup idx ~other s = match Hashtbl.find idx s with i -> i | exception Not_found -> other
+let sym_ix t s = lookup t.idx ~other:t.other_ix s
 
 (* State sets are small sorted int lists. *)
 let step a set ix = List.sort_uniq compare (List.concat_map (fun s -> Nfa.successors a s ix) set)
@@ -142,7 +144,7 @@ let compile ?schema (q : P.t) =
   Array.iteri (fun i s -> Hashtbl.replace idx s i) alpha;
   let other_ix = Hashtbl.find idx Nfa.other_symbol in
   let data_ix = Hashtbl.find idx Schema.data_keyword in
-  let ix_of s = match Hashtbl.find_opt idx s with Some i -> i | None -> other_ix in
+  let ix_of = lookup idx ~other:other_ix in
   let nstates = Nfa.size hit and nsyms = Array.length alpha in
   (* reach0.(s): accepting reachable in ≥ 0 steps. *)
   let reach0 = Array.init nstates (Nfa.is_accepting hit) in
