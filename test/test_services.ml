@@ -133,6 +133,25 @@ let test_push_prunes () =
   Alcotest.(check int) "full has 2" 2 (List.length full);
   Alcotest.(check int) "pruned has 1" 1 (List.length pruned)
 
+(* One <r> holding [n] x and [n] y children: /r[x!][y] has n * n
+   embeddings there, but only 2n + 1 witnesses. *)
+let wide_forest n =
+  [ e "r" (List.init n (fun _ -> e "x" []) @ List.init n (fun _ -> e "y" [])) ]
+
+let count_named name forest =
+  List.fold_left
+    (fun acc tr -> acc + List.length (Tree.find_all (fun n -> Tree.name n = Some name) tr))
+    0 forest
+
+let test_push_ships_every_witness () =
+  let r = Registry.create () in
+  Registry.register r ~name:"s" (fun _ -> wide_forest 200);
+  let full, _ = Registry.invoke r ~name:"s" ~params:[] () in
+  let pruned, inv = Registry.invoke r ~name:"s" ~params:[] ~push:(push_pattern "/r[x!][y]") () in
+  Alcotest.(check bool) "pushed flag" true inv.Registry.pushed;
+  Alcotest.(check int) "full has 200 x" 200 (count_named "x" full);
+  Alcotest.(check int) "every x ships" (count_named "x" full) (count_named "x" pruned)
+
 let test_push_incapable_provider () =
   let r = Registry.create () in
   Registry.register r ~name:"s" ~push_capable:false (fun _ -> [ e "item" [] ]);
@@ -258,6 +277,21 @@ let test_witness_plain_pattern_drops_undecided () =
   Alcotest.(check int) "plain pattern sees no match" 0
     (List.length (Witness.prune (push_pattern {|/hotel[rating="5"]|}) forest))
 
+let test_witness_ships_every_witness () =
+  let pruned = Witness.prune (push_pattern "/r[x!][y]") (wide_forest 200) in
+  Alcotest.(check int) "every x ships" 200 (count_named "x" pruned);
+  Alcotest.(check int) "every y ships" 200 (count_named "y" pruned)
+
+let test_witness_allocation_is_linear () =
+  (* 100^3 embeddings, 101 witnesses *)
+  let forest = [ e "r" (List.init 100 (fun _ -> e "x" [])) ] in
+  let pattern = push_pattern "/r[x][x][x]" in
+  let before = Gc.minor_words () in
+  let pruned = Witness.prune pattern forest in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every x ships" 100 (count_named "x" pruned);
+  if words >= 1e6 then Alcotest.failf "prune allocated %.0f minor words" words
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "services"
@@ -277,6 +311,7 @@ let () =
         [
           quick "prunes" test_push_prunes;
           quick "incapable provider" test_push_incapable_provider;
+          quick "ships every witness" test_push_ships_every_witness;
         ] );
       ( "spec",
         [
@@ -291,5 +326,7 @@ let () =
           quick "empty on no match" test_witness_empty_when_nothing_matches;
           quick "optimistic keeps calls" test_witness_optimistic_keeps_calls;
           quick "plain drops undecided" test_witness_plain_pattern_drops_undecided;
+          quick "ships every witness" test_witness_ships_every_witness;
+          quick "allocation is linear" test_witness_allocation_is_linear;
         ] );
     ]
