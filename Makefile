@@ -84,8 +84,9 @@ test-view:
 	dune exec test/test_view.exe
 	dune exec test/test_doc.exe
 
-# query-evaluator tests: parser, top-down embeddings, and the
-# candidate-anchored ≡ top-down properties that guard the label
+# query-evaluator tests: parser, the brute-force binding-set and
+# witness-marking (marked pairs = union of embedding images) properties,
+# and the candidate-anchored ≡ top-down properties that guard the label
 # prefilter of anchored matching
 test-query:
 	dune exec test/test_query.exe

@@ -16,9 +16,11 @@
     version match, always in JSON); when both sides advertise
     {!Wire.cap_binary}, replies switch to the binary codec. The server
     then serves {!Wire.Invoke} requests by calling
-    {!Axml_services.Registry.invoke} on the served registry — pushed
-    [sub_q_v] patterns are evaluated provider-side through exactly the
-    same {!Axml_services.Witness.prune} path as in-process pushing, and
+    {!Axml_services.Registry.invoke} on the served registry — the
+    witnesses of pushed [sub_q_v] patterns are marked provider-side
+    through exactly the same {!Axml_services.Witness.prune} path as
+    in-process pushing (linear in pattern × result, no embedding is
+    enumerated), and
     the served registry's own fault schedules, retry policies and
     memoization all apply (a flaky spec makes the {e server} retry its
     simulated backends; when its budget runs out the client receives

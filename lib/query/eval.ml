@@ -149,7 +149,7 @@ let rec assoc_pid pid = function
 
 type ctx = {
   relax_joins : bool;
-  record_images : bool;
+  exists_only : bool;  (* nothing interesting: every memo entry is [] or [[empty_binding]] *)
   par : par option;
   mutable view : View.t option;
   (* the document (uid) and generation the memo is in sync with: [bind]
@@ -163,10 +163,10 @@ type ctx = {
   interesting : bool Itbl.t;
 }
 
-let make_ctx ?(record_images = false) ?par ~relax_joins () =
+let make_ctx ?(exists_only = false) ?par ~relax_joins () =
   {
     relax_joins;
-    record_images;
+    exists_only;
     par;
     view = None;
     doc_uid = -1;
@@ -209,11 +209,12 @@ let slot ctx nid =
     s
 
 let rec is_interesting ctx (p : P.node) =
+  (not ctx.exists_only) &&
   match Itbl.find_opt ctx.interesting p.P.pid with
   | Some v -> v
   | None ->
     let v =
-      ctx.record_images || p.P.result
+      p.P.result
       || (match p.P.label with P.Var _ -> true | _ -> false)
       || List.exists (is_interesting ctx) p.P.children
     in
@@ -224,15 +225,13 @@ let rec is_interesting ctx (p : P.node) =
    its children takes [join_lists]'s shortcut instead of rebuilding each
    child binding. *)
 let self_binding ctx v (p : P.node) i =
-  let results =
-    if p.P.result || ctx.record_images then [ (p.P.pid, View.node v i) ] else []
-  in
+  let results = if p.P.result then [ (p.P.pid, View.node v i) ] else [] in
   let vars =
     match p.P.label with
     | P.Var x -> ( match label_string (View.label v i) with Some l -> [ (x, l) ] | None -> [])
     | _ -> []
   in
-  if results = [] && vars = [] then empty_binding else { results; vars }
+  if ctx.exists_only || (results = [] && vars = []) then empty_binding else { results; vars }
 
 (* Whether pattern node [p] can map to a node labelled [lbl]: an OR
    node can when one of its alternatives can. *)
@@ -336,7 +335,7 @@ let match_root ctx v (p : P.node) =
     | Some par
       when p.P.label <> P.Or && View.is_data v ri && label_matches p.P.label (View.label v ri) ->
       let work chunk =
-        let cctx = make_ctx ~record_images:ctx.record_images ~relax_joins:ctx.relax_joins () in
+        let cctx = make_ctx ~relax_joins:ctx.relax_joins () in
         cctx.view <- Some v;
         List.map
           (fun (c : P.node) ->
@@ -510,17 +509,39 @@ let anchored_matches ?relax_joins (q : P.t) ~target =
       false
 
 (* ------------------------------------------------------------------ *)
-(* Complete homomorphisms, for witnesses (query pushing) and oracles.   *)
+(* Witnesses (query pushing): the images over all embeddings.          *)
 
-type embedding = (int * Doc.node) list
-
-let embeddings ?(relax_joins = false) ?(limit = 10_000) p n =
+let witnesses (p : P.node) n ~image =
   let v = View.of_node n in
-  let ctx = make_ctx ~record_images:true ~relax_joins () in
+  let ctx = make_ctx ~exists_only:true ~relax_joins:false () in
   bind ctx v;
-  let bindings = match_at_ctx ctx v p (View.root v) in
-  let bindings = if List.length bindings > limit then List.filteri (fun i _ -> i < limit) bindings else bindings in
-  List.map (fun b -> b.results) bindings
+  let marked = Itbl.create 16 and scanned = Itbl.create 8 in
+  let once tbl (p : P.node) i =
+    let k = (p.P.pid * View.size v) + i in
+    not (Itbl.mem tbl k) && (Itbl.add tbl k (); true)
+  in
+  (* [p] is an image at [i] when its parent is one above [i] (or at it,
+     for an OR alternative) and [p] matches at [i]: siblings bind nothing
+     here, so any match of [p] completes the parent's embedding. *)
+  let rec mark (p : P.node) i =
+    if once marked p i && match_at_ctx ctx v p i <> [] then
+      match p.P.label with
+      | P.Or -> List.iter (fun alt -> mark alt i) p.P.children
+      | _ ->
+        image p (View.node v i);
+        List.iter
+          (fun (c : P.node) ->
+            match c.P.axis with
+            | P.Child -> List.iter (mark c) (View.children v i)
+            | P.Descendant -> scan c i)
+          p.P.children
+  (* every position strictly below [i], each subtree scanned once per
+     pattern node and skipped when the memo holds no match below it *)
+  and scan c i =
+    if once scanned c i && match_below ctx v c i <> [] then
+      List.iter (fun j -> mark c j; if View.is_data v j then scan c j) (View.children v i)
+  in
+  mark p (View.root v)
 
 let label_matches_exposed ql (n : Doc.node) = label_matches ql n.Doc.label
 

@@ -14,7 +14,8 @@
     mutation of its document) — the document-taking entry points below
     just bind the document's cached view first. It is memoized on
     (document node, pattern node) pairs, and collapses sub-patterns that
-    contain neither result nodes nor variables to pure existence tests.
+    contain neither result nodes nor variables to pure existence tests
+    ({!witnesses} runs it existence-only, collapsing every sub-pattern).
     The label test comes before the memo: a pair whose labels cannot
     match (for an OR node: none of its alternatives' labels) is decided
     without it, so a memo entry exists only for a label-compatible pair.
@@ -123,14 +124,20 @@ val anchored_matches : ?relax_joins:bool -> Pattern.t -> target:int -> Axml_doc.
     [Invalid_argument] then if [target] is not a node of [q] or an OR
     node lies on its path. *)
 
-type embedding = (int * Axml_doc.node) list
-(** Total images: pattern pid → document node, for every pattern node on
-    the chosen OR branches, sorted by pid. *)
-
-val embeddings : ?relax_joins:bool -> ?limit:int -> Pattern.node -> Axml_doc.node -> embedding list
-(** [embeddings p n] enumerates complete homomorphisms of [p] rooted at
-    [n] (at most [limit], default 10_000) — used to build witness trees
-    for query pushing and by the test oracle. *)
+val witnesses : Pattern.node -> Axml_doc.node -> image:(Pattern.node -> Axml_doc.node -> unit) -> unit
+(** [witnesses p n ~image] calls [image q m] once for every pair of a
+    concrete pattern node [q] of [p] and a node [m] of [n]'s subtree such
+    that some embedding of [p] rooted at [n] maps [q] to [m] (OR nodes
+    have no image; an alternative reports its own), variable joins
+    ignored. It builds no embedding: it runs the memoized matcher in an
+    existence-only context, where every memo entry is empty or the one
+    empty binding and no binding carries a result or a variable, then
+    walks top-down, marking a child pattern node at every child (or
+    descendant) position of its parent's image where it matches, and an
+    OR's alternatives at the OR's position. Each (pattern node,
+    position) pair, descendant scans included, is visited once, so the
+    walk is O(|p| · |subtree|) whatever the number of embeddings. This
+    is the witness set of query pushing ({!Axml_services.Witness}). *)
 
 val doc_label : Axml_doc.node -> string option
 (** The label string used for variable-consistency comparisons: element

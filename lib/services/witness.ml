@@ -1,51 +1,30 @@
 module Doc = Axml_doc
 module Tree = Axml_xml.Tree
-module Eval = Axml_query.Eval
+module P = Axml_query.Pattern
 
 let prune pattern forest =
-  (* Import the forest into a scratch document so the embedding engine can
-     run over it; ids of that document index the kept set. *)
-  let d = Doc.create () in
-  let roots = Doc.forest_of_xml d forest in
-  let host = Doc.elem d "#forest" roots in
-  Doc.set_root d host;
-  (* Which pattern nodes ship their image's whole subtree: leaves (their
-     content is the matched value — a data leaf, a pending call with its
-     parameters) and result nodes (the answer must arrive whole). Images
-     of inner pattern nodes ship alone; their relevant children are kept
-     by their own images. *)
-  let ships_whole = Hashtbl.create 16 in
-  let rec index (p : Axml_query.Pattern.node) =
-    if p.Axml_query.Pattern.children = [] || p.Axml_query.Pattern.result then
-      Hashtbl.replace ships_whole p.Axml_query.Pattern.pid ();
-    List.iter index p.Axml_query.Pattern.children
+  (* Import the forest into a scratch document so the matcher can run
+     over it. Each image is recorded as whole or inner: images of leaves
+     (their content is the matched value — a data leaf, a pending call
+     with its parameters) and of result nodes (the answer must arrive
+     whole) ship their whole subtree; images of inner pattern nodes ship
+     alone, their relevant children kept as images of their own. *)
+  let roots = Doc.forest_of_xml (Doc.create ()) forest in
+  let whole = Hashtbl.create 64 in
+  let image (p : P.node) (n : Doc.node) =
+    let w = p.P.children = [] || p.P.result in
+    if w || not (Hashtbl.mem whole n.Doc.id) then Hashtbl.replace whole n.Doc.id w
   in
-  index pattern;
-  let kept = Hashtbl.create 64 in
-  let keep n = Hashtbl.replace kept n.Doc.id () in
-  let keep_subtree n = Doc.iter_node keep n in
-  let keep_ancestors n = List.iter keep (Doc.ancestors n) in
-  List.iter
-    (fun root ->
-      let embs = Eval.embeddings pattern root in
-      List.iter
-        (fun emb ->
-          List.iter
-            (fun (pid, n) ->
-              if Hashtbl.mem ships_whole pid then keep_subtree n else keep n;
-              keep_ancestors n)
-            emb)
-        embs)
-    roots;
+  List.iter (fun root -> Axml_query.Eval.witnesses pattern root ~image) roots;
+  (* A node survives if it is an image or has a surviving descendant;
+     a matched call ships whole, parameters included. *)
   let rec rebuild (n : Doc.node) : Tree.t option =
-    if not (Hashtbl.mem kept n.Doc.id) then None
-    else
-      match n.Doc.label with
-      | Doc.Data v -> Some (Tree.text v)
-      | Doc.Elem name ->
-        Some (Tree.element ~attrs:n.Doc.attrs name (List.filter_map rebuild n.Doc.children))
-      | Doc.Call _ ->
-        (* A matched call ships whole, parameters included. *)
-        Some (Doc.node_to_xml n)
+    match Hashtbl.find_opt whole n.Doc.id, n.Doc.label with
+    | Some true, _ | Some false, (Doc.Data _ | Doc.Call _) -> Some (Doc.node_to_xml n)
+    | img, Doc.Elem name -> (
+      match List.filter_map rebuild n.Doc.children with
+      | [] when img = None -> None
+      | kept -> Some (Tree.element ~attrs:n.Doc.attrs name kept))
+    | None, _ -> None
   in
   List.filter_map rebuild roots

@@ -405,15 +405,20 @@ let test_shared_context_or_queries () =
     [ ("q1 then q2", q1, q2); ("q2 then q1", q2, q1) ]
 
 (* ------------------------------------------------------------------ *)
-(* Embeddings (full homomorphisms) *)
+(* Witnesses: the images over all embeddings *)
+
+(* The (pid, node id) pairs [Eval.witnesses] reports, in report order. *)
+let witness_pairs (p : P.node) n =
+  let pairs = ref [] in
+  Eval.witnesses p n ~image:(fun q m -> pairs := (q.P.pid, m.Doc.id) :: !pairs);
+  List.rev !pairs
 
 let test_embeddings () =
   let d = Doc.parse "<r><a><b/></a><a><b/><b/></a></r>" in
   let q = parse "/r/a/b" in
-  let embs = Eval.embeddings q.P.root (Doc.root d) in
-  (* 3 choices of b (each with its a) *)
-  Alcotest.(check int) "three homomorphisms" 3 (List.length embs);
-  List.iter (fun e -> Alcotest.(check int) "3 images each" 3 (List.length e)) embs
+  (* three homomorphisms (one per b, each with its a) cover r, both a's
+     and the three b's *)
+  Alcotest.(check int) "six images" 6 (List.length (witness_pairs q.P.root (Doc.root d)))
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -573,6 +578,23 @@ let prop_eval_matches_bruteforce =
       in
       binding_keys (Eval.eval q d) = slow)
 
+let prop_witnesses_are_images =
+  QCheck.Test.make ~name:"witness marking = union of brute-force images" ~count:1000
+    (QCheck.make
+       ~print:(fun (x, src) -> Axml_xml.Print.to_string x ^ " | " ^ source_to_string src)
+       QCheck.Gen.(pair gen_doc_xml gen_source))
+    (fun (xml, src) ->
+      let d = Doc.of_xml xml in
+      let q = query_of_source src in
+      let by_id = Hashtbl.create 16 in
+      Doc.iter (fun n -> Hashtbl.replace by_id n.Doc.id n) d;
+      let maps = all_maps q.P.root (Doc.root d) in
+      let images maps = List.sort_uniq compare (List.concat maps) in
+      (* sorted, not deduplicated: each pair is reported once *)
+      let marked = List.sort compare (witness_pairs q.P.root (Doc.root d)) in
+      let consistent = List.filter (fun e -> binding_of_embedding q by_id e <> None) maps in
+      marked = images maps && List.for_all (fun pair -> List.mem pair marked) (images consistent))
+
 let prop_pathstack_agrees =
   QCheck.Test.make ~name:"pathstack = tree walker on linear chains" ~count:300
     (QCheck.make
@@ -669,6 +691,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_eval_matches_bruteforce;
+          QCheck_alcotest.to_alcotest prop_witnesses_are_images;
           QCheck_alcotest.to_alcotest prop_anchored_agrees;
           QCheck_alcotest.to_alcotest prop_pathstack_agrees;
         ] );
