@@ -4,6 +4,7 @@ module Json = Axml_obs.Json
 
 let version = 1
 let max_frame = 64 * 1024 * 1024
+let max_depth = 10_000
 
 exception Protocol_error of string
 exception Closed
@@ -18,8 +19,7 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
    Decoding is hardened for hostile peers: every read is bounds-checked
    against the frame, every length/count is capped by the bytes that
    remain (an item costs at least one byte, so a count beyond that is
-   garbage), and pathological nesting surfaces as {!Protocol_error},
-   never as an escaped [Stack_overflow]. *)
+   garbage), and nesting is capped at [max_depth] (see [fix]). *)
 
 type codec = Json | Binary
 
@@ -69,7 +69,8 @@ let rec put_uv w n =
 
 (* ----- reader ----- *)
 
-type rdr = { src : string; mutable pos : int; limit : int }
+(* [depth] counts the [fix] levels being decoded (see [fix]). *)
+type rdr = { src : string; mutable pos : int; limit : int; mutable depth : int }
 
 let rd_byte r =
   if r.pos >= r.limit then fail "binary frame truncated";
@@ -109,11 +110,13 @@ let rd_list r n f =
    straight into a [wbuf] and read straight off a [rdr], never through a
    [Json.t]; every description is built once, at module initialisation.
    JSON decoding is as strict as binary: a member present with the wrong
-   type is a {!Protocol_error}. *)
+   type is a {!Protocol_error}. Its [int] argument is the number of
+   [fix] levels around the value, which binary decoding keeps in the
+   reader. *)
 
 type 'a t = {
   to_json : 'a -> Json.t;
-  of_json : Json.t -> 'a;
+  of_json : int -> Json.t -> 'a;
   put : wbuf -> 'a -> unit;
   get : rdr -> 'a;
 }
@@ -123,7 +126,7 @@ let expected what = fail "expected %s" what
 let unit =
   {
     to_json = (fun () -> Json.Null);
-    of_json = (function Json.Null -> () | _ -> expected "null");
+    of_json = (fun _ -> function Json.Null -> () | _ -> expected "null");
     put = (fun _ () -> ());
     get = (fun _ -> ());
   }
@@ -131,7 +134,7 @@ let unit =
 let string =
   {
     to_json = (fun s -> Json.String s);
-    of_json = (function Json.String s -> s | _ -> expected "a string");
+    of_json = (fun _ -> function Json.String s -> s | _ -> expected "a string");
     put =
       (fun w s ->
         put_uv w (String.length s);
@@ -148,7 +151,7 @@ let string =
 let uint =
   {
     to_json = (fun n -> Json.Int n);
-    of_json = (function Json.Int n -> n | _ -> expected "an integer");
+    of_json = (fun _ -> function Json.Int n -> n | _ -> expected "an integer");
     put = put_uv;
     get = rd_uv;
   }
@@ -156,7 +159,7 @@ let uint =
 let bool =
   {
     to_json = (fun b -> Json.Bool b);
-    of_json = (function Json.Bool b -> b | _ -> expected "a boolean");
+    of_json = (fun _ -> function Json.Bool b -> b | _ -> expected "a boolean");
     put = (fun w b -> put_byte w (if b then 1 else 0));
     get =
       (fun r ->
@@ -166,7 +169,8 @@ let bool =
 let list c =
   {
     to_json = (fun xs -> Json.List (List.map c.to_json xs));
-    of_json = (function Json.List xs -> List.map c.of_json xs | _ -> expected "a list");
+    of_json =
+      (fun d -> function Json.List xs -> List.map (c.of_json d) xs | _ -> expected "a list");
     put =
       (fun w xs ->
         put_uv w (List.length xs);
@@ -174,29 +178,10 @@ let list c =
     get = (fun r -> rd_list r (rd_len r) c.get);
   }
 
-(* JSON null for [None]; a 0/1 tag byte in binary. *)
-let option c =
-  {
-    to_json = (function None -> Json.Null | Some x -> c.to_json x);
-    of_json = (function Json.Null -> None | j -> Some (c.of_json j));
-    put =
-      (fun w -> function
-        | None -> put_byte w 0
-        | Some x ->
-          put_byte w 1;
-          c.put w x);
-    get =
-      (fun r ->
-        match rd_byte r with
-        | 0 -> None
-        | 1 -> Some (c.get r)
-        | t -> fail "unknown binary option tag %d" t);
-  }
-
 let conv proj inj c =
   {
     to_json = (fun x -> c.to_json (proj x));
-    of_json = (fun j -> inj (c.of_json j));
+    of_json = (fun d j -> inj (c.of_json d j));
     put = (fun w x -> c.put w (proj x));
     get = (fun r -> inj (c.get r));
   }
@@ -221,8 +206,9 @@ let seq a b to_json of_json =
 let pair a b =
   seq a b
     (fun (x, y) -> Json.List [ a.to_json x; b.to_json y ])
-    (function
-      | Json.List [ x; y ] -> (a.of_json x, b.of_json y) | _ -> expected "a two-element list")
+    (fun d -> function
+      | Json.List [ x; y ] -> (a.of_json d x, b.of_json d y)
+      | _ -> expected "a two-element list")
 
 (* A named record field: one member of a JSON object, the bare value in
    binary. With a [default], an absent member decodes to it, and [omit]
@@ -235,11 +221,11 @@ let field ?default ?(omit = false) name c =
         | Some d when omit && x = d -> Json.Obj []
         | _ -> Json.Obj [ (name, c.to_json x) ]);
     of_json =
-      (fun j ->
+      (fun depth j ->
         match (Json.member name j, default) with
         | Json.Null, Some d -> d
         | Json.Null, None -> fail "missing field %S" name
-        | v, _ -> c.of_json v);
+        | v, _ -> c.of_json depth v);
     put = c.put;
     get = c.get;
   }
@@ -251,7 +237,7 @@ let members = function Json.Obj kvs -> kvs | _ -> expected "an object"
 let ( & ) a b =
   seq a b
     (fun (x, y) -> Json.Obj (members (a.to_json x) @ members (b.to_json y)))
-    (fun j -> (a.of_json j, b.of_json j))
+    (fun d j -> (a.of_json d j, b.of_json d j))
 
 (* How one case of a union shows in JSON: [wrap] dresses the payload's
    JSON, [unwrap] recognises the case and strips the dressing. *)
@@ -299,10 +285,10 @@ let union what cases =
     | Case k :: rest -> (
       match k.proj x with Some y -> k.form.wrap (k.c.to_json y) | None -> to_json x rest)
   in
-  let rec of_json j = function
+  let rec of_json d j = function
     | [] -> fail "%s does not decode" what
     | Case k :: rest -> (
-      match k.form.unwrap j with Some p -> k.inj (k.c.of_json p) | None -> of_json j rest)
+      match k.form.unwrap j with Some p -> k.inj (k.c.of_json d p) | None -> of_json d j rest)
   in
   let rec put w x = function
     | [] -> invalid_arg ("Wire: no case describes this " ^ what)
@@ -315,7 +301,7 @@ let union what cases =
   in
   {
     to_json = (fun x -> to_json x cases);
-    of_json = (fun j -> of_json j cases);
+    of_json = (fun d j -> of_json d j cases);
     put = (fun w x -> put w x cases);
     get =
       (fun r ->
@@ -325,19 +311,30 @@ let union what cases =
         | None -> fail "unknown binary %s tag %d" what t);
   }
 
-(* A recursive description: [f] receives the description it defines. *)
+(* A recursive description: [f] receives the description it defines.
+   Every value of it, the outermost included, is one nesting level, and
+   decoding refuses a level past [max_depth] in both codecs, so hostile
+   nesting costs a bounded stack. *)
+let too_deep () = fail "value nests deeper than %d levels" max_depth
+
 let fix f =
-  let rec self =
-    lazy
-      (f
-         {
-           to_json = (fun x -> (Lazy.force self).to_json x);
-           of_json = (fun j -> (Lazy.force self).of_json j);
-           put = (fun w x -> (Lazy.force self).put w x);
-           get = (fun r -> (Lazy.force self).get r);
-         })
+  let rec self = lazy (f wrapped)
+  and wrapped =
+    {
+      to_json = (fun x -> (Lazy.force self).to_json x);
+      of_json =
+        (fun d j -> if d >= max_depth then too_deep () else (Lazy.force self).of_json (d + 1) j);
+      put = (fun w x -> (Lazy.force self).put w x);
+      get =
+        (fun r ->
+          if r.depth >= max_depth then too_deep ();
+          r.depth <- r.depth + 1;
+          let v = (Lazy.force self).get r in
+          r.depth <- r.depth - 1;
+          v);
+    }
   in
-  Lazy.force self
+  wrapped
 
 (* ------------------------------------------------------------------ *)
 (* The wire types *)
@@ -406,6 +403,10 @@ type service_info = { name : string; push : bool }
    advertisement — no wire-format change rides on it. *)
 let cap_shard = "shard"
 
+(* A peer that keeps the last pattern an Invoke carried in full on each
+   connection, so a later Invoke can name it with a one-byte marker. *)
+let cap_push_reuse = "push-reuse"
+
 type message =
   | Hello of { version : int; caps : string list }
   | Welcome of { version : int; services : service_info list; caps : string list }
@@ -415,6 +416,7 @@ type message =
       params : Tree.forest;
       push : P.node option;
     }
+  | Invoke_same_push of { id : int; service : string; params : Tree.forest }
   | Result of { id : int; pushed : bool; forest : Tree.forest }
   | Error of { id : int; transient : bool; message : string }
   | Degraded of { id : int; message : string; retries : int; timeouts : int }
@@ -429,6 +431,20 @@ let service_info =
 let caps = field ~default:[] "caps" (list string)
 let id = field "id" uint
 
+(* An Invoke's "push" member: absent for no pattern (a 0 byte in
+   binary), the pattern in full (a 1 byte and the pattern), or the
+   marker (a 2 byte; the string "same" in JSON). The first two are the
+   encodings that predate the marker. *)
+type push_field = No_push | Full of P.node | Same
+
+let push_field =
+  union "pushed pattern"
+    [
+      const 0 (bare (( = ) Json.Null)) No_push;
+      case 1 (bare is_obj) pattern (function Full p -> Some p | _ -> None) (fun p -> Full p);
+      const 2 (named "same") Same;
+    ]
+
 let message =
   union "message"
     [
@@ -442,11 +458,17 @@ let message =
         (fun (version, (services, caps)) -> Welcome { version; services; caps });
       case 2 (typed "invoke")
         (id & field "service" string & field "params" forest
-        & field ~default:None ~omit:true "push" (option pattern))
+        & field ~default:No_push ~omit:true "push" push_field)
         (function
-          | Invoke { id; service; params; push } -> Some (id, (service, (params, push)))
+          | Invoke { id; service; params; push = None } -> Some (id, (service, (params, No_push)))
+          | Invoke { id; service; params; push = Some p } -> Some (id, (service, (params, Full p)))
+          | Invoke_same_push { id; service; params } -> Some (id, (service, (params, Same)))
           | _ -> None)
-        (fun (id, (service, (params, push))) -> Invoke { id; service; params; push });
+        (fun (id, (service, (params, push))) ->
+          match push with
+          | No_push -> Invoke { id; service; params; push = None }
+          | Full p -> Invoke { id; service; params; push = Some p }
+          | Same -> Invoke_same_push { id; service; params });
       case 3 (typed "result")
         (id & field "pushed" bool & field "forest" forest)
         (function Result { id; pushed; forest } -> Some (id, (pushed, forest)) | _ -> None)
@@ -466,24 +488,22 @@ let message =
     ]
 
 let to_json c = c.to_json
-let of_json c = c.of_json
+let of_json c = c.of_json 0
 let message_to_json = message.to_json
-let message_of_json = message.of_json
+let message_of_json = message.of_json 0
 
 let to_binary c x =
   let w = wbuf_make 256 in
   c.put w x;
   Bytes.sub_string w.wb 0 w.wlen
 
-(* Decodes exactly [s.[pos .. limit-1]]: trailing bytes and hostile
-   nesting are protocol errors. *)
+(* Decodes exactly [s.[pos .. limit-1]]: trailing bytes are a protocol
+   error. *)
 let of_binary_slice c s pos limit =
-  let r = { src = s; pos; limit } in
-  match c.get r with
-  | v ->
-    if r.pos <> r.limit then fail "binary value has %d trailing bytes" (r.limit - r.pos);
-    v
-  | exception Stack_overflow -> fail "binary value nests too deeply"
+  let r = { src = s; pos; limit; depth = 0 } in
+  let v = c.get r in
+  if r.pos <> r.limit then fail "binary value has %d trailing bytes" (r.limit - r.pos);
+  v
 
 let of_binary c s = of_binary_slice c s 0 (String.length s)
 
@@ -573,10 +593,12 @@ let decode_payload ?(pos = 0) ?len codec s =
   match codec with
   | Json -> (
     let text = if pos = 0 && len = String.length s then s else String.sub s pos len in
-    match Json.parse text with
+    (* a wire level costs at most two JSON levels (an object and its
+       child list), and the envelope around it a few more: JSON nested
+       deeper than this cannot decode, so the parser refuses it early *)
+    match Json.parse ~max_depth:(2 * (max_depth + 2)) text with
     | Ok v -> message_of_json v
-    | Error m -> fail "frame payload is not JSON (%s)" m
-    | exception Stack_overflow -> fail "frame payload nests too deeply")
+    | Error m -> fail "frame payload is not JSON (%s)" m)
   | Binary -> of_binary_slice message s pos (pos + len)
 
 let send ?(codec = Json) ?scratch:scr fd msg =

@@ -26,7 +26,16 @@
 
     Trees and patterns are encoded structurally (not as embedded XML
     text), so forests round-trip {e exactly} — including whitespace-only
-    text leaves the XML parser would drop. *)
+    text leaves the XML parser would drop.
+
+    {b Per-connection state.} On a connection where both ends advertised
+    {!cap_push_reuse}, each end remembers one pattern: the most recent
+    one an {!Invoke} on that connection carried in full. A later call
+    with the same pattern is sent as {!Invoke_same_push}, whose one-byte
+    marker stands for the remembered pattern. An {!Invoke} without a
+    pattern leaves the slot as it is; a fresh connection starts with it
+    empty. This slot is the protocol's only state besides the
+    handshake. *)
 
 val version : int
 (** The protocol version sent in {!Hello} / {!Welcome}; peers must
@@ -53,9 +62,24 @@ val cap_binary : string
     frame by frame). Peers that never advertise it see pure JSON —
     byte-for-byte the pre-binary protocol. *)
 
+val cap_push_reuse : string
+(** Capability: this peer keeps the per-connection pattern slot
+    described above. Once both sides have advertised it, a client may
+    send {!Invoke_same_push} instead of repeating a pattern. It works in
+    either codec. A server that receives the marker with an empty slot
+    (or on a connection where the capability was not negotiated)
+    answers a non-transient {!Error} and keeps serving. Peers that
+    never advertise it see every frame exactly as before. *)
+
 val max_frame : int
 (** Frames above this many payload bytes (64 MiB) are rejected with
     {!Protocol_error} before any allocation. *)
+
+val max_depth : int
+(** Trees and patterns nested more than this many levels (10,000; a
+    lone text leaf or pattern node is one level) are rejected with
+    {!Protocol_error} while decoding, in both codecs, so a hostile
+    frame's nesting costs a bounded stack. Encoding does not check it. *)
 
 exception Protocol_error of string
 (** Malformed frame or envelope: bad length prefix, oversized frame,
@@ -73,8 +97,8 @@ exception Closed
     both: a JSON member present with the wrong type is a
     {!Protocol_error} (only an absent optional member decodes to its
     default); every binary read is bounds-checked, every length/count is
-    capped by the bytes remaining, and pathological nesting raises
-    {!Protocol_error}, never an escaped [Stack_overflow]. *)
+    capped by the bytes remaining, and nesting past {!max_depth} raises
+    {!Protocol_error}. *)
 
 type 'a t
 
@@ -114,6 +138,12 @@ type message =
       params : Axml_xml.Tree.forest;
       push : Axml_query.Pattern.node option;
     }
+  | Invoke_same_push of { id : int; service : string; params : Axml_xml.Tree.forest }
+      (** An {!Invoke} whose pushed pattern is the one this connection
+          last carried in full (see {!cap_push_reuse}). It is the same
+          envelope as [Invoke] with the marker in place of the pattern:
+          the binary push byte reads 2 instead of 1 and a pattern, the
+          JSON ["push"] member is the string ["same"]. *)
   | Result of { id : int; pushed : bool; forest : Axml_xml.Tree.forest }
   | Error of { id : int; transient : bool; message : string }
   | Degraded of { id : int; message : string; retries : int; timeouts : int }

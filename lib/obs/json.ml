@@ -97,9 +97,10 @@ let write_file ?indent path v =
 
 exception Parse_error of int * string
 
-let parse_value s =
+let parse_value ?(max_depth = max_int) s =
   let n = String.length s in
   let pos = ref 0 in
+  let depth = ref 0 in
   let error fmt = Printf.ksprintf (fun m -> raise (Parse_error (!pos, m))) fmt in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let skip_ws () =
@@ -186,6 +187,11 @@ let parse_value s =
       | Some f -> Float f
       | None -> error "invalid number %S" lit)
   in
+  let open_level () =
+    if !depth >= max_depth then error "nesting deeper than %d levels" max_depth;
+    incr depth;
+    incr pos
+  in
   let rec parse () =
     skip_ws ();
     match peek () with
@@ -196,9 +202,9 @@ let parse_value s =
     | Some '"' -> String (parse_string ())
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some '[' ->
-      incr pos;
+      open_level ();
       skip_ws ();
-      if peek () = Some ']' then begin incr pos; List [] end
+      if peek () = Some ']' then begin incr pos; decr depth; List [] end
       else begin
         let items = ref [ parse () ] in
         skip_ws ();
@@ -208,12 +214,13 @@ let parse_value s =
           skip_ws ()
         done;
         expect ']';
+        decr depth;
         List (List.rev !items)
       end
     | Some '{' ->
-      incr pos;
+      open_level ();
       skip_ws ();
-      if peek () = Some '}' then begin incr pos; Obj [] end
+      if peek () = Some '}' then begin incr pos; decr depth; Obj [] end
       else begin
         let field () =
           skip_ws ();
@@ -230,6 +237,7 @@ let parse_value s =
           fields := field () :: !fields
         done;
         expect '}';
+        decr depth;
         Obj (List.rev !fields)
       end
     | Some c -> error "unexpected character %C" c
@@ -239,8 +247,8 @@ let parse_value s =
   if !pos <> n then error "trailing garbage";
   v
 
-let parse s =
-  match parse_value s with
+let parse ?max_depth s =
+  match parse_value ?max_depth s with
   | v -> Ok v
   | exception Parse_error (pos, m) -> Error (Printf.sprintf "at byte %d: %s" pos m)
 

@@ -32,9 +32,11 @@ val to_channel : ?indent:int -> out_channel -> t -> unit
 val write_file : ?indent:int -> string -> t -> unit
 (** Writes the value followed by a newline. *)
 
-val parse : string -> (t, string) result
+val parse : ?max_depth:int -> string -> (t, string) result
 (** Parses one JSON value; trailing whitespace is allowed, trailing
-    garbage is an error. Error messages carry a byte offset. *)
+    garbage is an error. Error messages carry a byte offset. Arrays and
+    objects nested more than [max_depth] deep (default: unlimited) are
+    an error, raised before the parser recurses any deeper. *)
 
 val parse_file : string -> (t, string) result
 

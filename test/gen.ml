@@ -245,6 +245,7 @@ type garbage =
   | Binary_random of string  (* binary-flagged frame over arbitrary bytes *)
   | Binary_truncated of string * int  (* binary header promises more than sent *)
   | Binary_bad_tag of string  (* binary frame opening on an unknown message tag *)
+  | Binary_bad_push of int  (* binary invoke whose push byte is none of 0, 1, 2 *)
   | Binary_oversize of int  (* binary flag + length prefix above max_frame *)
 
 let print_garbage g =
@@ -260,6 +261,7 @@ let print_garbage g =
   | Binary_random s -> Printf.sprintf "binary random payload %s" (hex s)
   | Binary_truncated (s, n) -> Printf.sprintf "binary payload %s cut to %d bytes" (hex s) n
   | Binary_bad_tag s -> Printf.sprintf "binary bad tag %s" (hex s)
+  | Binary_bad_push b -> Printf.sprintf "binary invoke with push byte %d" b
   | Binary_oversize n -> Printf.sprintf "binary oversize length %d" n
 
 (* The bytes a client would actually write for this garbage. *)
@@ -280,6 +282,9 @@ let garbage_bytes = function
     let full = frame_bin payload in
     String.sub full 0 (min (String.length full) (4 + sent))
   | Binary_bad_tag s -> frame_bin s
+  | Binary_bad_push b ->
+    (* invoke, id 1, service "s", no params, then the push byte *)
+    frame_bin ("\x02\x01\x01s\x00" ^ String.make 1 (Char.chr b))
   | Binary_oversize n ->
     let b = Bytes.create 4 in
     Bytes.set_int32_be b 0 (Int32.of_int n);
@@ -298,6 +303,10 @@ let gen_garbage =
           {|{"type":"invoke"}|};
           {|{"type":"result","id":"not an int"}|};
           {|{"type":"hello","version":"high"}|};
+          (* the push member's forms are absent, a pattern object or
+             the reuse marker "same" *)
+          {|{"type":"invoke","id":1,"service":"s","params":[],"push":"again"}|};
+          {|{"type":"invoke","id":1,"service":"s","params":[],"push":2}|};
         ]
     in
     frequency
@@ -322,6 +331,7 @@ let gen_garbage =
             (fun tag s -> Binary_bad_tag (String.make 1 (Char.chr tag) ^ s))
             (int_range 8 255) gen_raw_bytes );
         (1, map (fun n -> Binary_oversize (64 * 1024 * 1024 + 1 + n)) (int_bound 1000));
+        (1, map (fun b -> Binary_bad_push b) (int_range 3 255));
       ])
 
 let arb_garbage = QCheck.make ~print:print_garbage gen_garbage

@@ -419,6 +419,7 @@ let prop_binary_envelope_differential =
             };
           Wire.Invoke { id = n; service = "getrating"; params = [ tr; t "Hôtel" ]; push = Some push };
           Wire.Invoke { id = n + 1; service = "s"; params = []; push = None };
+          Wire.Invoke_same_push { id = n + 2; service = "getrating"; params = [ tr ] };
           Wire.Result { id = n; pushed = true; forest = [ tr ] };
           Wire.Error { id = n; transient = n mod 2 = 0; message = "try \"again\"\n" };
           Wire.Degraded { id = n; message = "backend down"; retries = 3; timeouts = 1 };
@@ -569,6 +570,152 @@ let test_handshake_timeout () =
              ignore
                (Client.call client ~obs:Obs.null ~timeout:1.0 ~service:"echo" ~params:[]
                   ~push:None))))
+
+(* ------------------------------------------------------------------ *)
+(* Push reuse: the per-connection pattern slot *)
+
+(* The marker frame's exact bytes in both codecs: the invoke envelope
+   with the push byte 2 (binary) or the "same" member (JSON) in place
+   of a pattern. *)
+let test_golden_marker_frames () =
+  let m = Wire.Invoke_same_push { id = 301; service = "s"; params = [ t "p" ] } in
+  List.iter
+    (fun (codec, want) ->
+      let key = "invoke-same-push/" ^ Wire.codec_name codec in
+      Alcotest.(check string) key want (hex (Wire.encode_frame ~codec m));
+      Alcotest.(check string) (key ^ " decodes") (json_key_of_msg m)
+        (json_key_of_msg (Wire.decode_payload ~pos:4 codec (unhex want))))
+    [
+      ( Wire.Json,
+        "000000457b2274797065223a22696e766f6b65222c226964223a3330312c2273657276696365223a2273222c22706172616d73223a5b2270225d2c2270757368223a2273616d65227d" );
+      (Wire.Binary, "8000000a02ad0201730100017002");
+    ]
+
+(* A raw peer speaking to a live server: the handshake with the given
+   capabilities, then one request/reply exchange per [exchange]. *)
+let with_raw_peer ~caps server f =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+      ignore (Wire.send fd (Wire.Hello { version = Wire.version; caps }));
+      (match Wire.recv fd with
+      | Wire.Welcome _, _ -> ()
+      | _ -> Alcotest.fail "expected a welcome");
+      f (fun msg ->
+          ignore (Wire.send ~codec:Wire.Binary fd msg);
+          fst (Wire.recv fd)))
+
+let test_marker_needs_a_remembered_pattern () =
+  let push = (Parser.parse "/val").P.root in
+  let marker id = Wire.Invoke_same_push { id; service = "echo"; params = [ t "a" ] } in
+  let expect_error id = function
+    | Wire.Error { id = rid; transient = false; _ } when rid = id -> ()
+    | _ -> Alcotest.fail "expected a non-transient error reply to the marker"
+  in
+  let expect_result id = function
+    | Wire.Result { id = rid; _ } when rid = id -> ()
+    | _ -> Alcotest.fail "expected a result"
+  in
+  with_server (echo_registry ()) (fun server ->
+      (* a fresh connection has no pattern to reuse: an error, and the
+         connection keeps serving *)
+      with_raw_peer ~caps:[ Wire.cap_binary; Wire.cap_push_reuse ] server (fun exchange ->
+          expect_error 1 (exchange (marker 1));
+          expect_result 2
+            (exchange (Wire.Invoke { id = 2; service = "echo"; params = [ t "a" ]; push = None }));
+          (* a call without a pattern leaves the slot empty *)
+          expect_error 3 (exchange (marker 3));
+          expect_result 4
+            (exchange
+               (Wire.Invoke { id = 4; service = "echo"; params = [ t "a" ]; push = Some push }));
+          expect_result 5 (exchange (marker 5));
+          expect_result 6
+            (exchange (Wire.Invoke { id = 6; service = "echo"; params = []; push = None }));
+          expect_result 7 (exchange (marker 7)));
+      (* without the negotiated capability the server keeps no slot *)
+      with_raw_peer ~caps:[ Wire.cap_binary ] server (fun exchange ->
+          expect_result 1
+            (exchange
+               (Wire.Invoke { id = 1; service = "echo"; params = [ t "a" ]; push = Some push }));
+          expect_error 2 (exchange (marker 2));
+          expect_result 3
+            (exchange (Wire.Invoke { id = 3; service = "echo"; params = []; push = None }))))
+
+(* Request bytes of repeated calls with one pattern node: the marker is
+   strictly shorter than the pattern, so equal sizes mean it was never
+   sent (and a server without a slot would have answered it with an
+   error, failing the call). *)
+let test_marker_needs_the_capability () =
+  let push = (Parser.parse "/val").P.root in
+  let sent_sizes ~caps ~wire =
+    with_server ~caps (echo_registry ()) (fun server ->
+        let client = Client.create ~wire ~host:"127.0.0.1" ~port:(Server.port server) () in
+        Fun.protect
+          ~finally:(fun () -> Client.close client)
+          (fun () ->
+            List.init 3 (fun _ ->
+                let _, w =
+                  Client.call client ~obs:Obs.null ~timeout:5.0 ~service:"echo"
+                    ~params:[ t "a" ] ~push:(Some push)
+                in
+                w.Registry.sent)))
+  in
+  let same = function [ a; b; c ] -> a = b && b = c | _ -> false in
+  let full = [ Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse ] in
+  Alcotest.(check bool) "no marker to a caps:[] server" true
+    (same (sent_sizes ~caps:[] ~wire:`Auto));
+  Alcotest.(check bool) "no marker to a pre-reuse server" true
+    (same (sent_sizes ~caps:[ Wire.cap_shard; Wire.cap_binary ] ~wire:`Auto));
+  Alcotest.(check bool) "no marker over a JSON-pinned connection" true
+    (same (sent_sizes ~caps:full ~wire:`Json));
+  match sent_sizes ~caps:full ~wire:`Auto with
+  | [ first; second; third ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "the marker after the first call (%d, %d, %d B)" first second third)
+      true
+      (second < first && third = second)
+  | _ -> assert false
+
+(* [levels] nested trees or patterns, a lone leaf being one level. *)
+let rec deep_tree levels = if levels <= 1 then t "x" else el "p" [ deep_tree (levels - 1) ]
+
+let rec deep_pattern levels =
+  P.make (P.Const "p") (if levels <= 1 then [] else [ deep_pattern (levels - 1) ])
+
+let test_depth_cap () =
+  let result levels = Wire.Result { id = 1; pushed = false; forest = [ deep_tree levels ] } in
+  let invoke levels =
+    Wire.Invoke { id = 1; service = "s"; params = []; push = Some (deep_pattern levels) }
+  in
+  let decode codec frame = Wire.decode_payload ~pos:4 codec frame in
+  List.iter
+    (fun codec ->
+      let name = Wire.codec_name codec in
+      List.iter
+        (fun (what, msg) ->
+          let at_cap = msg Wire.max_depth in
+          Alcotest.(check bool) (Printf.sprintf "%s %s at the cap round-trips" name what) true
+            (json_key_of_msg (decode codec (Wire.encode_frame ~codec at_cap))
+            = json_key_of_msg at_cap);
+          match decode codec (Wire.encode_frame ~codec (msg (Wire.max_depth + 1))) with
+          | _ -> Alcotest.failf "%s %s one level past the cap decoded" name what
+          | exception Wire.Protocol_error _ -> ())
+        [ ("tree", result); ("pattern", invoke) ])
+    [ Wire.Json; Wire.Binary ];
+  (* far past the cap, without a tree to encode: a million levels are
+     refused at the cap, not by running out of stack *)
+  let far = 1_000_000 in
+  let reject codec payload =
+    match Wire.decode_payload codec payload with
+    | _ -> Alcotest.failf "%s: a million levels decoded" (Wire.codec_name codec)
+    | exception Wire.Protocol_error _ -> ()
+  in
+  reject Wire.Json (String.make far '[');
+  (* a result whose forest holds an element holding an element ... *)
+  let level = "\x01\x01p\x00\x01" in
+  reject Wire.Binary ("\x03\x01\x00\x01" ^ String.concat "" (List.init far (fun _ -> level)))
 
 (* ------------------------------------------------------------------ *)
 (* Remote invocation basics *)
@@ -736,6 +883,37 @@ let test_e2e_city_acceptance () =
         true
         (pushed_bytes < plain_bytes))
 
+(* Push reuse end to end: the same pushed city run against a server
+   with the per-connection pattern slot and one without it (the default
+   capabilities before the slot existed). Only the requests shrink. *)
+let test_e2e_push_reuse () =
+  let run caps =
+    let served = City.generate city_config in
+    with_server ~caps served.City.registry (fun server ->
+        let report, registry =
+          remote_run ~port:(Server.port server) ~eval:(lazy_eval ~push:true) ()
+        in
+        let request_bytes =
+          List.fold_left
+            (fun acc (i : Registry.invocation) ->
+              if i.Registry.cached then acc else acc + i.Registry.request_bytes)
+            0 (Registry.history registry)
+        in
+        (report, wire_response_bytes registry, request_bytes))
+  in
+  let reuse, reuse_resp, reuse_req =
+    run [ Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse ]
+  in
+  let plain, plain_resp, plain_req = run [ Wire.cap_shard; Wire.cap_binary ] in
+  Alcotest.(check bool) "subqueries were pushed" true (reuse.Engine.pushed > 0);
+  Alcotest.(check bool) "identical answers" true
+    (tuples reuse.Engine.answers = tuples plain.Engine.answers);
+  Alcotest.(check int) "identical invoked" plain.Engine.invoked reuse.Engine.invoked;
+  Alcotest.(check int) "identical response bytes" plain_resp reuse_resp;
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer request bytes with reuse (%d < %d B)" reuse_req plain_req)
+    true (reuse_req < plain_req)
+
 (* The same garbage thrown at a live server: every connection is
    answered or dropped, and the listener keeps serving afterwards — a
    hostile peer cannot kill the server thread. *)
@@ -826,6 +1004,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_binary_envelope_differential;
           Alcotest.test_case "max_frame rejection" `Quick test_binary_max_frame_rejection;
           Alcotest.test_case "negotiation e2e" `Quick test_binary_negotiation_e2e;
+          Alcotest.test_case "golden marker frames" `Quick test_golden_marker_frames;
+          Alcotest.test_case "marker needs a remembered pattern" `Quick
+            test_marker_needs_a_remembered_pattern;
+          Alcotest.test_case "marker needs the capability" `Quick
+            test_marker_needs_the_capability;
+          Alcotest.test_case "nesting depth cap" `Quick test_depth_cap;
         ] );
       ( "handshake",
         [
@@ -844,5 +1028,9 @@ let () =
         ] );
       ( "degradation",
         [ Alcotest.test_case "server killed mid-run" `Quick test_server_killed_mid_run ] );
-      ( "e2e", [ Alcotest.test_case "city over loopback" `Quick test_e2e_city_acceptance ] );
+      ( "e2e",
+        [
+          Alcotest.test_case "city over loopback" `Quick test_e2e_city_acceptance;
+          Alcotest.test_case "push reuse over loopback" `Quick test_e2e_push_reuse;
+        ] );
     ]
