@@ -60,7 +60,9 @@ test-project:
 # binary wire codec tests: the binary ≡ JSON differential round-trips
 # (trees with whitespace-only leaves, patterns, every envelope), the
 # 64 MiB max_frame rejection path, and codec negotiation end-to-end
-# against binary-capable, JSON-pinned and pre-binary peers
+# against binary-capable, JSON-pinned and pre-binary peers; then the
+# push-reuse capability (golden marker frames, the marker on an empty
+# slot, no marker without the capability) and the max_depth nesting cap
 test-wire-bin:
 	dune exec test/test_net.exe -- test wire-binary
 

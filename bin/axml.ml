@@ -267,8 +267,9 @@ let wire_arg =
     & info [ "wire" ] ~docv:"CODEC"
         ~doc:
           "Frame codec for peer traffic: $(b,binary) (the default) negotiates the compact \
-           binary codec in the capability handshake, falling back to JSON against peers \
-           that predate it; $(b,json) pins every frame to JSON.")
+           binary codec and per-connection reuse of pushed patterns in the capability \
+           handshake, falling back to JSON and full patterns against peers that predate \
+           them; $(b,json) pins every frame to JSON and always sends patterns in full.")
 
 (* Dial each peer and register what it advertises. Local registrations
    (from --services) win on name clashes because register_remote refuses
@@ -1091,14 +1092,10 @@ let serve verbose services_path host port wire max_conns workers latency jitter 
   | names -> (
     apply_faults registry faults;
     let obs = make_obs ~trace:trace_out ~metrics:metrics_out in
-    let caps =
-      let module W = Axml_net.Wire in
-      match wire with
-      | `Auto -> [ W.cap_shard; W.cap_binary ]
-      | `Json -> [ W.cap_shard ]
-    in
+    (* binary offers the server's default capabilities *)
+    let caps = match wire with `Auto -> None | `Json -> Some [ Axml_net.Wire.cap_shard ] in
     match
-      Server.create ~host ~port ~obs ~caps ~max_conns ~workers ~delay:latency ~jitter
+      Server.create ~host ~port ~obs ?caps ~max_conns ~workers ~delay:latency ~jitter
         ~jitter_seed ~registry ()
     with
     | exception Unix.Unix_error (e, _, _) ->
@@ -1165,8 +1162,9 @@ let serve_cmd =
       & info [ "wire" ] ~docv:"CODEC"
           ~doc:
             "Frame codecs offered to peers: $(b,binary) (the default) advertises the \
-             compact binary codec in the capability handshake — clients that also speak it \
-             switch over, everyone else stays on JSON; $(b,json) never advertises it.")
+             compact binary codec and per-connection reuse of pushed patterns in the \
+             capability handshake — clients that also speak them switch over, everyone \
+             else stays on JSON and full patterns; $(b,json) advertises neither.")
   in
   let max_conns_arg =
     Arg.(

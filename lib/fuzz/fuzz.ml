@@ -10,6 +10,7 @@ module Obs = Axml_obs.Obs
 module Metrics = Axml_obs.Metrics
 module Trace = Axml_obs.Trace
 module Server = Axml_net.Server
+module Wire = Axml_net.Wire
 module Client = Axml_net.Client
 module Remote = Axml_net.Remote
 module Adversary = Axml_workload.Adversary
@@ -204,8 +205,8 @@ let remote_retry =
     attempt_timeout = 10.0;
   }
 
-let with_remote ~wire ~registry:served f =
-  let server = Server.create ~registry:served () in
+let with_remote ?caps ~wire ~registry:served f =
+  let server = Server.create ?caps ~registry:served () in
   Server.start server;
   Fun.protect
     ~finally:(fun () -> Server.stop server)
@@ -221,7 +222,7 @@ let with_remote ~wire ~registry:served f =
 (* One evaluation arm: a fresh instance every time (evaluation mutates
    the document in place). *)
 let run_arm ~watchdog (c : case) ~jobs ?(match_jobs = 1) ?(share_contexts = c.share_contexts)
-    ~push ?(project = false) ?obs () : Engine.report =
+    ~push ?(project = false) ?obs ?caps () : Engine.report =
   with_watchdog ~seconds:watchdog (fun () ->
       let acfg = adversary_config c in
       let inst = Adversary.generate acfg in
@@ -278,7 +279,7 @@ let run_arm ~watchdog (c : case) ~jobs ?(match_jobs = 1) ?(share_contexts = c.sh
       if c.remote then begin
         let served = Adversary.generate acfg in
         let wire = if c.wire_binary then `Auto else `Json in
-        with_remote ~wire ~registry:served.Adversary.registry eval
+        with_remote ?caps ~wire ~registry:served.Adversary.registry eval
       end
       else eval inst.Adversary.registry)
 
@@ -461,7 +462,19 @@ let check ?(watchdog = 30.0) (c : case) : failure option =
           rj.Engine.failed_calls;
       if rb.Engine.invoked <> rj.Engine.invoked then
         violate "wire-equivalence" "binary invoked %d, JSON %d" rb.Engine.invoked
-          rj.Engine.invoked
+          rj.Engine.invoked;
+      (* push reuse (remote cases): against a server without the
+         per-connection pattern slot, everything but the bytes must
+         match the jobs-1 arm, and the marker can only save bytes *)
+      let rold =
+        run_arm ~watchdog c ~jobs:1 ~match_jobs:c.match_jobs ~push:c.push ~project:c.project
+          ~caps:[ Wire.cap_shard; Wire.cap_binary ] ()
+      in
+      compare_reports ~oracle:"push-reuse" ~between:"servers with and without push reuse"
+        ~local:false ~ignore:[ "bytes_transferred" ] r1 rold;
+      if r1.Engine.bytes_transferred > rold.Engine.bytes_transferred then
+        violate "push-reuse" "reuse sent more bytes (%d > %d)" r1.Engine.bytes_transferred
+          rold.Engine.bytes_transferred
     end;
     (* push equivalence: the generator keeps fault fates byte-independent,
        so push-on and push-off must degrade identically *)

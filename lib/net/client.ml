@@ -1,4 +1,5 @@
 module Registry = Axml_services.Registry
+module P = Axml_query.Pattern
 module Obs = Axml_obs.Obs
 module Trace = Axml_obs.Trace
 module Metrics = Axml_obs.Metrics
@@ -10,6 +11,10 @@ type conn = {
   scratch : Wire.scratch;
       (* per-connection encode/decode buffers, reused across requests —
          no fresh frame buffer per call on a warm connection *)
+  push_reuse : bool;  (* both ends advertised Wire.cap_push_reuse *)
+  mutable last_push : P.node option;
+      (* the pattern this connection last carried in full: the server's
+         slot holds the same one *)
 }
 
 type t = {
@@ -70,7 +75,7 @@ let dial t ~obs =
     let my_caps =
       match t.wire with
       | `Json -> []
-      | `Auto -> [ Wire.cap_binary ]
+      | `Auto -> [ Wire.cap_binary; Wire.cap_push_reuse ]
     in
     ignore (Wire.send fd (Wire.Hello { version = Wire.version; caps = my_caps }));
     match Wire.recv fd with
@@ -79,12 +84,15 @@ let dial t ~obs =
           t.advertised <- Some services;
           t.peer_caps <- caps);
       Metrics.incr obs.Obs.metrics "net.connects";
-      let codec =
-        if List.mem Wire.cap_binary my_caps && List.mem Wire.cap_binary caps then
-          Wire.Binary
-        else Wire.Json
-      in
-      { fd; next_id = 1; codec; scratch = Wire.scratch () }
+      let mutual cap = List.mem cap my_caps && List.mem cap caps in
+      {
+        fd;
+        next_id = 1;
+        codec = (if mutual Wire.cap_binary then Wire.Binary else Wire.Json);
+        scratch = Wire.scratch ();
+        push_reuse = mutual Wire.cap_push_reuse;
+        last_push = None;
+      }
     | Wire.Error { message; _ }, _ -> raise (Wire.Protocol_error message)
     | _ -> raise (Wire.Protocol_error "expected a welcome handshake")
   with e ->
@@ -167,6 +175,16 @@ let services t ?(obs = Obs.null) () =
                reason;
              })))
 
+(* The request for one call: the marker when the pattern is the one the
+   connection last carried in full. The engine hands one pattern node to
+   every call of a round, so physical equality finds the repeats. *)
+let invoke_message conn ~id ~service ~params ~push =
+  match (push, conn.last_push) with
+  | Some p, Some q when conn.push_reuse && p == q -> Wire.Invoke_same_push { id; service; params }
+  | _ ->
+    if Option.is_some push then conn.last_push <- push;
+    Wire.Invoke { id; service; params; push }
+
 let call t ~obs ~timeout ~service ~params ~push =
   let t0 = Unix.gettimeofday () in
   let m = obs.Obs.metrics in
@@ -222,7 +240,7 @@ let call t ~obs ~timeout ~service ~params ~push =
       set_deadline conn.fd timeout;
       let sent =
         Wire.send ~codec:conn.codec ~scratch:conn.scratch conn.fd
-          (Wire.Invoke { id; service; params; push })
+          (invoke_message conn ~id ~service ~params ~push)
       in
       let reply, received = Wire.recv ~scratch:conn.scratch conn.fd in
       (sent, reply, received)

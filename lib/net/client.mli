@@ -30,10 +30,11 @@ val create :
     the {e idle} connections kept for reuse; [connect_timeout] (default
     10 s) is the socket deadline for the dial + handshake. [wire]
     (default [`Auto]) selects the frame codec: [`Auto] advertises
-    {!Wire.cap_binary} in the handshake and uses the binary codec on
-    connections whose server advertised it too (falling back to JSON
-    against older peers); [`Json] never advertises it, pinning every
-    frame to JSON — the [axml --wire json] escape hatch. Each pooled
+    {!Wire.cap_binary} and {!Wire.cap_push_reuse} in the handshake and
+    uses each on connections whose server advertised it too (falling
+    back to JSON and full patterns against older peers); [`Json]
+    advertises neither, pinning every frame to JSON exactly as before
+    either existed — the [axml --wire json] escape hatch. Each pooled
     connection keeps its own scratch buffers, so a warm connection
     allocates no fresh frame buffers per request. *)
 
@@ -64,7 +65,15 @@ val call :
     socket deadline for the exchange ([infinity] = none), and failures
     raise {!Axml_services.Registry.Transport_error} with [transient]
     set for connection/timeout faults and cleared for protocol errors,
-    {!Wire.Degraded} and non-transient {!Wire.Error} replies. *)
+    {!Wire.Degraded} and non-transient {!Wire.Error} replies.
+
+    Each pooled connection remembers the last pattern it sent in full.
+    When [push] is physically that pattern and the connection negotiated
+    {!Wire.cap_push_reuse}, the call sends {!Wire.Invoke_same_push}, one
+    byte in place of the pattern. The engine hands one pattern node to
+    every call of a round, so a round's calls on one connection ship
+    the pattern once. A freshly dialed connection remembers nothing, so
+    retries and re-dials send the pattern in full. *)
 
 val close : t -> unit
 (** Closes every idle pooled connection. The client remains usable — a

@@ -1,4 +1,5 @@
 module Registry = Axml_services.Registry
+module P = Axml_query.Pattern
 module Obs = Axml_obs.Obs
 module Trace = Axml_obs.Trace
 module Metrics = Axml_obs.Metrics
@@ -17,6 +18,10 @@ type conn = {
   scratch : Wire.scratch;  (* reply encoding; reused for the conn's life *)
   mutable codec : Wire.codec;  (* for replies; negotiated at handshake *)
   mutable handshaken : bool;
+  mutable push_reuse : bool;  (* both ends advertised Wire.cap_push_reuse *)
+  mutable last_push : P.node option;
+      (* the pattern the last Invoke carrying one brought, decoded once
+         and reused for every marker after it *)
   mutable rbuf : Bytes.t;  (* incoming bytes: [roff, rlen) is unconsumed *)
   mutable roff : int;
   mutable rlen : int;
@@ -63,7 +68,7 @@ let resolve host =
     with Not_found -> invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
 let create ?(host = "127.0.0.1") ?(port = 0) ?(obs = Obs.null)
-    ?(caps = [ Wire.cap_shard; Wire.cap_binary ]) ?(delay = 0.0)
+    ?(caps = [ Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse ]) ?(delay = 0.0)
     ?(jitter = 0.0) ?(jitter_seed = 0) ?(workers = 32) ?(max_conns = 8192)
     ?(force_select = false) ~registry () =
   (* A peer hanging up mid-write must surface as EPIPE, not kill the
@@ -328,8 +333,9 @@ let event_loop t =
         (* the handshake itself is always JSON; only frames after a
            mutual cap_binary may switch *)
         queue_reply ~codec:Wire.Json c (welcome t);
-        if List.mem Wire.cap_binary caps && List.mem Wire.cap_binary t.caps then
-          c.codec <- Wire.Binary
+        let mutual cap = List.mem cap caps && List.mem cap t.caps in
+        if mutual Wire.cap_binary then c.codec <- Wire.Binary;
+        c.push_reuse <- mutual Wire.cap_push_reuse
       | Wire.Hello { version; _ } ->
         protocol_error c
           (Printf.sprintf "unsupported protocol version %d (this peer speaks %d)"
@@ -337,8 +343,7 @@ let event_loop t =
       | _ -> protocol_error c "expected a hello handshake"
     end
     else begin
-      match msg with
-      | Wire.Invoke { id; service; params; push } ->
+      let serve ~id ~service ~params ~push =
         c.busy <- true;
         c.want_read <- false;
         set_interest c;
@@ -346,6 +351,18 @@ let event_loop t =
             let reply = handle_invoke t ~id ~service ~params ~push in
             Mutex.protect t.comp_mu (fun () -> Queue.push (c, reply) t.completions);
             wake t)
+      in
+      match msg with
+      | Wire.Invoke { id; service; params; push } ->
+        if c.push_reuse && Option.is_some push then c.last_push <- push;
+        serve ~id ~service ~params ~push
+      | Wire.Invoke_same_push { id; service; params } -> (
+        match c.last_push with
+        | Some _ as push -> serve ~id ~service ~params ~push
+        | None ->
+          queue_reply c
+            (Wire.Error
+               { id; transient = false; message = "no pushed pattern to reuse on this connection" }))
       | _ -> protocol_error c "expected an invoke request"
     end
   in
@@ -442,6 +459,8 @@ let event_loop t =
             scratch = Wire.scratch ();
             codec = Wire.Json;
             handshaken = false;
+            push_reuse = false;
+            last_push = None;
             rbuf = Bytes.create 4096;
             roff = 0;
             rlen = 0;

@@ -28,7 +28,16 @@
     other than {!Wire.Invoke} after the handshake closes the connection
     with a protocol error, so the untrusted input a server decodes is
     the invoke parameters and pushed patterns (each frame capped at
-    {!Wire.max_frame}).
+    {!Wire.max_frame}, their nesting at {!Wire.max_depth}).
+
+    On a connection where both ends advertised {!Wire.cap_push_reuse},
+    the server keeps the decoded pattern of the last {!Wire.Invoke} that
+    carried one, and serves a {!Wire.Invoke_same_push} with it, so a
+    reused pattern is never decoded again and the registry sees the same
+    call as if the pattern had been sent. The slot is set on the event
+    loop, which already handles a connection's frames one at a time, so
+    it needs no lock. A marker on a connection with an empty slot gets a
+    non-transient {!Wire.Error} reply, and the connection keeps serving.
 
     Requests from different connections run {e concurrently} on the
     worker pool: the registry and the observability sinks are
@@ -59,9 +68,11 @@ val create :
     registry's [service.*] spans and metrics nested inside; each request
     records into a private trace fragment ({!Axml_obs.Obs.fork}) folded
     back on completion, so concurrent requests keep the span tree
-    well-formed. [caps] (default [[Wire.cap_shard; Wire.cap_binary]]) is
-    what {!Wire.Welcome} advertises — pass [[]] to emulate a
-    pre-capability peer in tests. [delay] (default [0.0]) injects that
+    well-formed. [caps] (default
+    [[Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse]]) is what
+    {!Wire.Welcome} advertises — pass [[]] to emulate a pre-capability
+    peer in tests, or leave out {!Wire.cap_push_reuse} to emulate a peer
+    without the pattern slot. [delay] (default [0.0]) injects that
     many seconds of {e real} latency ([Unix.sleepf]) before serving each
     invoke request —
     the knob behind [axml serve --latency] and the E9 speedup benchmark.

@@ -100,7 +100,6 @@ exception Parse_error of int * string
 let parse_value ?(max_depth = max_int) s =
   let n = String.length s in
   let pos = ref 0 in
-  let depth = ref 0 in
   let error fmt = Printf.ksprintf (fun m -> raise (Parse_error (!pos, m))) fmt in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let skip_ws () =
@@ -187,12 +186,13 @@ let parse_value ?(max_depth = max_int) s =
       | Some f -> Float f
       | None -> error "invalid number %S" lit)
   in
-  let open_level () =
-    if !depth >= max_depth then error "nesting deeper than %d levels" max_depth;
-    incr depth;
-    incr pos
+  (* [depth] arrays and objects enclose the value being parsed *)
+  let open_level depth =
+    if depth >= max_depth then error "nesting deeper than %d levels" max_depth;
+    incr pos;
+    depth + 1
   in
-  let rec parse () =
+  let rec parse depth =
     skip_ws ();
     match peek () with
     | None -> error "unexpected end of input"
@@ -202,32 +202,31 @@ let parse_value ?(max_depth = max_int) s =
     | Some '"' -> String (parse_string ())
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some '[' ->
-      open_level ();
+      let depth = open_level depth in
       skip_ws ();
-      if peek () = Some ']' then begin incr pos; decr depth; List [] end
+      if peek () = Some ']' then begin incr pos; List [] end
       else begin
-        let items = ref [ parse () ] in
+        let items = ref [ parse depth ] in
         skip_ws ();
         while peek () = Some ',' do
           incr pos;
-          items := parse () :: !items;
+          items := parse depth :: !items;
           skip_ws ()
         done;
         expect ']';
-        decr depth;
         List (List.rev !items)
       end
     | Some '{' ->
-      open_level ();
+      let depth = open_level depth in
       skip_ws ();
-      if peek () = Some '}' then begin incr pos; decr depth; Obj [] end
+      if peek () = Some '}' then begin incr pos; Obj [] end
       else begin
         let field () =
           skip_ws ();
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse () in
+          let v = parse depth in
           skip_ws ();
           (k, v)
         in
@@ -237,12 +236,11 @@ let parse_value ?(max_depth = max_int) s =
           fields := field () :: !fields
         done;
         expect '}';
-        decr depth;
         Obj (List.rev !fields)
       end
     | Some c -> error "unexpected character %C" c
   in
-  let v = parse () in
+  let v = parse 0 in
   skip_ws ();
   if !pos <> n then error "trailing garbage";
   v
