@@ -5,6 +5,8 @@ module Json = Axml_obs.Json
 let version = 1
 let max_frame = 64 * 1024 * 1024
 let max_depth = 10_000
+let max_labels = 256
+let max_label_bytes = 64
 
 exception Protocol_error of string
 exception Closed
@@ -26,12 +28,37 @@ type codec = Json | Binary
 let cap_binary = "binary"
 let codec_name = function Json -> "json" | Binary -> "binary"
 
+(* One direction's label table (see [name]): the strings it holds, in
+   the order they were first sent, and — on the encoding end — the index
+   of each. It holds at most [max_labels] strings of at most
+   [max_label_bytes] bytes and never evicts. *)
+type labels = {
+  slots : string array;
+  mutable count : int;
+  index : (string, int) Hashtbl.t;  (* string -> slot; empty when decoding *)
+}
+
+let labels_table index_size = { slots = Array.make max_labels ""; count = 0; index = Hashtbl.create index_size }
+
+(* The rule both ends apply to every literal, so their tables stay equal. *)
+let fits t n = t.count < max_labels && n <= max_label_bytes
+
+(* Forgets every entry from slot [n] on: an encoding that failed never
+   reached the peer, so neither may its literals. *)
+let truncate t n =
+  for i = n to t.count - 1 do
+    Hashtbl.remove t.index t.slots.(i);
+    t.slots.(i) <- ""
+  done;
+  t.count <- n
+
 (* A growable output buffer with byte-addressable backing, so the
    4-byte frame header can be patched in after the payload is encoded —
-   [Buffer.t] cannot do that without a copy. *)
-type wbuf = { mutable wb : Bytes.t; mutable wlen : int }
+   [Buffer.t] cannot do that without a copy. [wlabels] is the
+   connection's encoding label table, if it negotiated one. *)
+type wbuf = { mutable wb : Bytes.t; mutable wlen : int; wlabels : labels option }
 
-let wbuf_make n = { wb = Bytes.create n; wlen = 0 }
+let wbuf_make ?labels n = { wb = Bytes.create n; wlen = 0; wlabels = labels }
 let wbuf_reset w = w.wlen <- 0
 
 let wbuf_ensure w n =
@@ -69,8 +96,15 @@ let rec put_uv w n =
 
 (* ----- reader ----- *)
 
-(* [depth] counts the [fix] levels being decoded (see [fix]). *)
-type rdr = { src : string; mutable pos : int; limit : int; mutable depth : int }
+(* [depth] counts the [fix] levels being decoded (see [fix]);
+   [rlabels] is the connection's decoding label table, if any. *)
+type rdr = {
+  src : string;
+  mutable pos : int;
+  limit : int;
+  mutable depth : int;
+  rlabels : labels option;
+}
 
 let rd_byte r =
   if r.pos >= r.limit then fail "binary frame truncated";
@@ -145,6 +179,59 @@ let string =
         let s = String.sub r.src r.pos n in
         r.pos <- r.pos + n;
         s);
+  }
+
+(* A string from a small vocabulary — element and attribute names,
+   attribute values, the invoked service — sent through the
+   connection's label table when it has one: a varint 2·len and the
+   bytes for a literal, a varint 2·i+1 for the table's entry i. Both
+   ends add a literal that [fits] to their table, so an encoder sends a
+   string in full once per connection and the decoder hands back the
+   one string it kept. Without a table it is [string], byte for byte. *)
+let name =
+  {
+    string with
+    put =
+      (fun w s ->
+        match w.wlabels with
+        | None -> string.put w s
+        | Some t -> (
+          let n = String.length s in
+          match if n <= max_label_bytes then Hashtbl.find_opt t.index s else None with
+          | Some i -> put_uv w ((2 * i) + 1)
+          | None ->
+            put_uv w (2 * n);
+            put_raw w s;
+            if fits t n then begin
+              Hashtbl.replace t.index s t.count;
+              t.slots.(t.count) <- s;
+              t.count <- t.count + 1
+            end));
+    get =
+      (fun r ->
+        match r.rlabels with
+        | None -> string.get r
+        | Some t ->
+          (* [lsr]: a varint with the top bit set reads as a huge index
+             or length, which the checks below refuse *)
+          let v = rd_uv r in
+          let k = v lsr 1 in
+          if v land 1 = 1 then begin
+            if k >= t.count then
+              fail "label reference %d past the table's %d entries" k t.count;
+            t.slots.(k)
+          end
+          else begin
+            if k > r.limit - r.pos then
+              fail "binary length %d exceeds the %d bytes remaining" k (r.limit - r.pos);
+            let s = String.sub r.src r.pos k in
+            r.pos <- r.pos + k;
+            if fits t k then begin
+              t.slots.(t.count) <- s;
+              t.count <- t.count + 1
+            end;
+            s
+          end);
   }
 
 (* An unsigned LEB128 varint in binary, a JSON integer. *)
@@ -352,8 +439,8 @@ let tree =
             (function Tree.Text s -> Some s | _ -> None)
             (fun s -> Tree.Text s);
           case 1 (bare is_obj)
-            (field "n" string
-            & field ~default:[] ~omit:true "a" (list (pair string string))
+            (field "n" name
+            & field ~default:[] ~omit:true "a" (list (pair name name))
             & field ~default:[] ~omit:true "c" (list tree))
             (function
               | Tree.Element { Tree.name; attrs; children } -> Some (name, (attrs, children))
@@ -407,6 +494,10 @@ let cap_shard = "shard"
    connection, so a later Invoke can name it with a one-byte marker. *)
 let cap_push_reuse = "push-reuse"
 
+(* A peer that keeps a label table per direction on each binary
+   connection (see [name]). *)
+let cap_labels = "labels"
+
 type message =
   | Hello of { version : int; caps : string list }
   | Welcome of { version : int; services : service_info list; caps : string list }
@@ -457,7 +548,7 @@ let message =
           | Welcome { version; services; caps } -> Some (version, (services, caps)) | _ -> None)
         (fun (version, (services, caps)) -> Welcome { version; services; caps });
       case 2 (typed "invoke")
-        (id & field "service" string & field "params" forest
+        (id & field "service" name & field "params" forest
         & field ~default:No_push ~omit:true "push" push_field)
         (function
           | Invoke { id; service; params; push = None } -> Some (id, (service, (params, No_push)))
@@ -499,8 +590,8 @@ let to_binary c x =
 
 (* Decodes exactly [s.[pos .. limit-1]]: trailing bytes are a protocol
    error. *)
-let of_binary_slice c s pos limit =
-  let r = { src = s; pos; limit; depth = 0 } in
+let of_binary_slice ?labels c s pos limit =
+  let r = { src = s; pos; limit; depth = 0; rlabels = labels } in
   let v = c.get r in
   if r.pos <> r.limit then fail "binary value has %d trailing bytes" (r.limit - r.pos);
   v
@@ -532,12 +623,19 @@ let rec really_read fd buf off len =
 let binary_flag = 0x80
 
 type scratch = {
-  out : wbuf;  (* whole outgoing frame, header included *)
+  out : wbuf;  (* whole outgoing frame, header included; its label table *)
   mutable inb : Bytes.t;  (* reusable incoming payload buffer *)
   jb : Buffer.t;  (* JSON text staging for the encoder *)
+  inlabels : labels option;  (* the incoming direction's label table *)
 }
 
-let scratch () = { out = wbuf_make 4096; inb = Bytes.create 4096; jb = Buffer.create 4096 }
+let scratch ?(labels = false) () =
+  {
+    out = wbuf_make ?labels:(if labels then Some (labels_table 64) else None) 4096;
+    inb = Bytes.create 4096;
+    jb = Buffer.create 4096;
+    inlabels = (if labels then Some (labels_table 0) else None);
+  }
 
 let frame_header b0 b1 b2 b3 =
   let codec = if b0 land binary_flag <> 0 then Binary else Json in
@@ -555,7 +653,7 @@ let decode_frame_header s =
    included): the payload is written from offset 4, then the header is
    patched in — no copy, and the scratch's backing buffer amortises to
    the largest frame the connection ever sends. *)
-let encode_into scr codec msg =
+let encode_payload scr codec msg =
   let w = scr.out in
   wbuf_reset w;
   wbuf_ensure w 4;
@@ -577,6 +675,20 @@ let encode_into scr codec msg =
   Bytes.set w.wb 2 (Char.chr ((len lsr 8) land 0xff));
   Bytes.set w.wb 3 (Char.chr (len land 0xff))
 
+(* [encode_payload], except that a binary frame that fails to encode
+   takes the labels it added back out of the table: it never reaches the
+   peer, so the frame sent in its place must find the table as the peer
+   has it. *)
+let encode_into scr codec msg =
+  match scr.out.wlabels with
+  | Some t when codec = Binary -> (
+    let mark = t.count in
+    try encode_payload scr codec msg
+    with e ->
+      truncate t mark;
+      raise e)
+  | _ -> encode_payload scr codec msg
+
 let encode_frame ?(codec = Json) msg =
   let scr = scratch () in
   encode_into scr codec msg;
@@ -586,7 +698,7 @@ let encode_frame_into ?(codec = Json) scr msg =
   encode_into scr codec msg;
   (scr.out.wb, scr.out.wlen)
 
-let decode_payload ?(pos = 0) ?len codec s =
+let decode_payload ?scratch ?(pos = 0) ?len codec s =
   let len = match len with Some n -> n | None -> String.length s - pos in
   if pos < 0 || len < 0 || pos + len > String.length s then
     fail "frame payload slice out of bounds";
@@ -599,7 +711,9 @@ let decode_payload ?(pos = 0) ?len codec s =
     match Json.parse ~max_depth:(2 * (max_depth + 2)) text with
     | Ok v -> message_of_json v
     | Error m -> fail "frame payload is not JSON (%s)" m)
-  | Binary -> of_binary_slice message s pos (pos + len)
+  | Binary ->
+    let labels = match scratch with Some scr -> scr.inlabels | None -> None in
+    of_binary_slice ?labels message s pos (pos + len)
 
 let send ?(codec = Json) ?scratch:scr fd msg =
   let scr = match scr with Some s -> s | None -> scratch () in
@@ -618,4 +732,4 @@ let recv ?scratch:scr fd =
   really_read fd scr.inb 0 len;
   (* decoding copies everything it keeps, so reading straight off the
      reusable buffer is safe *)
-  (decode_payload ~len codec (Bytes.unsafe_to_string scr.inb), 4 + len)
+  (decode_payload ~scratch:scr ~len codec (Bytes.unsafe_to_string scr.inb), 4 + len)

@@ -34,7 +34,18 @@
     with the same pattern is sent as {!Invoke_same_push}, whose one-byte
     marker stands for the remembered pattern. An {!Invoke} without a
     pattern leaves the slot as it is; a fresh connection starts with it
-    empty. This slot is the protocol's only state besides the
+    empty.
+
+    On a binary connection where both ends advertised {!cap_labels},
+    each direction also keeps a {e label table}: the element names,
+    attribute names and values, and {!Invoke} service names its binary
+    frames carried. The first occurrence of such a string goes out in
+    full and joins the table (while the table has fewer than
+    {!max_labels} entries and the string is at most {!max_label_bytes}
+    long); later ones go out as the index of their entry. Text nodes,
+    pattern labels and JSON frames never use it. A table never evicts,
+    and a fresh connection starts with both empty. The pattern slot and
+    the two label tables are the protocol's only state besides the
     handshake. *)
 
 val version : int
@@ -71,6 +82,16 @@ val cap_push_reuse : string
     answers a non-transient {!Error} and keeps serving. Peers that
     never advertise it see every frame exactly as before. *)
 
+val cap_labels : string
+(** Capability: this peer keeps the per-direction label tables
+    described above. They are used only on a connection where both
+    ends advertised both this and {!cap_binary}, and then for every
+    binary frame after the handshake, in each direction. In a frame,
+    such a string is one varint [2·len] followed by its bytes
+    (a literal), or [2·i+1] (entry [i] of the table). A reference past
+    the end of the receiver's table is a {!Protocol_error}. Peers that
+    never advertise it see every frame exactly as before. *)
+
 val max_frame : int
 (** Frames above this many payload bytes (64 MiB) are rejected with
     {!Protocol_error} before any allocation. *)
@@ -80,6 +101,16 @@ val max_depth : int
     lone text leaf or pattern node is one level) are rejected with
     {!Protocol_error} while decoding, in both codecs, so a hostile
     frame's nesting costs a bounded stack. Encoding does not check it. *)
+
+val max_labels : int
+(** A label table (see {!cap_labels}) holds at most this many strings
+    (256). Once full, it keeps its entries and every further new
+    string goes out in full without joining it. *)
+
+val max_label_bytes : int
+(** Only strings of at most this many bytes (64) join a label table;
+    longer ones always go out in full. With {!max_labels}, this bounds
+    a table at 16 KiB of strings, whatever the peer sends. *)
 
 exception Protocol_error of string
 (** Malformed frame or envelope: bad length prefix, oversized frame,
@@ -166,7 +197,13 @@ type scratch
     the largest frame the connection has seen. A scratch belongs to one
     connection at a time; it is not thread-safe. *)
 
-val scratch : unit -> scratch
+val scratch : ?labels:bool -> unit -> scratch
+(** With [labels] (default false), the scratch also holds the
+    connection's two label tables (see {!cap_labels}), both empty: every
+    binary frame encoded into it or decoded through it uses them.
+    Create it so only for a connection that negotiated the capability,
+    and thread every binary frame of that connection through it, in
+    order. *)
 
 val encode_frame : ?codec:codec -> message -> string
 (** The complete frame — header included — as it would appear on the
@@ -176,22 +213,29 @@ val encode_frame : ?codec:codec -> message -> string
 val encode_frame_into : ?codec:codec -> scratch -> message -> Bytes.t * int
 (** Like {!encode_frame} but into the scratch's reusable buffer:
     [(backing, frame_length)]. The bytes are valid until the next
-    encode or {!send} on the same scratch. *)
+    encode or {!send} on the same scratch. A binary frame goes through
+    the scratch's outgoing label table, if it has one; if the frame
+    fails to encode (it exceeds {!max_frame}), the table is truncated
+    back to what it held before, so the frame sent in its place finds
+    it as the peer does. *)
 
 val decode_frame_header : string -> codec * int
 (** Inspects the first 4 bytes: the payload codec and length. Raises
     {!Protocol_error} on truncation or a length outside
     [(0, max_frame]]. *)
 
-val decode_payload : ?pos:int -> ?len:int -> codec -> string -> message
+val decode_payload : ?scratch:scratch -> ?pos:int -> ?len:int -> codec -> string -> message
 (** Decodes one payload from [s.[pos .. pos+len-1]] ([pos] defaults to
-    0, [len] to the rest of the string). Raises {!Protocol_error} on
-    malformed bytes, unknown tags, or trailing garbage. *)
+    0, [len] to the rest of the string). A binary payload goes through
+    the incoming label table of [scratch], if it has one. Raises
+    {!Protocol_error} on malformed bytes, unknown tags, trailing garbage
+    or a label reference past the table's end. *)
 
 val send : ?codec:codec -> ?scratch:scratch -> Unix.file_descr -> message -> int
 (** [codec] defaults to [Json]. Without a [scratch], fresh buffers are
-    allocated per call (the pre-binary behavior). *)
+    allocated per call (the pre-binary behavior) and no label table is
+    used. *)
 
 val recv : ?scratch:scratch -> Unix.file_descr -> message * int
 (** Auto-detects the codec from the header flag, so a receiver needs no
-    out-of-band negotiation state. *)
+    out-of-band negotiation state beyond the [scratch]'s label table. *)

@@ -718,6 +718,250 @@ let test_depth_cap () =
   reject Wire.Binary ("\x03\x01\x00\x01" ^ String.concat "" (List.init far (fun _ -> level)))
 
 (* ------------------------------------------------------------------ *)
+(* Label tables: the per-direction string tables of cap_labels *)
+
+(* One direction of a connection that negotiated the tables: frames
+   encoded on the sender's outgoing table, decoded in order through the
+   receiver's incoming one. *)
+let labelled_pair () = (Wire.scratch ~labels:true (), Wire.scratch ~labels:true ())
+
+let encode_on scr m =
+  let b, n = Wire.encode_frame_into ~codec:Wire.Binary scr m in
+  Bytes.sub_string b 0 n
+
+let through (enc, dec) m =
+  let frame = encode_on enc m in
+  (frame, Wire.decode_payload ~scratch:dec ~pos:4 Wire.Binary frame)
+
+(* The golden invoke and result, each encoded twice on one table, as a
+   client and a server would send them: the first frame spells every
+   name in full (as long as the table-free frame), the second names
+   them by index. *)
+let test_golden_label_frames () =
+  let invoke = List.assoc "invoke" golden_messages in
+  let result = List.assoc "result" golden_messages in
+  List.iter
+    (fun (name, m, want_first, want_second) ->
+      let pair = labelled_pair () in
+      let first, d1 = through pair m in
+      let second, d2 = through pair m in
+      Alcotest.(check string) (name ^ " first") want_first (hex first);
+      Alcotest.(check string) (name ^ " second") want_second (hex second);
+      Alcotest.(check int) (name ^ ": the first frame is as long as without a table")
+        (String.length (Wire.encode_frame ~codec:Wire.Binary m))
+        (String.length first);
+      Alcotest.(check bool) (name ^ ": the second frame is strictly shorter") true
+        (String.length second < String.length first);
+      Alcotest.(check string) (name ^ " first decodes") (json_key_of_msg m) (json_key_of_msg d1);
+      Alcotest.(check string) (name ^ " second decodes") (json_key_of_msg m)
+        (json_key_of_msg d2))
+    [
+      ( "invoke",
+        invoke,
+        "8000005602ac0202730201026802026b027602710222030002200a010265000000017800017001000001720006010101760000000201580100010300000004000200000161000000000162000000050000010602016601670000",
+        "8000004f02ac0201020103020507090b030002200a010d000000017800017001000001720006010101760000000201580100010300000004000200000161000000000162000000050000010602016601670000"
+      );
+      ( "result",
+        result,
+        "8000001d0303010101026802026b027602710222030002200a0102650000000178",
+        "800000170303010101010203050709030002200a010b0000000178" );
+    ]
+
+let many_names n = List.init n (fun i -> el (Printf.sprintf "e%d" i) [])
+
+(* A full table keeps its entries and takes no more: a new name goes out
+   in full every time, an old one still by index, and a name longer than
+   the length bound never joins. *)
+let test_label_table_cap () =
+  let pair = labelled_pair () in
+  let result forest = Wire.Result { id = 1; pushed = false; forest } in
+  let send m =
+    let frame, decoded = through pair m in
+    Alcotest.(check string) "decodes through the table" (json_key_of_msg m)
+      (json_key_of_msg decoded);
+    frame
+  in
+  let long = String.make (Wire.max_label_bytes + 1) 'n' in
+  let at_bound = String.make Wire.max_label_bytes 'b' in
+  let long_first = send (result [ el long [] ]) in
+  Alcotest.(check int) "a name past the length bound does not join" (String.length long_first)
+    (String.length (send (result [ el long [] ])));
+  let bound_first = send (result [ el at_bound [] ]) in
+  Alcotest.(check bool) "a name at the length bound joins" true
+    (String.length (send (result [ el at_bound [] ])) < String.length bound_first);
+  (* [at_bound] holds one slot: fill the rest *)
+  ignore (send (result (many_names (Wire.max_labels - 1))));
+  let fresh_first = send (result [ el "fresh" [] ]) in
+  let fresh_second = send (result [ el "fresh" [] ]) in
+  Alcotest.(check string) "a new name after the cap goes out in full, again"
+    (hex fresh_first) (hex fresh_second);
+  Alcotest.(check bool) "spelled as a literal" true (contains ~sub:"\x0afresh" fresh_second);
+  Alcotest.(check bool) "an entry from before the cap is still sent by index" true
+    (String.length (send (result [ el "e0" [] ])) < String.length (send (result [ el "e00" [] ])))
+
+(* A reference past the end of the receiver's table is a protocol error,
+   on its own and after the entries it may name. *)
+let test_label_reference_past_end () =
+  (* invoke, id [i], the service as [v], no params, no pattern *)
+  let invoke i v = Printf.sprintf "\x02%c%s\x00\x00" (Char.chr i) v in
+  let dec = Wire.scratch ~labels:true () in
+  let decode p = Wire.decode_payload ~scratch:dec Wire.Binary p in
+  let reject what p =
+    match decode p with
+    | _ -> Alcotest.failf "%s decoded" what
+    | exception Wire.Protocol_error _ -> ()
+  in
+  reject "a reference into an empty table" (invoke 1 "\x01");
+  (match decode (invoke 2 "\x02s") with
+  | Wire.Invoke { service = "s"; _ } -> ()
+  | _ -> Alcotest.fail "a literal did not decode");
+  (match decode (invoke 3 "\x01") with
+  | Wire.Invoke { service = "s"; _ } -> ()
+  | _ -> Alcotest.fail "entry 0 did not decode");
+  reject "entry 1 of a one-entry table" (invoke 4 "\x03");
+  reject "a reference with the top varint bit set" (invoke 5 "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01");
+  reject "a literal longer than the frame" (invoke 6 "\x10ab")
+
+(* Over a live server: labelled frames are served, and a reference past
+   the end of the server's table closes that connection only. *)
+let test_bad_label_reference_closes_one_connection () =
+  with_server (echo_registry ()) (fun server ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+          let scr = Wire.scratch ~labels:true () in
+          ignore
+            (Wire.send fd
+               (Wire.Hello { version = Wire.version; caps = [ Wire.cap_binary; Wire.cap_labels ] }));
+          (match Wire.recv fd with
+          | Wire.Welcome { caps; _ }, _ ->
+            Alcotest.(check bool) "the server advertises the tables" true
+              (List.mem Wire.cap_labels caps)
+          | _ -> Alcotest.fail "expected a welcome");
+          let call id =
+            Wire.Invoke { id; service = "echo"; params = [ el "x" [ t "a" ] ]; push = None }
+          in
+          let exchange id =
+            ignore (Wire.send ~codec:Wire.Binary ~scratch:scr fd (call id));
+            match Wire.recv ~scratch:scr fd with
+            | Wire.Result { id = rid; forest; _ }, _ when rid = id ->
+              Alcotest.(check bool) "echoed" true (forest = [ el "val" [ el "x" [ t "a" ] ] ])
+            | _ -> Alcotest.fail "expected a result"
+          in
+          (* the first call spells "echo" and "x" in full, the second
+             names them by index *)
+          exchange 1;
+          exchange 2;
+          (* invoke, id 3, the service as entry 9 of a two-entry table *)
+          let bad = "\x80\x00\x00\x05\x02\x03\x13\x00\x00" in
+          ignore (Unix.write_substring fd bad 0 (String.length bad));
+          (match Wire.recv ~scratch:scr fd with
+          | Wire.Error { transient = false; message; _ }, _ ->
+            Alcotest.(check bool) "names the reference" true (contains ~sub:"label" message)
+          | _ -> Alcotest.fail "expected a protocol error reply");
+          match Wire.recv ~scratch:scr fd with
+          | _ -> Alcotest.fail "the connection stayed open"
+          | exception (Wire.Closed | Unix.Unix_error _) -> ());
+      let client = Client.create ~host:"127.0.0.1" ~port:(Server.port server) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let result, _ =
+            Client.call client ~obs:Obs.null ~timeout:5.0 ~service:"echo" ~params:[ t "b" ]
+              ~push:None
+          in
+          Alcotest.(check bool) "other connections keep serving" true
+            (result = [ el "val" [ t "b" ] ])))
+
+(* A frame that fails to encode takes its new labels back: the frame
+   after it spells them in full, and the receiver, which never saw the
+   failed frame, decodes it. *)
+let test_label_rollback () =
+  let enc, dec = labelled_pair () in
+  ignore (through (enc, dec) (Wire.Result { id = 1; pushed = false; forest = [ el "a" [] ] }));
+  let huge =
+    Wire.Result
+      {
+        id = 2;
+        pushed = false;
+        forest = [ el "b" [ el "c" [] ]; t (String.make Wire.max_frame 'x') ];
+      }
+  in
+  (match encode_on enc huge with
+  | _ -> Alcotest.fail "oversize frame encoded"
+  | exception Wire.Protocol_error _ -> ());
+  let next = Wire.Result { id = 3; pushed = false; forest = [ el "a" [ el "b" [ el "c" [] ] ] ] } in
+  let frame, decoded = through (enc, dec) next in
+  Alcotest.(check string) "the receiver decodes the frame after the failed one"
+    (json_key_of_msg next) (json_key_of_msg decoded);
+  Alcotest.(check bool) "names of the failed frame go out in full" true
+    (contains ~sub:"\x02b" frame && contains ~sub:"\x02c" frame)
+
+(* Sequences of envelopes over one pair of tables, with names drawn from
+   a vocabulary wider than the table and some longer than the length
+   bound: every frame decodes to what the table-free binary codec and
+   the JSON codec decode. *)
+let gen_label_sequence =
+  let open QCheck.Gen in
+  let label =
+    frequency
+      [
+        (4, oneofl [ "a"; "hotel"; "name"; "axml:call"; "" ]);
+        (4, map (Printf.sprintf "n%d") (int_bound 400));
+        (1, map (fun k -> String.make (Wire.max_label_bytes + k) 'L') (int_bound 2));
+        (1, map (fun k -> String.make (Wire.max_label_bytes - k) 'S') (int_bound 2));
+      ]
+  in
+  let tree =
+    sized_size (int_bound 6)
+    @@ fix (fun self n ->
+           if n = 0 then map Tree.text (oneofl [ "x"; " "; "Best Western" ])
+           else
+             map3
+               (fun name attrs children -> Tree.Element { Tree.name; attrs; children })
+               label
+               (list_size (int_bound 2) (pair label label))
+               (list_size (int_bound 3) (self (n / 2))))
+  in
+  let push = (Parser.parse "/r//s[v=$X!]").P.root in
+  let message =
+    map3
+      (fun k service forest ->
+        match k with
+        | 0 -> Wire.Invoke { id = 1; service; params = forest; push = Some push }
+        | 1 -> Wire.Invoke { id = 2; service; params = forest; push = None }
+        | 2 -> Wire.Invoke_same_push { id = 3; service; params = forest }
+        | 3 -> Wire.Result { id = 4; pushed = true; forest }
+        | 4 -> Wire.Error { id = 5; transient = false; message = service }
+        | _ -> Wire.Degraded { id = 6; message = service; retries = 1; timeouts = 0 })
+      (int_bound 5) label
+      (list_size (int_bound 4) tree)
+  in
+  (* a run of many fresh names fills the table part way through *)
+  let filler = map (fun n -> Wire.Result { id = 7; pushed = false; forest = many_names n }) (int_bound 300) in
+  list_size (int_range 1 30) (frequency [ (9, message); (1, filler) ])
+
+let prop_label_sequence =
+  QCheck.Test.make ~name:"label tables ≡ table-free binary ≡ JSON over a sequence" ~count:100
+    (QCheck.make
+       ~print:(fun ms -> String.concat "\n" (List.map json_key_of_msg ms))
+       gen_label_sequence)
+    (fun msgs ->
+      let pair = labelled_pair () in
+      List.for_all
+        (fun m ->
+          let _, via_tables = through pair m in
+          let plain = Wire.encode_frame ~codec:Wire.Binary m in
+          let via_binary = Wire.decode_payload ~pos:4 Wire.Binary plain in
+          let via_json = Wire.message_of_json (Wire.message_to_json m) in
+          json_key_of_msg via_tables = json_key_of_msg via_binary
+          && json_key_of_msg via_binary = json_key_of_msg via_json
+          && json_key_of_msg via_json = json_key_of_msg m)
+        msgs)
+
+(* ------------------------------------------------------------------ *)
 (* Remote invocation basics *)
 
 let test_remote_invoke_and_pool_reuse () =
@@ -914,6 +1158,50 @@ let test_e2e_push_reuse () =
     (Printf.sprintf "fewer request bytes with reuse (%d < %d B)" reuse_req plain_req)
     true (reuse_req < plain_req)
 
+(* Label tables end to end: the pushed city run against a default
+   server, one without the tables and one with nothing newer than the
+   binary codec. Only the bytes may differ. Remote calls charge their
+   wall-clock time to the simulated clock, so [simulated_seconds] is not
+   compared either. *)
+let test_e2e_label_tables () =
+  let run caps =
+    let served = City.generate city_config in
+    with_server ?caps served.City.registry (fun server ->
+        let report, registry =
+          remote_run ~port:(Server.port server) ~eval:(lazy_eval ~push:true) ()
+        in
+        let request_bytes =
+          List.fold_left
+            (fun acc (i : Registry.invocation) ->
+              if i.Registry.cached then acc else acc + i.Registry.request_bytes)
+            0 (Registry.history registry)
+        in
+        (report, request_bytes, wire_response_bytes registry))
+  in
+  let labelled, lab_req, lab_resp = run None in
+  Alcotest.(check bool) "subqueries were pushed" true (labelled.Engine.pushed > 0);
+  List.iter
+    (fun (what, caps) ->
+      let other, req, resp = run (Some caps) in
+      Alcotest.(check bool) ("identical answers to a server " ^ what) true
+        (tuples labelled.Engine.answers = tuples other.Engine.answers);
+      Alcotest.(check int) ("identical invoked to a server " ^ what) other.Engine.invoked
+        labelled.Engine.invoked;
+      Alcotest.(check (list string)) ("no other report field differs from a server " ^ what) []
+        (List.filter
+           (fun f -> not (List.mem f [ "bytes_transferred"; "simulated_seconds" ]))
+           (Engine.differing labelled other));
+      Alcotest.(check bool)
+        (Printf.sprintf "fewer request bytes than a server %s (%d < %d B)" what lab_req req)
+        true (lab_req < req);
+      Alcotest.(check bool)
+        (Printf.sprintf "fewer response bytes than a server %s (%d < %d B)" what lab_resp resp)
+        true (lab_resp < resp))
+    [
+      ("without label tables", [ Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse ]);
+      ("with the binary codec only", [ Wire.cap_shard; Wire.cap_binary ]);
+    ]
+
 (* The same garbage thrown at a live server: every connection is
    answered or dropped, and the listener keeps serving afterwards — a
    hostile peer cannot kill the server thread. *)
@@ -1010,6 +1298,13 @@ let () =
           Alcotest.test_case "marker needs the capability" `Quick
             test_marker_needs_the_capability;
           Alcotest.test_case "nesting depth cap" `Quick test_depth_cap;
+          Alcotest.test_case "golden label frames" `Quick test_golden_label_frames;
+          Alcotest.test_case "label table cap" `Quick test_label_table_cap;
+          Alcotest.test_case "label reference past the end" `Quick test_label_reference_past_end;
+          Alcotest.test_case "bad label reference closes one connection" `Quick
+            test_bad_label_reference_closes_one_connection;
+          Alcotest.test_case "label table rollback" `Quick test_label_rollback;
+          QCheck_alcotest.to_alcotest prop_label_sequence;
         ] );
       ( "handshake",
         [
@@ -1032,5 +1327,6 @@ let () =
         [
           Alcotest.test_case "city over loopback" `Quick test_e2e_city_acceptance;
           Alcotest.test_case "push reuse over loopback" `Quick test_e2e_push_reuse;
+          Alcotest.test_case "label tables over loopback" `Quick test_e2e_label_tables;
         ] );
     ]
