@@ -267,9 +267,10 @@ let wire_arg =
     & info [ "wire" ] ~docv:"CODEC"
         ~doc:
           "Frame codec for peer traffic: $(b,binary) (the default) negotiates the compact \
-           binary codec and per-connection reuse of pushed patterns in the capability \
-           handshake, falling back to JSON and full patterns against peers that predate \
-           them; $(b,json) pins every frame to JSON and always sends patterns in full.")
+           binary codec, per-connection reuse of pushed patterns and per-connection label \
+           tables in the capability handshake, falling back to JSON, full patterns and \
+           labels spelled in full against peers that predate them; $(b,json) pins every \
+           frame to JSON and always sends patterns and labels in full.")
 
 (* Dial each peer and register what it advertises. Local registrations
    (from --services) win on name clashes because register_remote refuses
@@ -1162,9 +1163,10 @@ let serve_cmd =
       & info [ "wire" ] ~docv:"CODEC"
           ~doc:
             "Frame codecs offered to peers: $(b,binary) (the default) advertises the \
-             compact binary codec and per-connection reuse of pushed patterns in the \
-             capability handshake — clients that also speak them switch over, everyone \
-             else stays on JSON and full patterns; $(b,json) advertises neither.")
+             compact binary codec, per-connection reuse of pushed patterns and \
+             per-connection label tables in the capability handshake — clients that also \
+             speak them switch over, everyone else stays on JSON, full patterns and full \
+             labels; $(b,json) advertises none of them.")
   in
   let max_conns_arg =
     Arg.(

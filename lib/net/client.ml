@@ -10,11 +10,13 @@ type conn = {
   codec : Wire.codec;  (* negotiated at handshake; Json unless both ends speak binary *)
   scratch : Wire.scratch;
       (* per-connection encode/decode buffers, reused across requests —
-         no fresh frame buffer per call on a warm connection *)
+         no fresh frame buffer per call on a warm connection — and the
+         label tables, when both ends advertised Wire.cap_labels *)
   push_reuse : bool;  (* both ends advertised Wire.cap_push_reuse *)
   mutable last_push : P.node option;
       (* the pattern this connection last carried in full: the server's
          slot holds the same one *)
+  mutable deadline : float;  (* the socket deadline now set, as [deadline] normalises it *)
 }
 
 type t = {
@@ -59,8 +61,10 @@ let resolve host =
     try (Unix.gethostbyname host).Unix.h_addr_list.(0)
     with Not_found -> invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
-let set_deadline fd seconds =
-  let s = if seconds = infinity || seconds <= 0.0 then 0.0 else seconds in
+(* A socket deadline in the form the socket takes it: 0 for none. *)
+let deadline seconds = if seconds = infinity || seconds <= 0.0 then 0.0 else seconds
+
+let set_deadline fd s =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
 
@@ -69,13 +73,14 @@ let set_deadline fd seconds =
 let dial t ~obs =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   try
-    set_deadline fd t.connect_timeout;
+    let connect_deadline = deadline t.connect_timeout in
+    set_deadline fd connect_deadline;
     Unix.connect fd (Unix.ADDR_INET (resolve t.host, t.port));
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     let my_caps =
       match t.wire with
       | `Json -> []
-      | `Auto -> [ Wire.cap_binary; Wire.cap_push_reuse ]
+      | `Auto -> [ Wire.cap_binary; Wire.cap_push_reuse; Wire.cap_labels ]
     in
     ignore (Wire.send fd (Wire.Hello { version = Wire.version; caps = my_caps }));
     match Wire.recv fd with
@@ -85,13 +90,15 @@ let dial t ~obs =
           t.peer_caps <- caps);
       Metrics.incr obs.Obs.metrics "net.connects";
       let mutual cap = List.mem cap my_caps && List.mem cap caps in
+      let binary = mutual Wire.cap_binary in
       {
         fd;
         next_id = 1;
-        codec = (if mutual Wire.cap_binary then Wire.Binary else Wire.Json);
-        scratch = Wire.scratch ();
+        codec = (if binary then Wire.Binary else Wire.Json);
+        scratch = Wire.scratch ~labels:(binary && mutual Wire.cap_labels) ();
         push_reuse = mutual Wire.cap_push_reuse;
         last_push = None;
+        deadline = connect_deadline;
       }
     | Wire.Error { message; _ }, _ -> raise (Wire.Protocol_error message)
     | _ -> raise (Wire.Protocol_error "expected a welcome handshake")
@@ -237,7 +244,11 @@ let call t ~obs ~timeout ~service ~params ~push =
     conn.next_id <- id + 1;
     Metrics.incr m ~labels:[ ("service", service) ] "net.requests";
     match
-      set_deadline conn.fd timeout;
+      let d = deadline timeout in
+      if d <> conn.deadline then begin
+        set_deadline conn.fd d;
+        conn.deadline <- d
+      end;
       let sent =
         Wire.send ~codec:conn.codec ~scratch:conn.scratch conn.fd
           (invoke_message conn ~id ~service ~params ~push)

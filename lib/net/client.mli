@@ -30,13 +30,17 @@ val create :
     the {e idle} connections kept for reuse; [connect_timeout] (default
     10 s) is the socket deadline for the dial + handshake. [wire]
     (default [`Auto]) selects the frame codec: [`Auto] advertises
-    {!Wire.cap_binary} and {!Wire.cap_push_reuse} in the handshake and
-    uses each on connections whose server advertised it too (falling
-    back to JSON and full patterns against older peers); [`Json]
-    advertises neither, pinning every frame to JSON exactly as before
-    either existed — the [axml --wire json] escape hatch. Each pooled
-    connection keeps its own scratch buffers, so a warm connection
-    allocates no fresh frame buffers per request. *)
+    {!Wire.cap_binary}, {!Wire.cap_push_reuse} and {!Wire.cap_labels}
+    in the handshake and uses each on connections whose server
+    advertised it too (falling back to JSON, full patterns and labels
+    spelled in full against older peers); [`Json] advertises none of
+    them, pinning every frame to JSON exactly as before any existed —
+    the [axml --wire json] escape hatch. Each pooled connection keeps
+    its own scratch buffers, so a warm connection allocates no fresh
+    frame buffers per request; on a binary connection that negotiated
+    {!Wire.cap_labels}, the scratch also holds the connection's two
+    label tables, which bound at {!Wire.max_labels} entries of at most
+    {!Wire.max_label_bytes} bytes each. *)
 
 val host : t -> string
 val port : t -> int
@@ -62,7 +66,9 @@ val call :
   Axml_xml.Tree.forest * Axml_services.Registry.wire
 (** One request/response exchange — exactly the
     {!Axml_services.Registry.transport} contract: [timeout] becomes the
-    socket deadline for the exchange ([infinity] = none), and failures
+    socket deadline for the exchange ([infinity] = none; the socket
+    options are set only when it differs from the connection's last
+    deadline), and failures
     raise {!Axml_services.Registry.Transport_error} with [transient]
     set for connection/timeout faults and cleared for protocol errors,
     {!Wire.Degraded} and non-transient {!Wire.Error} replies.
@@ -73,7 +79,12 @@ val call :
     byte in place of the pattern. The engine hands one pattern node to
     every call of a round, so a round's calls on one connection ship
     the pattern once. A freshly dialed connection remembers nothing, so
-    retries and re-dials send the pattern in full. *)
+    retries and re-dials send the pattern in full.
+
+    Likewise, a connection that negotiated {!Wire.cap_labels} sends each
+    element name, attribute name and value and service name in full the
+    first time only, and names it by its table index after that. A
+    re-dialed connection starts with empty tables. *)
 
 val close : t -> unit
 (** Closes every idle pooled connection. The client remains usable — a

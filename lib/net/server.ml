@@ -15,7 +15,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  scratch : Wire.scratch;  (* reply encoding; reused for the conn's life *)
+  mutable scratch : Wire.scratch;
+      (* reply encoding, reused for the conn's life; replaced at the
+         handshake by one with label tables when both ends advertised
+         Wire.cap_labels *)
   mutable codec : Wire.codec;  (* for replies; negotiated at handshake *)
   mutable handshaken : bool;
   mutable push_reuse : bool;  (* both ends advertised Wire.cap_push_reuse *)
@@ -68,7 +71,8 @@ let resolve host =
     with Not_found -> invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
 let create ?(host = "127.0.0.1") ?(port = 0) ?(obs = Obs.null)
-    ?(caps = [ Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse ]) ?(delay = 0.0)
+    ?(caps = [ Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse; Wire.cap_labels ])
+    ?(delay = 0.0)
     ?(jitter = 0.0) ?(jitter_seed = 0) ?(workers = 32) ?(max_conns = 8192)
     ?(force_select = false) ~registry () =
   (* A peer hanging up mid-write must surface as EPIPE, not kill the
@@ -334,7 +338,10 @@ let event_loop t =
            mutual cap_binary may switch *)
         queue_reply ~codec:Wire.Json c (welcome t);
         let mutual cap = List.mem cap caps && List.mem cap t.caps in
-        if mutual Wire.cap_binary then c.codec <- Wire.Binary;
+        if mutual Wire.cap_binary then begin
+          c.codec <- Wire.Binary;
+          if mutual Wire.cap_labels then c.scratch <- Wire.scratch ~labels:true ()
+        end;
         c.push_reuse <- mutual Wire.cap_push_reuse
       | Wire.Hello { version; _ } ->
         protocol_error c
@@ -377,7 +384,7 @@ let event_loop t =
           let msg =
             (* decode copies every string it keeps and finishes before
                the loop can refill rbuf, so no copy of the slice *)
-            try Ok (Wire.decode_payload ~pos:(c.roff + 4) ~len codec
+            try Ok (Wire.decode_payload ~scratch:c.scratch ~pos:(c.roff + 4) ~len codec
                       (Bytes.unsafe_to_string c.rbuf))
             with Wire.Protocol_error m -> Error m
           in

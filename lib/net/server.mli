@@ -39,6 +39,18 @@
     it needs no lock. A marker on a connection with an empty slot gets a
     non-transient {!Wire.Error} reply, and the connection keeps serving.
 
+    On a binary connection where both ends advertised {!Wire.cap_labels},
+    the server also keeps the connection's two label tables: requests
+    are decoded through the incoming one, in arrival order, and replies
+    encoded through the outgoing one on the event loop, in completion
+    order. A connection has at most one request at a worker, so neither
+    table needs a lock. Each table holds at most {!Wire.max_labels}
+    strings of at most {!Wire.max_label_bytes} bytes, so a hostile peer
+    cannot grow it further; a reference past its end is a protocol error
+    that closes that connection only. A reply that fails to encode (over
+    {!Wire.max_frame}) leaves the outgoing table as it was, so the error
+    frame sent in its place stays in step.
+
     Requests from different connections run {e concurrently} on the
     worker pool: the registry and the observability sinks are
     thread-safe, so no lock is held around behavior execution. Fault
@@ -69,10 +81,11 @@ val create :
     records into a private trace fragment ({!Axml_obs.Obs.fork}) folded
     back on completion, so concurrent requests keep the span tree
     well-formed. [caps] (default
-    [[Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse]]) is what
-    {!Wire.Welcome} advertises — pass [[]] to emulate a pre-capability
-    peer in tests, or leave out {!Wire.cap_push_reuse} to emulate a peer
-    without the pattern slot. [delay] (default [0.0]) injects that
+    [[Wire.cap_shard; Wire.cap_binary; Wire.cap_push_reuse; Wire.cap_labels]])
+    is what {!Wire.Welcome} advertises — pass [[]] to emulate a
+    pre-capability peer in tests, or leave out {!Wire.cap_push_reuse} or
+    {!Wire.cap_labels} to emulate a peer without the pattern slot or the
+    label tables. [delay] (default [0.0]) injects that
     many seconds of {e real} latency ([Unix.sleepf]) before serving each
     invoke request —
     the knob behind [axml serve --latency] and the E9 speedup benchmark.
