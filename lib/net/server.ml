@@ -234,7 +234,14 @@ let shutdown_conns ?except t =
    not the whole server; a conn with a request in flight has its read
    interest parked ([busy]), which both applies backpressure and
    preserves the strict request/response order of the old
-   thread-per-connection server. *)
+   thread-per-connection server.
+
+   Handlers only change a conn's state and queue its outgoing bytes;
+   each event ends in [flush], which writes what the socket takes at
+   once and then updates the conn's interest in one step, asking for
+   write readiness only while bytes remain. A reply therefore usually
+   leaves in the same loop turn as its completion, with no extra
+   wait. *)
 
 let grow_to b need =
   let cap = ref (max 4096 (2 * Bytes.length b)) in
@@ -300,9 +307,25 @@ let event_loop t =
       if c.wlen + n > Bytes.length c.wbuf then c.wbuf <- grow_to c.wbuf (c.wlen + n)
     end;
     Bytes.blit b off c.wbuf c.wlen n;
-    c.wlen <- c.wlen + n;
-    if not c.want_write then begin
-      c.want_write <- true;
+    c.wlen <- c.wlen + n
+  in
+  (* Writes what the socket takes now (one [Unix.write] keeps writing
+     until the socket would block), closes a drained closing conn, and
+     applies the conn's interest: write only while bytes remain. *)
+  let flush c =
+    if (not c.dead) && c.woff < c.wlen then begin
+      match Unix.write c.fd c.wbuf c.woff (c.wlen - c.woff) with
+      | n -> c.woff <- c.woff + n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+      | exception Unix.Unix_error _ -> close_conn c
+    end;
+    if (not c.dead) && c.woff = c.wlen then begin
+      c.woff <- 0;
+      c.wlen <- 0;
+      if c.closing then close_conn c
+    end;
+    if not c.dead then begin
+      c.want_write <- c.woff < c.wlen;
       set_interest c
     end
   in
@@ -325,9 +348,7 @@ let event_loop t =
     Log.debug (fun f -> f "conn %d: closing on protocol error: %s" c.cid m);
     queue_reply c (Wire.Error { id = 0; transient = false; message = m });
     c.closing <- true;
-    c.want_read <- false;
-    set_interest c;
-    if c.woff = c.wlen then close_conn c
+    c.want_read <- false
   in
   let dispatch c msg =
     if not c.handshaken then begin
@@ -353,7 +374,6 @@ let event_loop t =
       let serve ~id ~service ~params ~push =
         c.busy <- true;
         c.want_read <- false;
-        set_interest c;
         Exec.async t.pool (fun () ->
             let reply = handle_invoke t ~id ~service ~params ~push in
             Mutex.protect t.comp_mu (fun () -> Queue.push (c, reply) t.completions);
@@ -423,22 +443,8 @@ let event_loop t =
     | 0 -> close_conn c
     | n ->
       c.rlen <- c.rlen + n;
-      process_frames c
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      ()
-    | exception Unix.Unix_error _ -> close_conn c
-  in
-  let handle_write c =
-    match Unix.write c.fd c.wbuf c.woff (c.wlen - c.woff) with
-    | n ->
-      c.woff <- c.woff + n;
-      if c.woff = c.wlen then begin
-        c.woff <- 0;
-        c.wlen <- 0;
-        c.want_write <- false;
-        set_interest c;
-        if c.closing then close_conn c
-      end
+      process_frames c;
+      flush c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       ()
     | exception Unix.Unix_error _ -> close_conn c
@@ -539,11 +545,11 @@ let event_loop t =
             queue_reply c reply;
             if not c.closing then begin
               c.want_read <- true;
-              set_interest c;
               (* the client may have pipelined the next request *)
               process_frames c
             end
-          end
+          end;
+          flush c
         end)
       pending
   in
@@ -564,7 +570,7 @@ let event_loop t =
           match Hashtbl.find_opt tbl fd with
           | None -> ()
           | Some c ->
-            if writable && not c.dead then handle_write c;
+            if writable && not c.dead then flush c;
             if readable && not c.dead then handle_read c)
       events;
     drain_completions ();

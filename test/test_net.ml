@@ -796,8 +796,10 @@ let test_label_table_cap () =
   Alcotest.(check string) "a new name after the cap goes out in full, again"
     (hex fresh_first) (hex fresh_second);
   Alcotest.(check bool) "spelled as a literal" true (contains ~sub:"\x0afresh" fresh_second);
-  Alcotest.(check bool) "an entry from before the cap is still sent by index" true
-    (String.length (send (result [ el "e0" [] ])) < String.length (send (result [ el "e00" [] ])))
+  let last = Printf.sprintf "e%d" (Wire.max_labels - 2) in
+  let unseen = Printf.sprintf "f%d" (Wire.max_labels - 2) in
+  Alcotest.(check bool) "the table holds max_labels entries: the last one is sent by index" true
+    (String.length (send (result [ el last [] ])) < String.length (send (result [ el unseen [] ])))
 
 (* A reference past the end of the receiver's table is a protocol error,
    on its own and after the entries it may name. *)
@@ -1006,6 +1008,87 @@ let test_unknown_remote_service_fails_fast () =
           | _ -> Alcotest.fail "unknown service answered"
           | exception Registry.Transport_error { transient; _ } ->
             Alcotest.(check bool) "not worth retrying" false transient))
+
+(* A reply much larger than a socket buffer: the server writes what the
+   socket takes when the reply completes and the rest as the socket
+   drains. *)
+let test_large_reply_arrives_whole () =
+  let size = 4 * 1024 * 1024 in
+  let r = Registry.create () in
+  Registry.register r ~name:"big" (fun _ -> [ t (String.make size 'x') ]);
+  with_server r (fun server ->
+      let client = Client.create ~host:"127.0.0.1" ~port:(Server.port server) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          for _ = 1 to 2 do
+            match
+              Client.call client ~obs:Obs.null ~timeout:10.0 ~service:"big" ~params:[]
+                ~push:None
+            with
+            | [ Tree.Text s ], _ ->
+              Alcotest.(check bool) "the 4 MB reply arrives whole" true
+                (String.length s = size && s = String.make size 'x')
+            | _ -> Alcotest.fail "unexpected reply"
+          done))
+
+(* Two requests written back to back before reading: the server serves
+   them one at a time, in order, on one connection. *)
+let test_pipelined_requests () =
+  with_server (echo_registry ()) (fun server ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+          let scr = Wire.scratch ~labels:true () in
+          ignore
+            (Wire.send fd
+               (Wire.Hello { version = Wire.version; caps = [ Wire.cap_binary; Wire.cap_labels ] }));
+          (match Wire.recv fd with
+          | Wire.Welcome _, _ -> ()
+          | _ -> Alcotest.fail "expected a welcome");
+          let call id = Wire.Invoke { id; service = "echo"; params = [ t (string_of_int id) ]; push = None } in
+          let b1, n1 = Wire.encode_frame_into ~codec:Wire.Binary scr (call 1) in
+          let first = Bytes.sub b1 0 n1 in
+          let b2, n2 = Wire.encode_frame_into ~codec:Wire.Binary scr (call 2) in
+          let both = Bytes.cat first (Bytes.sub b2 0 n2) in
+          ignore (Unix.write fd both 0 (Bytes.length both));
+          List.iter
+            (fun id ->
+              match Wire.recv ~scratch:scr fd with
+              | Wire.Result { id = rid; forest; _ }, _ ->
+                Alcotest.(check int) "replies in request order" id rid;
+                Alcotest.(check bool) "its own answer" true
+                  (forest = [ el "val" [ t (string_of_int id) ] ])
+              | _ -> Alcotest.fail "expected a result")
+            [ 1; 2 ]))
+
+(* The socket deadline follows each call's timeout on a pooled
+   connection: after a call without a deadline, a short timeout still
+   fires on the same connection. *)
+let test_deadline_after_infinity () =
+  let server = Server.create ~delay:0.3 ~registry:(echo_registry ()) () in
+  Server.start server;
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let client = Client.create ~host:"127.0.0.1" ~port:(Server.port server) () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          let obs = Obs.measuring () in
+          let call timeout =
+            Client.call client ~obs ~timeout ~service:"echo" ~params:[ t "a" ] ~push:None
+          in
+          ignore (call infinity);
+          (match call 0.05 with
+          | _ -> Alcotest.fail "a 0.05 s call to a 0.3 s peer answered"
+          | exception Registry.Transport_error { timeout; transient; _ } ->
+            Alcotest.(check bool) "timed out" true (timeout && transient));
+          Alcotest.(check int) "one dial" 1 (Metrics.count obs.Obs.metrics "net.connects");
+          Alcotest.(check int) "the short call reused the connection" 1
+            (Metrics.count obs.Obs.metrics "net.reuses")))
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation over the wire *)
@@ -1320,6 +1403,9 @@ let () =
             test_unknown_remote_service_fails_fast;
           Alcotest.test_case "stop refuses connections" `Quick test_stop_refuses_connections;
           Alcotest.test_case "select backend serves" `Quick test_select_backend;
+          Alcotest.test_case "large reply arrives whole" `Quick test_large_reply_arrives_whole;
+          Alcotest.test_case "pipelined requests" `Quick test_pipelined_requests;
+          Alcotest.test_case "deadline after an infinite one" `Quick test_deadline_after_infinity;
         ] );
       ( "degradation",
         [ Alcotest.test_case "server killed mid-run" `Quick test_server_killed_mid_run ] );
