@@ -1,13 +1,16 @@
 exception Error of { line : int; col : int; message : string }
 
+let max_depth = 10_000
+
 type state = {
   src : string;
   mutable pos : int;
   mutable line : int;
   mutable bol : int; (* offset of the beginning of the current line *)
+  mutable depth : int; (* elements open around the current position *)
 }
 
-let make src = { src; pos = 0; line = 1; bol = 0 }
+let make src = { src; pos = 0; line = 1; bol = 0; depth = 0 }
 
 let fail st message =
   raise (Error { line = st.line; col = st.pos - st.bol + 1; message })
@@ -247,6 +250,8 @@ let rec parse_content st acc =
   end
 
 and parse_element st =
+  if st.depth >= max_depth then
+    fail st (Printf.sprintf "elements nest deeper than %d levels" max_depth);
   expect st '<';
   let name = parse_name st in
   let attrs = parse_attrs st in
@@ -257,7 +262,9 @@ and parse_element st =
   end
   else begin
     expect st '>';
+    st.depth <- st.depth + 1;
     let children = parse_content st [] in
+    st.depth <- st.depth - 1;
     if not (looking_at st "</") then fail st (Printf.sprintf "unclosed element <%s>" name);
     skip st 2;
     let start = scan_name st in

@@ -10,6 +10,13 @@
 exception Error of { line : int; col : int; message : string }
 (** Raised on malformed input, with a 1-based source position. *)
 
+val max_depth : int
+(** Elements nested more than this many levels deep (10,000; a root
+    element is level 1) are rejected with {!Error} at the first element
+    past the bound, so hostile nesting costs a bounded stack and fails
+    fast instead of overflowing it. The bound matches
+    [Axml_net.Wire.max_depth]. *)
+
 val tree : string -> Tree.t
 (** [tree s] parses [s] as a single XML document (one root element,
     possibly preceded/followed by misc). Raises {!Error}. *)

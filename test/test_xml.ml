@@ -107,6 +107,39 @@ let test_error_position () =
   | exception Parse.Error { line; _ } -> Alcotest.(check int) "line" 2 line
   | _ -> Alcotest.fail "expected an error"
 
+(* Nesting is capped at [Parse.max_depth] elements: a document at the
+   cap parses, one level past it is a parse error at the offending
+   element (self-closing or not, through [tree] and [forest]), and a
+   million levels fail at the cap instead of exhausting the stack. *)
+let test_depth_cap () =
+  let nested levels inner =
+    String.concat "" (List.init levels (fun _ -> "<a>"))
+    ^ inner
+    ^ String.concat "" (List.init levels (fun _ -> "</a>"))
+  in
+  let at_cap = Parse.tree (nested (Parse.max_depth - 1) "<a/>") in
+  Alcotest.(check int) "a document at the cap parses" Parse.max_depth (Tree.depth at_cap);
+  ignore (Parse.tree (nested (Parse.max_depth - 1) "<a>x</a>"));
+  let rejected what f =
+    match f () with
+    | _ -> Alcotest.failf "%s parsed" what
+    | exception Parse.Error { line; col; message } ->
+      Alcotest.(check bool) (what ^ ": says why") true
+        (message = Printf.sprintf "elements nest deeper than %d levels" Parse.max_depth);
+      (line, col)
+  in
+  let past = (1, (3 * Parse.max_depth) + 1) in
+  let pos = Alcotest.(pair int int) in
+  Alcotest.check pos "one level past the cap, at the offending element" past
+    (rejected "one past, self-closing" (fun () -> Parse.tree (nested Parse.max_depth "<a/>")));
+  Alcotest.check pos "one level past the cap, with content" past
+    (rejected "one past, with content" (fun () -> Parse.tree (nested Parse.max_depth "<a>x</a>")));
+  Alcotest.check pos "one level past the cap, as a forest" past
+    (rejected "one past, as a forest" (fun () -> Parse.forest (nested Parse.max_depth "<a/>")));
+  Alcotest.check pos "a million levels fail at the cap" past
+    (rejected "a million levels" (fun () ->
+         Parse.tree (String.concat "" (List.init 1_000_000 (fun _ -> "<a>")))))
+
 (* Golden parser cases: references at the edges of a text run,
    whitespace-only runs, CDATA beside text, closing-tag forms. *)
 let test_parse_golden () =
@@ -243,6 +276,7 @@ let () =
           quick "forest" test_parse_forest;
           quick "errors" test_parse_errors;
           quick "error position" test_error_position;
+          quick "depth cap" test_depth_cap;
           quick "golden cases" test_parse_golden;
           quick "golden errors" test_parse_error_golden;
         ] );
