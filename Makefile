@@ -62,7 +62,11 @@ test-project:
 # 64 MiB max_frame rejection path, and codec negotiation end-to-end
 # against binary-capable, JSON-pinned and pre-binary peers; then the
 # push-reuse capability (golden marker frames, the marker on an empty
-# slot, no marker without the capability) and the max_depth nesting cap
+# slot, no marker without the capability), the max_depth nesting cap,
+# and the labels capability (golden frames encoded twice on one table,
+# the max_labels cap, references past the table's end, rollback after an
+# oversize frame, and envelope sequences through one pair of tables ≡
+# the table-free and JSON codecs)
 test-wire-bin:
 	dune exec test/test_net.exe -- test wire-binary
 

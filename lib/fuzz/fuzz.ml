@@ -463,18 +463,20 @@ let check ?(watchdog = 30.0) (c : case) : failure option =
       if rb.Engine.invoked <> rj.Engine.invoked then
         violate "wire-equivalence" "binary invoked %d, JSON %d" rb.Engine.invoked
           rj.Engine.invoked;
-      (* push reuse (remote cases): against a server without the
-         per-connection pattern slot, everything but the bytes must
-         match the jobs-1 arm, and the marker can only save bytes *)
+      (* per-connection state (remote cases): against a server with
+         neither the pattern slot nor the label tables, everything but
+         the bytes must match the jobs-1 arm, and the marker and the
+         tables can only save bytes *)
       let rold =
         run_arm ~watchdog c ~jobs:1 ~match_jobs:c.match_jobs ~push:c.push ~project:c.project
           ~caps:[ Wire.cap_shard; Wire.cap_binary ] ()
       in
-      compare_reports ~oracle:"push-reuse" ~between:"servers with and without push reuse"
-        ~local:false ~ignore:[ "bytes_transferred" ] r1 rold;
+      compare_reports ~oracle:"connection-state"
+        ~between:"servers with and without push reuse and label tables" ~local:false
+        ~ignore:[ "bytes_transferred" ] r1 rold;
       if r1.Engine.bytes_transferred > rold.Engine.bytes_transferred then
-        violate "push-reuse" "reuse sent more bytes (%d > %d)" r1.Engine.bytes_transferred
-          rold.Engine.bytes_transferred
+        violate "connection-state" "push reuse and label tables sent more bytes (%d > %d)"
+          r1.Engine.bytes_transferred rold.Engine.bytes_transferred
     end;
     (* push equivalence: the generator keeps fault fates byte-independent,
        so push-on and push-off must degrade identically *)

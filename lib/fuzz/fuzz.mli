@@ -29,10 +29,11 @@
     - {b push-equivalence} (lazy only): push-on and push-off agree on
       answers, completeness and failure counts, and pushing never
       inflates local transfer bytes;
-    - {b push-reuse} (remote only): the jobs-1 arm against a server
-      without {!Axml_net.Wire.cap_push_reuse} agrees on answers and on
-      every report field as jobs-determinism does except
-      [bytes_transferred], which reuse can only lower;
+    - {b connection-state} (remote only): the jobs-1 arm against a
+      server with neither {!Axml_net.Wire.cap_push_reuse} nor
+      {!Axml_net.Wire.cap_labels} agrees on answers and on every report
+      field as jobs-determinism does except [bytes_transferred], which
+      the pattern slot and the label tables can only lower;
     - {b projection} (projected cases only): a run under type-based
       projection stays within the reference; when the unprojected twin
       completes, the projected run completes too with identical answer
