@@ -38,10 +38,18 @@ type labels = {
   index : (string, int) Hashtbl.t;  (* string -> slot; empty when decoding *)
 }
 
-let labels_table index_size = { slots = Array.make max_labels ""; count = 0; index = Hashtbl.create index_size }
+let labels_table () = { slots = Array.make max_labels ""; count = 0; index = Hashtbl.create 64 }
 
-(* The rule both ends apply to every literal, so their tables stay equal. *)
-let fits t n = t.count < max_labels && n <= max_label_bytes
+(* Appends [s] while the table has room and [s] is short enough: the
+   rule both ends apply to every literal, so their tables stay equal.
+   Says whether it did. *)
+let remember t s =
+  let fits = t.count < max_labels && String.length s <= max_label_bytes in
+  if fits then begin
+    t.slots.(t.count) <- s;
+    t.count <- t.count + 1
+  end;
+  fits
 
 (* Forgets every entry from slot [n] on: an encoding that failed never
    reached the peer, so neither may its literals. *)
@@ -124,11 +132,18 @@ let rd_uv r =
 (* A length or item count: every string byte / list item costs at least
    one input byte, so anything beyond the bytes that remain is garbage —
    reject it before allocating. *)
-let rd_len r =
-  let n = rd_uv r in
+let check_len r n =
   if n < 0 || n > r.limit - r.pos then
     fail "binary length %d exceeds the %d bytes remaining" n (r.limit - r.pos);
   n
+
+let rd_len r = check_len r (rd_uv r)
+
+(* The next [n] bytes as a string; [n] has passed [check_len]. *)
+let rd_bytes r n =
+  let s = String.sub r.src r.pos n in
+  r.pos <- r.pos + n;
+  s
 
 (* In-order list decoding: [n] has already passed {!rd_len}. *)
 let rd_list r n f =
@@ -173,19 +188,14 @@ let string =
       (fun w s ->
         put_uv w (String.length s);
         put_raw w s);
-    get =
-      (fun r ->
-        let n = rd_len r in
-        let s = String.sub r.src r.pos n in
-        r.pos <- r.pos + n;
-        s);
+    get = (fun r -> rd_bytes r (rd_len r));
   }
 
 (* A string from a small vocabulary — element and attribute names,
    attribute values, the invoked service — sent through the
    connection's label table when it has one: a varint 2·len and the
    bytes for a literal, a varint 2·i+1 for the table's entry i. Both
-   ends add a literal that [fits] to their table, so an encoder sends a
+   ends [remember] every literal, so an encoder sends a
    string in full once per connection and the decoder hands back the
    one string it kept. Without a table it is [string], byte for byte. *)
 let name =
@@ -202,11 +212,7 @@ let name =
           | None ->
             put_uv w (2 * n);
             put_raw w s;
-            if fits t n then begin
-              Hashtbl.replace t.index s t.count;
-              t.slots.(t.count) <- s;
-              t.count <- t.count + 1
-            end));
+            if remember t s then Hashtbl.replace t.index s (t.count - 1)));
     get =
       (fun r ->
         match r.rlabels with
@@ -222,14 +228,8 @@ let name =
             t.slots.(k)
           end
           else begin
-            if k > r.limit - r.pos then
-              fail "binary length %d exceeds the %d bytes remaining" k (r.limit - r.pos);
-            let s = String.sub r.src r.pos k in
-            r.pos <- r.pos + k;
-            if fits t k then begin
-              t.slots.(t.count) <- s;
-              t.count <- t.count + 1
-            end;
+            let s = rd_bytes r (check_len r k) in
+            ignore (remember t s);
             s
           end);
   }
@@ -631,10 +631,10 @@ type scratch = {
 
 let scratch ?(labels = false) () =
   {
-    out = wbuf_make ?labels:(if labels then Some (labels_table 64) else None) 4096;
+    out = wbuf_make ?labels:(if labels then Some (labels_table ()) else None) 4096;
     inb = Bytes.create 4096;
     jb = Buffer.create 4096;
-    inlabels = (if labels then Some (labels_table 0) else None);
+    inlabels = (if labels then Some (labels_table ()) else None);
   }
 
 let frame_header b0 b1 b2 b3 =

@@ -821,27 +821,32 @@ let test_label_reference_past_end () =
   | Wire.Invoke { service = "s"; _ } -> ()
   | _ -> Alcotest.fail "entry 0 did not decode");
   reject "entry 1 of a one-entry table" (invoke 4 "\x03");
-  reject "a reference with the top varint bit set" (invoke 5 "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01");
+  reject "a reference with the top varint bit set"
+    (invoke 5 "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01");
   reject "a literal longer than the frame" (invoke 6 "\x10ab")
+
+(* A raw peer speaking to a live server over a binary connection with
+   label tables: [f fd scratch] after the handshake. *)
+let with_labelled_peer server f =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+      let caps = [ Wire.cap_binary; Wire.cap_labels ] in
+      ignore (Wire.send fd (Wire.Hello { version = Wire.version; caps }));
+      (match Wire.recv fd with
+      | Wire.Welcome { caps; _ }, _ ->
+        Alcotest.(check bool) "the server advertises the tables" true
+          (List.mem Wire.cap_labels caps)
+      | _ -> Alcotest.fail "expected a welcome");
+      f fd (Wire.scratch ~labels:true ()))
 
 (* Over a live server: labelled frames are served, and a reference past
    the end of the server's table closes that connection only. *)
 let test_bad_label_reference_closes_one_connection () =
   with_server (echo_registry ()) (fun server ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-          let scr = Wire.scratch ~labels:true () in
-          ignore
-            (Wire.send fd
-               (Wire.Hello { version = Wire.version; caps = [ Wire.cap_binary; Wire.cap_labels ] }));
-          (match Wire.recv fd with
-          | Wire.Welcome { caps; _ }, _ ->
-            Alcotest.(check bool) "the server advertises the tables" true
-              (List.mem Wire.cap_labels caps)
-          | _ -> Alcotest.fail "expected a welcome");
+      with_labelled_peer server (fun fd scr ->
           let call id =
             Wire.Invoke { id; service = "echo"; params = [ el "x" [ t "a" ] ]; push = None }
           in
@@ -942,7 +947,9 @@ let gen_label_sequence =
       (list_size (int_bound 4) tree)
   in
   (* a run of many fresh names fills the table part way through *)
-  let filler = map (fun n -> Wire.Result { id = 7; pushed = false; forest = many_names n }) (int_bound 300) in
+  let filler =
+    map (fun n -> Wire.Result { id = 7; pushed = false; forest = many_names n }) (int_bound 300)
+  in
   list_size (int_range 1 30) (frequency [ (9, message); (1, filler) ])
 
 let prop_label_sequence =
@@ -1036,19 +1043,10 @@ let test_large_reply_arrives_whole () =
    them one at a time, in order, on one connection. *)
 let test_pipelined_requests () =
   with_server (echo_registry ()) (fun server ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-          let scr = Wire.scratch ~labels:true () in
-          ignore
-            (Wire.send fd
-               (Wire.Hello { version = Wire.version; caps = [ Wire.cap_binary; Wire.cap_labels ] }));
-          (match Wire.recv fd with
-          | Wire.Welcome _, _ -> ()
-          | _ -> Alcotest.fail "expected a welcome");
-          let call id = Wire.Invoke { id; service = "echo"; params = [ t (string_of_int id) ]; push = None } in
+      with_labelled_peer server (fun fd scr ->
+          let call id =
+            Wire.Invoke { id; service = "echo"; params = [ t (string_of_int id) ]; push = None }
+          in
           let b1, n1 = Wire.encode_frame_into ~codec:Wire.Binary scr (call 1) in
           let first = Bytes.sub b1 0 n1 in
           let b2, n2 = Wire.encode_frame_into ~codec:Wire.Binary scr (call 2) in
